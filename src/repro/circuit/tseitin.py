@@ -116,47 +116,151 @@ def encode_under_assignment(
 ) -> CofactorEncoding:
     """Encode a circuit with some inputs pinned to constants.
 
-    ``fixed`` pins inputs to 0/1; ``shared_vars`` supplies CNF variables
-    for other nodes (typically the key inputs); remaining inputs get
-    fresh variables. Constants are propagated through the netlist so only
-    genuinely symbolic logic produces clauses.
+    ``fixed`` pins inputs to 0/1; ``shared_vars`` supplies variables of
+    ``cnf`` for other inputs (typically the key inputs); remaining inputs
+    get fresh variables. Constants are propagated through the netlist so
+    only genuinely symbolic logic produces clauses.
+
+    The result is that of a walk over the cone in topological order that
+    allocates a fresh variable whenever one is needed. The fold depends
+    only on which cone inputs are fixed (and to what), shared or fresh,
+    so it runs once per such pattern into a template over literal slots;
+    calls that repeat the pattern (the SAT attack's key instances under
+    one distinguishing input) only renumber the template onto ``cnf``.
     """
     if targets is None:
-        targets = list(circuit.outputs)
-    encoding = CofactorEncoding(cnf=cnf)
-    consts = encoding.consts
-    lits = encoding.lits
+        targets = circuit.outputs
+    targets = tuple(targets)
     shared_vars = shared_vars or {}
+    program = circuit._memo(
+        ("cofactor", targets), lambda: _CofactorProgram(circuit, targets)
+    )
+    return program.template(fixed, shared_vars).instantiate(cnf, shared_vars)
 
-    for node in circuit.topological_order(targets=list(targets)):
-        gate_type = circuit.gate_type(node)
-        if gate_type is GateType.INPUT:
-            if node in fixed:
-                consts[node] = int(fixed[node])
-            elif node in shared_vars:
-                lits[node] = shared_vars[node]
+
+_SHARED = "shared"
+_FRESH = "fresh"
+
+
+class _CofactorProgram:
+    """The cone of ``targets`` in topological order."""
+
+    __slots__ = ("nodes", "inputs", "_last")
+
+    def __init__(self, circuit: Circuit, targets: tuple[str, ...]):
+        self.nodes = [
+            (node, circuit.gate_type(node), circuit.fanins(node))
+            for node in circuit.topological_order(targets=list(targets))
+        ]
+        self.inputs = [
+            node for node, gate_type, _ in self.nodes
+            if gate_type is GateType.INPUT
+        ]
+        self._last: tuple[tuple, _CofactorTemplate] | None = None
+
+    def template(
+        self, fixed: Mapping[str, int], shared_vars: Mapping[str, int]
+    ) -> "_CofactorTemplate":
+        """The fold for this input pattern (the last one is kept)."""
+        pattern = tuple([
+            int(fixed[name]) if name in fixed
+            else _SHARED if name in shared_vars
+            else _FRESH
+            for name in self.inputs
+        ])
+        last = self._last
+        if last is not None and last[0] == pattern:
+            return last[1]
+        template = _CofactorTemplate(self, pattern)
+        self._last = (pattern, template)
+        return template
+
+
+class _CofactorTemplate:
+    """The folded cone over literal slots.
+
+    Slots ``1..len(shared_names)`` stand for the shared inputs in
+    topological order, the following ``num_fresh`` slots for the fresh
+    variables in allocation order; a negative slot is a negated literal.
+    """
+
+    __slots__ = ("shared_names", "num_fresh", "clauses", "consts",
+                 "lit_names", "lit_slots")
+
+    def __init__(self, program: _CofactorProgram, pattern: tuple):
+        self.shared_names = [
+            name for name, state in zip(program.inputs, pattern)
+            if state is _SHARED
+        ]
+        slots = Cnf(len(self.shared_names))
+        consts: dict[str, int] = {}
+        lits: dict[str, int] = {}
+        states = iter(pattern)
+        next_shared = 0
+        for node, gate_type, fanins in program.nodes:
+            if gate_type is GateType.INPUT:
+                state = next(states)
+                if state is _SHARED:
+                    next_shared += 1
+                    lits[node] = next_shared
+                elif state is _FRESH:
+                    lits[node] = slots.new_var()
+                else:
+                    consts[node] = state
+                continue
+            if gate_type is GateType.CONST0:
+                consts[node] = 0
+                continue
+            if gate_type is GateType.CONST1:
+                consts[node] = 1
+                continue
+            fanin_consts: list[int] = []
+            fanin_lits: list[int] = []
+            for fanin in fanins:
+                if fanin in consts:
+                    fanin_consts.append(consts[fanin])
+                else:
+                    fanin_lits.append(lits[fanin])
+            value = _fold_gate(slots, gate_type, fanin_consts, fanin_lits)
+            if isinstance(value, bool):
+                consts[node] = int(value)
             else:
-                lits[node] = cnf.new_var()
-            continue
-        if gate_type is GateType.CONST0:
-            consts[node] = 0
-            continue
-        if gate_type is GateType.CONST1:
-            consts[node] = 1
-            continue
-        fanin_consts: list[int] = []
-        fanin_lits: list[int] = []
-        for fanin in circuit.fanins(node):
-            if fanin in consts:
-                fanin_consts.append(consts[fanin])
-            else:
-                fanin_lits.append(lits[fanin])
-        value = _fold_gate(cnf, gate_type, fanin_consts, fanin_lits)
-        if isinstance(value, bool):
-            consts[node] = int(value)
-        else:
-            lits[node] = value
-    return encoding
+                lits[node] = value
+        self.num_fresh = slots.num_vars - len(self.shared_names)
+        self.clauses = slots.clauses
+        self.consts = consts
+        self.lit_names = list(lits)
+        self.lit_slots = list(lits.values())
+
+    def instantiate(
+        self, cnf: Cnf, shared_vars: Mapping[str, int]
+    ) -> CofactorEncoding:
+        """Append the clauses to ``cnf``, fresh variables numbered next."""
+        base = cnf.num_vars
+        table = [0]
+        for name in self.shared_names:
+            lit = shared_vars[name]
+            if isinstance(lit, bool) or not isinstance(lit, int) or not (
+                0 < abs(lit) <= base
+            ):
+                raise EncodingError(
+                    f"shared variable {lit!r} of {name!r} is not a literal "
+                    f"of the cnf ({base} variables)"
+                )
+            table.append(lit)
+        table.extend(range(base + 1, base + 1 + self.num_fresh))
+        # lut[s] is the literal of slot s, and lut[-s] its negation.
+        lut = table + [-lit for lit in reversed(table[1:])]
+        substitute = lut.__getitem__
+        cnf.clauses.extend(
+            [tuple(map(substitute, clause)) for clause in self.clauses]
+        )
+        cnf.num_vars = base + self.num_fresh
+        return CofactorEncoding(
+            cnf=cnf,
+            consts=dict(self.consts),
+            lits=dict(zip(self.lit_names, map(substitute, self.lit_slots))),
+        )
 
 
 def _fold_gate(

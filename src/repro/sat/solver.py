@@ -2,7 +2,8 @@
 
 A conflict-driven clause learning solver in the MiniSat lineage:
 
-- two-watched-literal propagation,
+- two-watched-literal propagation (deleted learnt clauses are detached
+  from both of their watch lists when the database is reduced),
 - first-UIP conflict analysis with basic clause minimization,
 - VSIDS branching (lazy heap with phase saving),
 - Luby restarts,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
 from collections.abc import Iterable
 from heapq import heappop, heappush
 
@@ -40,6 +42,15 @@ _VAR_DECAY = 0.95
 _RESCALE_LIMIT = 1e100
 _LUBY_UNIT = 128
 _BUDGET_CHECK_INTERVAL = 128
+
+# The VSIDS heap holds int keys that sort exactly like the tuples
+# ``(-activity, var)``: the high bits are _KEY_TOP minus the IEEE-754 bit
+# pattern of the activity (monotone in the value of a non-negative
+# double), the low _VAR_BITS bits are the variable. Ints compare faster
+# than tuples.
+_VAR_BITS = 32
+_VAR_MASK = (1 << _VAR_BITS) - 1
+_KEY_TOP = (1 << 63) - 1
 
 
 class SolveStatus(enum.Enum):
@@ -68,7 +79,7 @@ class SolverStats:
         self.restarts = 0
         self.solve_calls = 0
 
-    def as_dict(self) -> dict[int, int]:
+    def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
@@ -118,37 +129,30 @@ class Solver:
         self._random_phase = random_phase
         self._rng = random.Random(seed)
         self._num_vars = 0
-        # Indexed by internal literal (2v / 2v+1); slots 0..3 are padding
-        # so that var 1 maps to indices 2 and 3.
-        self._values = bytearray(2)
+        # Indexed by internal literal (2v / 2v+1); slots 0 and 1 are
+        # padding so that var 1 maps to indices 2 and 3.
+        self._values: list[int] = [_UNASSIGNED, _UNASSIGNED]
         self._watches: list[list[list[int]]] = [[], []]
         # Indexed by variable (slot 0 padding).
         self._activity: list[float] = [0.0]
         self._reason: list[list[int] | None] = [None]
         self._level: list[int] = [-1]
         self._phase: list[bool] = [False]
-        self._seen = bytearray(1)
+        self._seen: list[int] = [0]
 
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
 
-        self._heap: list[tuple[float, int]] = []
+        self._heap: list[int] = []  # lazy: stale keys are skipped on pop
+        self._heap_key: list[int] = [0]  # per variable, for its activity
         self._var_inc = 1.0
+        # One double and its bit pattern, for computing heap keys.
+        self._f64 = array("d", [0.0])
+        self._f64_bits = memoryview(self._f64).cast("B").cast("q")
 
         self._learnts: list[list[int]] = []
-        self._lbd: dict[int, int] = {}
-        # Lazily deleted learnt clauses, marked by id(). The parallel
-        # strong-reference list pins those ids: without it CPython
-        # recycles the freed list's address, a *new* learnt clause can
-        # land on a stale tombstone and be silently skipped by
-        # propagation — sound (learnt clauses are redundant) but
-        # allocation-dependent, i.e. nondeterministic run to run, which
-        # breaks seeded-attack reproducibility, checkpoint resume and
-        # portfolio winner determinism. Tombstones are physically swept
-        # from the watch lists at the next database reduction.
-        self._removed: set[int] = set()
-        self._removed_refs: list[list[int]] = []
+        self._lbd: dict[int, int] = {}  # id(learnt clause) -> LBD
         self._max_learnts = 4000.0
 
         self._ok = True
@@ -160,7 +164,7 @@ class Solver:
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         self._num_vars += 1
-        self._values.extend(b"\x00\x00")
+        self._values += (_UNASSIGNED, _UNASSIGNED)
         self._watches.append([])
         self._watches.append([])
         self._activity.append(0.0)
@@ -168,7 +172,9 @@ class Solver:
         self._level.append(-1)
         self._phase.append(False)
         self._seen.append(0)
-        heappush(self._heap, (0.0, self._num_vars))
+        key = (_KEY_TOP << _VAR_BITS) | self._num_vars  # activity 0.0
+        self._heap_key.append(key)
+        heappush(self._heap, key)
         return self._num_vars
 
     def new_vars(self, count: int) -> list[int]:
@@ -185,11 +191,19 @@ class Solver:
         if not self._ok:
             return
         internal: list[int] = []
+        top = 0
         for lit in lits:
-            check_literal(lit)
-            var = lit if lit > 0 else -lit
-            self._ensure_var(var)
-            internal.append(to_internal(lit))
+            if type(lit) is not int or not lit:
+                check_literal(lit)  # raises on zero, bools and non-ints
+            if lit > 0:
+                if lit > top:
+                    top = lit
+                internal.append(lit << 1)
+            else:
+                if -lit > top:
+                    top = -lit
+                internal.append((-lit << 1) | 1)
+        self._ensure_var(top)
         # Dedupe, drop root-false literals, detect tautology/satisfied.
         values = self._values
         clause: list[int] = []
@@ -241,72 +255,80 @@ class Solver:
         self._trail.append(ilit)
 
     def _propagate(self) -> list[int] | None:
-        """Propagate until fixpoint; return a conflicting clause or None."""
+        """Propagate until fixpoint; return a conflicting clause or None.
+
+        Every clause sits in the watch lists of exactly ``clause[0]`` and
+        ``clause[1]``; a clause whose other watch is true is kept, one
+        with a non-false literal further on moves that literal into
+        ``clause[1]``, and otherwise it is unit or conflicting.
+        """
         values = self._values
         watches = self._watches
         trail = self._trail
-        removed = self._removed
-        propagations = 0
+        level = self._level
+        reason = self._reason
+        current_level = len(self._trail_lim)
+        qhead = start = self._qhead
         conflict: list[int] | None = None
-        while self._qhead < len(trail):
-            lit = trail[self._qhead]
-            self._qhead += 1
-            propagations += 1
-            false_lit = lit ^ 1
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
             watchlist = watches[false_lit]
-            i = 0
-            j = 0
-            n = len(watchlist)
-            while i < n:
-                clause = watchlist[i]
-                i += 1
-                if removed and id(clause) in removed:
-                    continue  # lazily drop deleted learned clause
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
+            j = moved = 0
+            for clause in watchlist:
                 first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
                 if values[first] == _TRUE:
                     watchlist[j] = clause
                     j += 1
                     continue
-                swap_index = -1
-                for k in range(2, len(clause)):
-                    if values[clause[k]] != _FALSE:
-                        swap_index = k
+                size = len(clause)
+                k = 2
+                while k < size:
+                    other = clause[k]
+                    if values[other] != _FALSE:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(clause)
+                        moved += 1
                         break
-                if swap_index >= 0:
-                    other = clause[swap_index]
-                    clause[1] = other
-                    clause[swap_index] = false_lit
-                    watches[other].append(clause)
-                    continue
-                # Clause is unit or conflicting.
-                watchlist[j] = clause
-                j += 1
-                if values[first] == _FALSE:
-                    conflict = clause
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    break
-                self._enqueue(first, clause)
-            del watchlist[j:]
+                    k += 1
+                else:
+                    # Unit or conflicting: the clause keeps this watch.
+                    watchlist[j] = clause
+                    j += 1
+                    if values[first] == _FALSE:
+                        conflict = clause
+                        break
+                    values[first] = _TRUE
+                    values[first ^ 1] = _FALSE
+                    var = first >> 1
+                    level[var] = current_level
+                    reason[var] = clause
+                    trail.append(first)
+            # Close the gap left by moved watches; after a conflict the
+            # unvisited tail stays.
+            del watchlist[j:j + moved]
             if conflict is not None:
                 break
-        self.stats.propagations += propagations
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
         return conflict
 
-    def _bump_var(self, var: int) -> None:
+    def _rescale_activities(self) -> None:
+        inverse = 1.0 / _RESCALE_LIMIT
         activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > _RESCALE_LIMIT:
-            inverse = 1.0 / _RESCALE_LIMIT
-            for v in range(1, self._num_vars + 1):
-                activity[v] *= inverse
-            self._var_inc *= inverse
-        heappush(self._heap, (-activity[var], var))
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= inverse
+            self._set_heap_key(v)
+        self._var_inc *= inverse
+
+    def _set_heap_key(self, var: int) -> None:
+        """Store the heap key of ``var``'s current activity (see _KEY_TOP)."""
+        self._f64[0] = self._activity[var]
+        self._heap_key[var] = ((_KEY_TOP - self._f64_bits[0]) << _VAR_BITS) | var
 
     def _decay_activities(self) -> None:
         self._var_inc /= _VAR_DECAY
@@ -323,6 +345,9 @@ class Solver:
         level = self._level
         reason = self._reason
         trail = self._trail
+        activity = self._activity
+        heap = self._heap
+        heap_key = self._heap_key
         current_level = len(self._trail_lim)
 
         learnt: list[int] = [0]
@@ -339,7 +364,14 @@ class Solver:
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
                     to_clear.append(var)
-                    self._bump_var(var)
+                    # VSIDS bump; the heap key for the old activity
+                    # goes stale.
+                    activity[var] += self._var_inc
+                    if activity[var] > _RESCALE_LIMIT:
+                        self._rescale_activities()
+                    else:
+                        self._set_heap_key(var)
+                    heappush(heap, heap_key[var])
                     if level[var] >= current_level:
                         counter += 1
                     else:
@@ -389,72 +421,73 @@ class Solver:
         return learnt, max_level, lbd
 
     def _cancel_until(self, target_level: int) -> None:
-        if len(self._trail_lim) <= target_level:
+        """Unassign every level above ``target_level``.
+
+        ``level`` and ``reason`` of an unassigned variable go stale; they
+        are only read for assigned variables (``_reduce_db`` checks).
+        """
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= target_level:
             return
         values = self._values
         phase = self._phase
-        reason = self._reason
-        level = self._level
-        boundary = self._trail_lim[target_level]
-        for idx in range(len(self._trail) - 1, boundary - 1, -1):
-            ilit = self._trail[idx]
+        heap_key = self._heap_key
+        heap = self._heap
+        trail = self._trail
+        boundary = trail_lim[target_level]
+        for ilit in trail[boundary:]:
             var = ilit >> 1
             phase[var] = not (ilit & 1)
             values[ilit] = _UNASSIGNED
             values[ilit ^ 1] = _UNASSIGNED
-            reason[var] = None
-            level[var] = -1
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
-        del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
+            heappush(heap, heap_key[var])
+        del trail[boundary:]
+        del trail_lim[target_level:]
+        self._qhead = boundary
 
     def _pick_branch_var(self) -> int:
         values = self._values
         heap = self._heap
         while heap:
-            _, var = heappop(heap)
+            var = heappop(heap) & _VAR_MASK
             if values[var << 1] == _UNASSIGNED:
                 return var
         return 0
 
-    def _purge_removed(self) -> None:
-        """Physically drop tombstoned clauses from every watch list.
-
-        Afterwards no watch list references a removed clause, so the
-        tombstone set (and the strong references pinning its ids) can be
-        cleared and those ids may recycle safely.
-        """
-        removed = self._removed
-        for watchlist in self._watches:
-            watchlist[:] = [c for c in watchlist if id(c) not in removed]
-        removed.clear()
-        self._removed_refs.clear()
-
     def _reduce_db(self) -> None:
-        """Drop the worst half of learned clauses (by LBD, then length)."""
-        if self._removed:
-            self._purge_removed()
-        learnts = self._learnts
+        """Drop the worst half of learned clauses (by LBD, then length).
+
+        Deleted clauses are detached from the watch lists of their two
+        watched literals, ``clause[0]`` and ``clause[1]``.
+        """
+        values = self._values
         reason = self._reason
+        lbd = self._lbd
         keep_always = []
         candidates = []
-        for clause in learnts:
-            # A clause that is currently a reason must stay.
-            var0 = clause[0] >> 1
-            if reason[var0] is clause or self._lbd.get(id(clause), 9) <= 2:
+        for clause in self._learnts:
+            # A clause that is currently a reason must stay; ``reason``
+            # of an unassigned variable is stale.
+            first = clause[0]
+            is_reason = values[first] and reason[first >> 1] is clause
+            if is_reason or lbd.get(id(clause), 9) <= 2:
                 keep_always.append(clause)
             else:
                 candidates.append(clause)
-        candidates.sort(key=lambda c: (self._lbd.get(id(c), 9), len(c)))
+        candidates.sort(key=lambda c: (lbd.get(id(c), 9), len(c)))
         cutoff = len(candidates) // 2
-        kept = candidates[:cutoff]
-        for clause in candidates[cutoff:]:
-            self._removed.add(id(clause))
-            self._lbd.pop(id(clause), None)
-        # Pin the removed clauses' ids until the next purge.
-        self._removed_refs.extend(candidates[cutoff:])
-        self._learnts = keep_always + kept
+        removed = candidates[cutoff:]
+        # ``removed`` keeps the clauses alive, so their ids stay unique
+        # while the watch lists are filtered.
+        dead = {id(clause) for clause in removed}
+        watched = {clause[0] for clause in removed}
+        watched.update(clause[1] for clause in removed)
+        watches = self._watches
+        for lit in watched:
+            watches[lit] = [c for c in watches[lit] if id(c) not in dead]
+        for clause in removed:
+            lbd.pop(id(clause), None)
+        self._learnts = keep_always + candidates[:cutoff]
 
     # ------------------------------------------------------------------
     # Search
@@ -578,11 +611,8 @@ class Solver:
             self._enqueue(ilit, None)
 
     def _store_model(self) -> None:
-        values = self._values
-        model = [False] * (self._num_vars + 1)
-        for var in range(1, self._num_vars + 1):
-            model[var] = values[var << 1] == _TRUE
-        self._model = model
+        # values[2v] is the value of the positive literal of variable v.
+        self._model = [False, *map(_TRUE.__eq__, self._values[2::2])]
 
     # ------------------------------------------------------------------
     # Model access

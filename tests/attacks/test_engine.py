@@ -53,21 +53,28 @@ def _benchmark(name):
 class TestCheckpointResume:
     # Double DIP sees no 2-DIPs on TTLock (every wrong key is a single
     # point error), so it checkpoints against the SFLL-HD1 cell where
-    # its CEGIS loop actually iterates.
+    # its CEGIS loop actually iterates. Its later iterations get slow,
+    # so that cell caps both runs at 10 iterations; the resumed run must
+    # stop at the same point with the same solver work.
     @pytest.mark.parametrize(
-        "attack,cell",
-        [("sat", "ttlock"), ("appsat", "ttlock"), ("double-dip", "sfll1")],
+        "attack,cell,cap",
+        [
+            pytest.param("sat", "ttlock", None, id="sat-ttlock"),
+            pytest.param("appsat", "ttlock", None, id="appsat-ttlock"),
+            pytest.param("double-dip", "sfll1", 10, id="double-dip-sfll1"),
+        ],
     )
-    def test_round_trip_is_bit_exact(self, attack, cell, tmp_path):
+    def test_round_trip_is_bit_exact(self, attack, cell, cap, tmp_path):
         """Interrupt at iteration 3, resume, compare to uninterrupted."""
         original, locked = _benchmark(cell)
         path = str(tmp_path / f"{attack}.ckpt.json")
 
         reference = run_attack(
             attack, locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT),
+            AttackConfig(time_limit=_TIME_LIMIT, max_iterations=cap),
         )
-        assert reference.status is AttackStatus.SUCCESS
+        expected = AttackStatus.SUCCESS if cap is None else AttackStatus.TIMEOUT
+        assert reference.status is expected
         assert reference.iterations > 3, "corpus cell too easy to interrupt"
 
         partial = run_attack(
@@ -84,14 +91,18 @@ class TestCheckpointResume:
         live = IOOracle(original)
         resumed = run_attack(
             attack, locked.circuit, live,
-            AttackConfig(time_limit=_TIME_LIMIT, checkpoint_path=path),
+            AttackConfig(
+                time_limit=_TIME_LIMIT, max_iterations=cap,
+                checkpoint_path=path,
+            ),
         )
-        # Identical key, identical total iteration count, identical
-        # query metric — and only the remainder hit the live oracle.
-        assert resumed.status is AttackStatus.SUCCESS
+        # Identical outcome, iteration count, query metric and solver
+        # work — and only the remainder hit the live oracle.
+        assert resumed.status is reference.status
         assert resumed.key == reference.key
         assert resumed.iterations == reference.iterations
         assert resumed.oracle_queries == reference.oracle_queries
+        assert resumed.details["solver"] == reference.details["solver"]
         assert (
             resumed.details["checkpoint"]["replayed_queries"]
             == partial.oracle_queries

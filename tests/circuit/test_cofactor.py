@@ -9,6 +9,8 @@ satisfiable iff the full circuit produces the asserted outputs.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,12 @@ from repro.circuit.gates import GateType
 from repro.circuit.library import c17, paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate_pattern
-from repro.circuit.tseitin import encode_under_assignment
+from repro.circuit.tseitin import (
+    CofactorEncoding,
+    _fold_gate,
+    encode_under_assignment,
+)
+from repro.errors import EncodingError
 from repro.locking import lock_sfll_hd
 from repro.sat.cnf import Cnf
 from repro.sat.solver import Solver, SolveStatus
@@ -194,3 +201,172 @@ def test_cofactor_matches_simulation_property(seed, pattern):
     """Fully fixed cofactor encoding must equal simulation everywhere."""
     circuit = generate_random_circuit("cf", 8, 3, 50, seed=seed)
     check_against_simulation(circuit, pattern)
+
+
+def reference_encode_under_assignment(
+    circuit, cnf, fixed, shared_vars=None, targets=None
+) -> CofactorEncoding:
+    """The plain node-by-node walk the templated encoder must reproduce."""
+    if targets is None:
+        targets = list(circuit.outputs)
+    encoding = CofactorEncoding(cnf=cnf)
+    consts = encoding.consts
+    lits = encoding.lits
+    shared_vars = shared_vars or {}
+    for node in circuit.topological_order(targets=list(targets)):
+        gate_type = circuit.gate_type(node)
+        if gate_type is GateType.INPUT:
+            if node in fixed:
+                consts[node] = int(fixed[node])
+            elif node in shared_vars:
+                lits[node] = shared_vars[node]
+            else:
+                lits[node] = cnf.new_var()
+            continue
+        if gate_type is GateType.CONST0:
+            consts[node] = 0
+            continue
+        if gate_type is GateType.CONST1:
+            consts[node] = 1
+            continue
+        fanin_consts = []
+        fanin_lits = []
+        for fanin in circuit.fanins(node):
+            if fanin in consts:
+                fanin_consts.append(consts[fanin])
+            else:
+                fanin_lits.append(lits[fanin])
+        value = _fold_gate(cnf, gate_type, fanin_consts, fanin_lits)
+        if isinstance(value, bool):
+            consts[node] = int(value)
+        else:
+            lits[node] = value
+    return encoding
+
+
+def _decorated_circuit(seed: int) -> Circuit:
+    """A random circuit plus the node kinds the generator never emits:
+    constants, buffers, wide parities and repeated fanins."""
+    rng = random.Random(seed)
+    circuit = generate_random_circuit(
+        f"d{seed}", rng.randint(4, 9), rng.randint(1, 3), rng.randint(20, 60),
+        seed=seed,
+    )
+    nodes = list(circuit.nodes)
+    circuit.add_const("zero", 0)
+    circuit.add_const("one", 1)
+    extras = [
+        ("buf", GateType.BUF, [rng.choice(nodes)]),
+        ("xor3", GateType.XOR, rng.sample(nodes, 3)),
+        ("xnor3", GateType.XNOR, [rng.choice(nodes), "one", rng.choice(nodes)]),
+        ("twice", GateType.AND, [nodes[-1], nodes[-1], rng.choice(nodes)]),
+        ("masked", GateType.OR, ["zero", rng.choice(nodes)]),
+        ("sink", GateType.NAND, ["buf", "xor3", "xnor3", "twice", "masked"]),
+    ]
+    for name, gate_type, fanins in extras:
+        circuit.add_gate(name, gate_type, fanins)
+    circuit.add_output("sink")
+    return circuit
+
+
+def _random_split(rng, inputs):
+    fixed = {}
+    shared_names = []
+    for name in inputs:
+        draw = rng.random()
+        if draw < 0.45:
+            fixed[name] = rng.randint(0, 1)
+        elif draw < 0.8:
+            shared_names.append(name)
+    return fixed, shared_names
+
+
+def _assert_same(new, ref):
+    assert new.cnf.num_vars == ref.cnf.num_vars
+    assert new.cnf.clauses == ref.cnf.clauses
+    # Same entries in the same (topological) order.
+    assert list(new.consts.items()) == list(ref.consts.items())
+    assert list(new.lits.items()) == list(ref.lits.items())
+
+
+class TestMatchesNodeWalk:
+    """Differential: the fold-once encoder against the plain walk.
+
+    Both sides append to their own growing CNF, so fresh variables are
+    numbered after everything earlier calls allocated.
+    """
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_splits_and_repeated_assignments(self, seed):
+        rng = random.Random(seed)
+        circuit = _decorated_circuit(seed)
+        new_cnf, ref_cnf = Cnf(6), Cnf(6)
+        for step in range(8):
+            if step % 3 == 0:
+                # A new assignment; the next two calls repeat it with
+                # other shared variables, as the attack loops do.
+                fixed, shared_names = _random_split(rng, circuit.inputs)
+                targets = None
+                if rng.random() < 0.5:
+                    targets = rng.sample(list(circuit.nodes), 3)
+            if step % 3 == 2:
+                shared_names = rng.sample(
+                    list(circuit.inputs), len(circuit.inputs) // 2
+                )
+            shared = {
+                name: rng.randint(1, new_cnf.num_vars) * rng.choice((1, -1))
+                for name in shared_names
+            }
+            new = encode_under_assignment(
+                circuit, new_cnf, fixed=fixed, shared_vars=shared,
+                targets=targets,
+            )
+            ref = reference_encode_under_assignment(
+                circuit, ref_cnf, fixed=fixed, shared_vars=shared,
+                targets=targets,
+            )
+            _assert_same(new, ref)
+
+    def test_structural_mutation_between_calls(self):
+        circuit = _decorated_circuit(99)
+        fixed = {name: 1 for name in circuit.inputs[:2]}
+        shared_names = circuit.inputs[2:4]
+        new_cnf, ref_cnf = Cnf(4), Cnf(4)
+        shared = {name: var for var, name in enumerate(shared_names, 1)}
+
+        def both():
+            new = encode_under_assignment(circuit, new_cnf, fixed, shared)
+            _assert_same(
+                new,
+                reference_encode_under_assignment(
+                    circuit, ref_cnf, fixed, shared
+                ),
+            )
+            return new
+
+        assert "late" not in both().lits
+        # A new free input gating the first output: the memoized cone
+        # and its template must be rebuilt.
+        circuit.add_input("late")
+        first = circuit.outputs[0]
+        circuit.add_gate("late_gate", GateType.XOR, [first, "late"])
+        circuit.replace_output(first, "late_gate")
+        assert "late" in both().lits
+
+    def test_same_names_different_structure(self):
+        # Circuits built and dropped one after another reuse node names
+        # (and often memory); each must get its own cone and template.
+        for seed in range(6):
+            circuit = generate_random_circuit("same", 6, 2, 30, seed=seed)
+            fixed = {circuit.inputs[0]: 1}
+            _assert_same(
+                encode_under_assignment(circuit, Cnf(), fixed),
+                reference_encode_under_assignment(circuit, Cnf(), fixed),
+            )
+
+    def test_shared_variable_must_belong_to_the_cnf(self):
+        circuit = paper_example_circuit()
+        with pytest.raises(EncodingError):
+            encode_under_assignment(
+                circuit, Cnf(2), fixed={"a": 1}, shared_vars={"b": 3}
+            )

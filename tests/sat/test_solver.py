@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
 from repro.sat.dpll import dpll_solve
+from repro.sat import solver as solver_module
 from repro.sat.solver import Solver, SolveStatus, _luby, solve_cnf
 from repro.utils.timer import Budget
 
@@ -301,20 +302,34 @@ def _solve_ph(holes: int) -> SolveStatus:
 
 
 class TestDeterminism:
-    """Run-to-run reproducibility, including under clause-DB reduction.
+    """Run-to-run reproducibility and the exact search fingerprint.
 
     Seeded attacks, checkpoint resume and portfolio winner selection
     all assume the solver is a deterministic function of its inputs.
-    The lazy clause-deletion scheme marks removed learnt clauses by
-    ``id()``; the regression here is allocation-dependent behavior
-    (a recycled id silently tombstoning a *new* clause), which only
-    shows up once ``_reduce_db`` has fired — hence the tiny
-    ``_max_learnts`` forcing many reductions.
+    Beyond run-to-run equality, the cases below pin the exact
+    ``(status, conflicts, decisions, propagations, restarts)`` of each
+    solve. Any change to propagation order, conflict analysis, VSIDS
+    tie-breaking, restarts or learnt-clause deletion moves them, so a
+    solver speedup must leave them as they are; a deliberate change to
+    the search has to re-record them. The tiny ``_max_learnts`` makes
+    ``_reduce_db`` fire many times, and a lowered ``_RESCALE_LIMIT``
+    exercises activity rescaling.
     """
 
     @staticmethod
+    def _fingerprint(solver: Solver, status: SolveStatus) -> tuple:
+        stats = solver.stats
+        return (
+            status.value,
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+            stats.restarts,
+        )
+
+    @staticmethod
     def _run(seed: int) -> tuple:
-        cnf = _pigeonhole_cnf(6)  # hard enough for thousands of conflicts
+        cnf = _pigeonhole_cnf(6)  # hard enough for hundreds of conflicts
         solver = Solver(random_phase=0.2, seed=seed)
         solver._max_learnts = 30.0  # force frequent DB reductions
         solver.add_cnf(cnf)
@@ -333,30 +348,79 @@ class TestDeterminism:
             solver.stats.restarts,
         )
 
+    @classmethod
+    def _blocking_episode(cls, cnf: Cnf, rounds: int, assume: int) -> tuple:
+        """Solve, block the model, re-solve: the attack loops' pattern."""
+        rng = random.Random(17)
+        solver = Solver(random_phase=0.3, seed=5)
+        solver._max_learnts = 25.0
+        solver.add_cnf(cnf)
+        trace = []
+        for _ in range(rounds):
+            assumptions = [
+                var if rng.random() < 0.5 else -var
+                for var in rng.sample(range(1, cnf.num_vars + 1), assume)
+            ]
+            status = solver.solve(assumptions=assumptions)
+            trace.append(cls._fingerprint(solver, status))
+            if status is SolveStatus.SAT:
+                # Block the current model to force new search next round.
+                solver.add_clause([
+                    -var if value else var
+                    for var, value in solver.model_dict().items()
+                ])
+            elif not assumptions:
+                break
+        return tuple(trace)
+
     def test_identical_stats_across_runs_under_db_reduction(self):
         runs = [self._run(seed=3) for _ in range(3)]
         assert runs[0][2] > 100, "instance too easy to exercise reduce_db"
         assert runs[0] == runs[1] == runs[2]
 
+    def test_pigeonhole_fingerprint(self):
+        assert self._run(seed=3) == (SolveStatus.UNSAT, None) + PIGEONHOLE
+
     def test_incremental_resolve_deterministic(self):
         def episode():
             rng = random.Random(11)
-            cnf = random_cnf(rng, 40, 150)
-            solver = Solver(random_phase=0.3, seed=5)
-            solver._max_learnts = 25.0
-            solver.add_cnf(cnf)
-            trace = []
-            for round_index in range(6):
-                status = solver.solve()
-                trace.append((status, solver.stats.conflicts))
-                if status is not SolveStatus.SAT:
-                    break
-                # Block the current model to force new search next round.
-                blocking = [
-                    -var if value else var
-                    for var, value in solver.model_dict().items()
-                ]
-                solver.add_clause(blocking)
-            return tuple(trace)
+            return self._blocking_episode(random_cnf(rng, 40, 150), 6, 0)
 
-        assert episode() == episode()
+        assert episode() == episode() == INCREMENTAL
+
+    def test_incremental_3sat_fingerprint(self):
+        rng = random.Random(11)
+        cnf = Cnf(90)
+        for _ in range(380):
+            cnf.add_clause([
+                rng.randint(1, 90) * rng.choice((1, -1)) for _ in range(3)
+            ])
+        assert self._blocking_episode(cnf, 12, 2) == INCREMENTAL_3SAT
+
+    def test_rescale_fingerprint(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_RESCALE_LIMIT", 100.0)
+        solver = Solver(seed=1)
+        solver.add_cnf(_pigeonhole_cnf(5))
+        status = solver.solve()
+        assert self._fingerprint(solver, status) == RESCALE
+
+
+# Recorded search fingerprints: (status, conflicts, decisions,
+# propagations, restarts) after each solve; PIGEONHOLE without status.
+PIGEONHOLE = (942, 1169, 12565, 5)
+INCREMENTAL = (("unsat", 0, 0, 17, 0),)
+INCREMENTAL_3SAT = (
+    ("unsat", 13, 19, 317, 0),
+    ("sat", 47, 89, 1124, 0),
+    ("unsat", 89, 139, 1997, 0),
+    ("sat", 110, 180, 2476, 0),
+    ("sat", 129, 214, 3036, 0),
+    ("unsat", 152, 239, 3532, 0),
+    ("sat", 178, 284, 4149, 0),
+    ("sat", 204, 327, 4893, 0),
+    ("unsat", 215, 339, 5061, 0),
+    ("unsat", 243, 371, 5756, 0),
+    ("unsat", 249, 383, 5873, 0),
+    ("sat", 283, 444, 6805, 0),
+)
+RESCALE = ("unsat", 144, 198, 1661, 1)
