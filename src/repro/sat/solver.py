@@ -144,7 +144,9 @@ class Solver:
         self._trail_lim: list[int] = []
         self._qhead = 0
 
-        self._heap: list[int] = []  # lazy: stale keys are skipped on pop
+        # Lazy: keys are never removed; popped keys of assigned variables
+        # are skipped.
+        self._heap: list[int] = []
         self._heap_key: list[int] = [0]  # per variable, for its activity
         self._var_inc = 1.0
         # One double and its bit pattern, for computing heap keys.
