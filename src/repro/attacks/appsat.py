@@ -73,15 +73,13 @@ def appsat_attack(
         miter_bits.append(bit)
     cnf.add_clause(miter_bits)
     solver = Solver(random_phase=0.1)
-    solver.add_cnf(cnf)
-    watermark = len(cnf.clauses)
+    watermark = solver.add_cnf(cnf)
 
     # Key extractor: accumulates all observed I/O constraints on K.
     key_cnf = Cnf()
     key_vars = {name: key_cnf.new_var() for name in key_names}
     key_solver = Solver()
-    key_solver.add_cnf(key_cnf)  # registers the key variables
-    key_watermark = 0
+    key_watermark = key_solver.add_cnf(key_cnf)  # registers the key variables
 
     def add_io_constraint(pattern: dict[str, int], outputs: dict[str, int]):
         nonlocal watermark, key_watermark
@@ -91,17 +89,13 @@ def appsat_attack(
             )
             for out in output_names:
                 enc.assert_node_equals(out, outputs[out])
-        for clause in cnf.clauses[watermark:]:
-            solver.add_clause(clause)
-        watermark = len(cnf.clauses)
+        watermark = solver.add_cnf(cnf, watermark)
         enc = encode_under_assignment(
             locked, key_cnf, fixed=pattern, shared_vars=key_vars
         )
         for out in output_names:
             enc.assert_node_equals(out, outputs[out])
-        for clause in key_cnf.clauses[key_watermark:]:
-            key_solver.add_clause(clause)
-        key_watermark = len(key_cnf.clauses)
+        key_watermark = key_solver.add_cnf(key_cnf, key_watermark)
 
     def current_key() -> tuple[int, ...] | None:
         status = key_solver.solve(budget=budget)

@@ -90,14 +90,12 @@ def double_dip_attack(
         cnf.add_clause(diff_bits)
 
     solver = Solver(random_phase=0.1)
-    solver.add_cnf(cnf)
-    watermark = len(cnf.clauses)
+    watermark = solver.add_cnf(cnf)
 
     key_cnf = Cnf()
     key_vars = {name: key_cnf.new_var() for name in key_names}
     key_solver = Solver()
-    key_solver.add_cnf(key_cnf)  # registers the key variables
-    key_watermark = 0
+    key_watermark = key_solver.add_cnf(key_cnf)  # registers the key variables
 
     def result(status: AttackStatus, key=None, iterations=0) -> AttackResult:
         return AttackResult(
@@ -142,17 +140,13 @@ def double_dip_attack(
             )
             for out in output_names:
                 enc.assert_node_equals(out, observed[out])
-        for clause in cnf.clauses[watermark:]:
-            solver.add_clause(clause)
-        watermark = len(cnf.clauses)
+        watermark = solver.add_cnf(cnf, watermark)
         enc = encode_under_assignment(
             locked, key_cnf, fixed=distinguishing, shared_vars=key_vars
         )
         for out in output_names:
             enc.assert_node_equals(out, observed[out])
-        for clause in key_cnf.clauses[key_watermark:]:
-            key_solver.add_clause(clause)
-        key_watermark = len(key_cnf.clauses)
+        key_watermark = key_solver.add_cnf(key_cnf, key_watermark)
 
     final = key_solver.solve(budget=budget)
     if final is SolveStatus.UNKNOWN:

@@ -144,8 +144,7 @@ def key_confirmation(
     if has_phi:
         encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
     p_solver = Solver()
-    p_solver.add_cnf(p_cnf)
-    p_watermark = len(p_cnf.clauses)
+    p_watermark = p_solver.add_cnf(p_cnf)
 
     # Q: distinguishing-input generator (double instantiation + miter).
     q_cnf = Cnf()
@@ -172,8 +171,7 @@ def key_confirmation(
             q_cnf, k2_vars, key_names, candidates, guard=phi2_guard
         )
     q_solver = Solver(random_phase=0.2)
-    q_solver.add_cnf(q_cnf)
-    q_watermark = len(q_cnf.clauses)
+    q_watermark = q_solver.add_cnf(q_cnf)
 
     probes_used = 0
     verification = "phi-relative" if has_phi else "exact"
@@ -206,17 +204,13 @@ def key_confirmation(
         )
         for out in output_names:
             enc.assert_node_equals(out, observed[out])
-        for clause in p_cnf.clauses[p_watermark:]:
-            p_solver.add_clause(clause)
-        p_watermark = len(p_cnf.clauses)
+        p_watermark = p_solver.add_cnf(p_cnf, p_watermark)
         enc = encode_under_assignment(
             locked, q_cnf, fixed=pattern, shared_vars=k2_vars
         )
         for out in output_names:
             enc.assert_node_equals(out, observed[out])
-        for clause in q_cnf.clauses[q_watermark:]:
-            q_solver.add_clause(clause)
-        q_watermark = len(q_cnf.clauses)
+        q_watermark = q_solver.add_cnf(q_cnf, q_watermark)
 
     # Probe mining (module docstring note 1). Mining is independent of
     # the observations, so all probes are collected first and replayed

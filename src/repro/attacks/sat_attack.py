@@ -70,15 +70,13 @@ def sat_attack(
         # (with pure phase saving the solver revisits the same corner of
         # the input space and progress stalls).
         solver = Solver(random_phase=0.2)
-        solver.add_cnf(cnf)
-        clause_watermark = len(cnf.clauses)
+        clause_watermark = solver.add_cnf(cnf)
 
         # Key solver: accumulates C(Xd, K, Yd); its model is the final key.
         key_cnf = Cnf()
         key_vars = {name: key_cnf.new_var() for name in key_names}
         key_solver = Solver()
-        key_solver.add_cnf(key_cnf)
-        key_watermark = 0
+        key_watermark = key_solver.add_cnf(key_cnf)
 
     def result(status: AttackStatus, key=None, iterations=0) -> AttackResult:
         return AttackResult(
@@ -124,18 +122,14 @@ def sat_attack(
             )
             for out in output_names:
                 enc.assert_node_equals(out, observed[out])
-        for clause in cnf.clauses[clause_watermark:]:
-            solver.add_clause(clause)
-        clause_watermark = len(cnf.clauses)
+        clause_watermark = solver.add_cnf(cnf, clause_watermark)
         # Mirror the constraint into the key solver.
         enc = encode_under_assignment(
             locked, key_cnf, fixed=distinguishing, shared_vars=key_vars
         )
         for out in output_names:
             enc.assert_node_equals(out, observed[out])
-        for clause in key_cnf.clauses[key_watermark:]:
-            key_solver.add_clause(clause)
-        key_watermark = len(key_cnf.clauses)
+        key_watermark = key_solver.add_cnf(key_cnf, key_watermark)
 
     with telemetry.stage("key_extraction"):
         final = key_solver.solve(budget=budget)

@@ -49,11 +49,16 @@ class Cnf:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append one clause; literals may reference new variables."""
-        clause = tuple(check_literal(l) for l in lits)
+        clause = tuple(lits)
+        top = self.num_vars
         for lit in clause:
-            v = var_of(lit)
-            if v > self.num_vars:
-                self.num_vars = v
+            if type(lit) is not int or not lit:
+                check_literal(lit)  # raises on zero, bools and non-ints
+            if lit > top:
+                top = lit
+            elif -lit > top:
+                top = -lit
+        self.num_vars = top
         self.clauses.append(clause)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:

@@ -5,7 +5,8 @@ A conflict-driven clause learning solver in the MiniSat lineage:
 - two-watched-literal propagation (deleted learnt clauses are detached
   from both of their watch lists when the database is reduced),
 - first-UIP conflict analysis with basic clause minimization,
-- VSIDS branching (lazy heap with phase saving),
+- VSIDS branching (a binary heap holding each variable's current key at
+  most once, with phase saving),
 - Luby restarts,
 - LBD-based learned-clause database reduction,
 - incremental solving under assumptions (clauses may be added between
@@ -27,7 +28,7 @@ import enum
 import random
 from array import array
 from collections.abc import Iterable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
@@ -42,6 +43,9 @@ _VAR_DECAY = 0.95
 _RESCALE_LIMIT = 1e100
 _LUBY_UNIT = 128
 _BUDGET_CHECK_INTERVAL = 128
+# add_clause dedupes clauses up to this length with a list, longer ones
+# with a set.
+_LIST_DEDUPE_MAX = 16
 
 # The VSIDS heap holds int keys that sort exactly like the tuples
 # ``(-activity, var)``: the high bits are _KEY_TOP minus the IEEE-754 bit
@@ -144,10 +148,13 @@ class Solver:
         self._trail_lim: list[int] = []
         self._qhead = 0
 
-        # Lazy: keys are never removed; popped keys of assigned variables
-        # are skipped.
+        # Every unassigned variable's current key is in the heap, at most
+        # once: ``_in_heap[v]`` says whether ``_heap_key[v]`` is. Keys of
+        # assigned variables and keys outdated by a bump may linger; they
+        # are dropped when popped.
         self._heap: list[int] = []
         self._heap_key: list[int] = [0]  # per variable, for its activity
+        self._in_heap: list[bool] = [False]
         self._var_inc = 1.0
         # One double and its bit pattern, for computing heap keys.
         self._f64 = array("d", [0.0])
@@ -176,6 +183,7 @@ class Solver:
         self._seen.append(0)
         key = (_KEY_TOP << _VAR_BITS) | self._num_vars  # activity 0.0
         self._heap_key.append(key)
+        self._in_heap.append(True)
         heappush(self._heap, key)
         return self._num_vars
 
@@ -207,19 +215,23 @@ class Solver:
                 internal.append((-lit << 1) | 1)
         self._ensure_var(top)
         # Dedupe, drop root-false literals, detect tautology/satisfied.
+        # Short clauses (nearly all of them) are checked against the
+        # clause itself, which is cheaper than building a set.
         values = self._values
         clause: list[int] = []
-        seen_lits: set[int] = set()
+        seen = clause if len(internal) <= _LIST_DEDUPE_MAX else set()
         for ilit in internal:
-            if values[ilit] == _TRUE:
+            value = values[ilit]
+            if value == _TRUE:
                 return  # satisfied at root level
-            if values[ilit] == _FALSE:
+            if value == _FALSE:
                 continue  # permanently false literal
-            if ilit ^ 1 in seen_lits:
+            if ilit ^ 1 in seen:
                 return  # tautology
-            if ilit not in seen_lits:
-                seen_lits.add(ilit)
+            if ilit not in seen:
                 clause.append(ilit)
+                if seen is not clause:
+                    seen.add(ilit)
         if not clause:
             self._ok = False
             return
@@ -230,11 +242,17 @@ class Solver:
             return
         self._attach(clause)
 
-    def add_cnf(self, cnf: Cnf) -> None:
-        """Load an entire :class:`Cnf` (variables are shared 1:1)."""
+    def add_cnf(self, cnf: Cnf, start: int = 0) -> int:
+        """Load ``cnf.clauses[start:]`` (variables are shared 1:1).
+
+        Returns ``len(cnf.clauses)``: the ``start`` of the next call when
+        the formula keeps growing between solves.
+        """
         self._ensure_var(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        add_clause = self.add_clause
+        for clause in cnf.clauses[start:]:
+            add_clause(clause)
+        return len(cnf.clauses)
 
     @property
     def num_vars(self) -> int:
@@ -260,9 +278,12 @@ class Solver:
         """Propagate until fixpoint; return a conflicting clause or None.
 
         Every clause sits in the watch lists of exactly ``clause[0]`` and
-        ``clause[1]``; a clause whose other watch is true is kept, one
-        with a non-false literal further on moves that literal into
-        ``clause[1]``, and otherwise it is unit or conflicting.
+        ``clause[1]``. A visited clause whose other watch is true is left
+        as it is, false watch in either slot. Otherwise the false watch
+        goes to ``clause[1]``, so a reason clause always has its implied
+        literal in ``clause[0]`` (``_analyze`` and ``_reduce_db`` rely on
+        that); then a non-false literal further on takes its place as a
+        watch, and failing that the clause is unit or conflicting.
         """
         values = self._values
         watches = self._watches
@@ -276,15 +297,16 @@ class Solver:
             false_lit = trail[qhead] ^ 1
             qhead += 1
             watchlist = watches[false_lit]
-            j = moved = 0
+            moved = False
             for clause in watchlist:
                 first = clause[0]
                 if first == false_lit:
-                    first = clause[0] = clause[1]
+                    first = clause[1]
+                    if values[first] == _TRUE:
+                        continue
+                    clause[0] = first
                     clause[1] = false_lit
-                if values[first] == _TRUE:
-                    watchlist[j] = clause
-                    j += 1
+                elif values[first] == _TRUE:
                     continue
                 size = len(clause)
                 k = 2
@@ -294,13 +316,11 @@ class Solver:
                         clause[1] = other
                         clause[k] = false_lit
                         watches[other].append(clause)
-                        moved += 1
+                        moved = True
                         break
                     k += 1
                 else:
                     # Unit or conflicting: the clause keeps this watch.
-                    watchlist[j] = clause
-                    j += 1
                     if values[first] == _FALSE:
                         conflict = clause
                         break
@@ -310,9 +330,13 @@ class Solver:
                     level[var] = current_level
                     reason[var] = clause
                     trail.append(first)
-            # Close the gap left by moved watches; after a conflict the
-            # unvisited tail stays.
-            del watchlist[j:j + moved]
+            if moved:
+                # Drop the clauses whose watch moved on; false_lit is
+                # still in slot 0 or 1 of every other one, including
+                # the tail left unvisited by a conflict.
+                watches[false_lit] = [
+                    c for c in watchlist if c[1] == false_lit or c[0] == false_lit
+                ]
             if conflict is not None:
                 break
         self._qhead = qhead
@@ -320,17 +344,26 @@ class Solver:
         return conflict
 
     def _rescale_activities(self) -> None:
+        """Scale every activity down and rebuild the heap around the new
+        keys: one entry per variable. The rebuild is in place because
+        ``_analyze`` holds a reference to the heap."""
         inverse = 1.0 / _RESCALE_LIMIT
         activity = self._activity
         for v in range(1, self._num_vars + 1):
             activity[v] *= inverse
             self._set_heap_key(v)
         self._var_inc *= inverse
+        heap = self._heap
+        heap[:] = self._heap_key[1:]
+        heapify(heap)
+        self._in_heap[1:] = [True] * self._num_vars
 
     def _set_heap_key(self, var: int) -> None:
-        """Store the heap key of ``var``'s current activity (see _KEY_TOP)."""
+        """Store the heap key of ``var``'s current activity (see _KEY_TOP);
+        the new key is not in the heap yet."""
         self._f64[0] = self._activity[var]
         self._heap_key[var] = ((_KEY_TOP - self._f64_bits[0]) << _VAR_BITS) | var
+        self._in_heap[var] = False
 
     def _decay_activities(self) -> None:
         self._var_inc /= _VAR_DECAY
@@ -348,8 +381,6 @@ class Solver:
         reason = self._reason
         trail = self._trail
         activity = self._activity
-        heap = self._heap
-        heap_key = self._heap_key
         current_level = len(self._trail_lim)
 
         learnt: list[int] = [0]
@@ -366,14 +397,13 @@ class Solver:
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
                     to_clear.append(var)
-                    # VSIDS bump; the heap key for the old activity
-                    # goes stale.
+                    # VSIDS bump. ``var`` is assigned, so its new key
+                    # enters the heap when ``_cancel_until`` unassigns it.
                     activity[var] += self._var_inc
                     if activity[var] > _RESCALE_LIMIT:
                         self._rescale_activities()
                     else:
                         self._set_heap_key(var)
-                    heappush(heap, heap_key[var])
                     if level[var] >= current_level:
                         counter += 1
                     else:
@@ -434,6 +464,7 @@ class Solver:
         values = self._values
         phase = self._phase
         heap_key = self._heap_key
+        in_heap = self._in_heap
         heap = self._heap
         trail = self._trail
         boundary = trail_lim[target_level]
@@ -442,16 +473,25 @@ class Solver:
             phase[var] = not (ilit & 1)
             values[ilit] = _UNASSIGNED
             values[ilit ^ 1] = _UNASSIGNED
-            heappush(heap, heap_key[var])
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, heap_key[var])
         del trail[boundary:]
         del trail_lim[target_level:]
         self._qhead = boundary
 
     def _pick_branch_var(self) -> int:
+        """The unassigned variable of highest activity, ties going to the
+        lowest index; 0 when every variable is assigned."""
         values = self._values
         heap = self._heap
+        in_heap = self._in_heap
         while heap:
+            # The popped key is ``var``'s current one, or an outdated one
+            # of lower activity, which sorts after the current key and so
+            # surfaces only once that has left: either way it is gone.
             var = heappop(heap) & _VAR_MASK
+            in_heap[var] = False
             if values[var << 1] == _UNASSIGNED:
                 return var
         return 0

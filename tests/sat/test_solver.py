@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,18 @@ class TestBasics:
         s.add_clause([1, 1, 1])
         assert s.solve() is SolveStatus.SAT
         assert s.model_value(1) is True
+
+    @pytest.mark.parametrize("width", [4, 20])  # list and set dedupe
+    def test_wide_clause_dedupe_and_tautology(self, width):
+        lits = list(range(1, width + 1))
+        all_false = [-v for v in lits]
+        s = Solver()
+        s.add_clause([*lits, -2])  # tautology: dropped
+        assert s.solve(assumptions=all_false) is SolveStatus.SAT
+        s.add_clause([*lits, 2, 2])
+        (clause,) = s._watches[2]  # the watch list of literal 1
+        assert sorted(clause) == [v << 1 for v in lits]
+        assert s.solve(assumptions=all_false) is SolveStatus.UNSAT
 
     def test_model_requires_sat(self):
         s = Solver()
@@ -295,6 +308,15 @@ def _pigeonhole_cnf(holes: int, pigeons: int | None = None) -> Cnf:
     return cnf
 
 
+def _random_3sat_cnf() -> Cnf:
+    """Seeded 3-SAT, 380 clauses over 90 variables."""
+    rng = random.Random(11)
+    cnf = Cnf(90)
+    for _ in range(380):
+        cnf.add_clause([rng.randint(1, 90) * rng.choice((1, -1)) for _ in range(3)])
+    return cnf
+
+
 def _solve_ph(holes: int) -> SolveStatus:
     s = Solver()
     s.add_cnf(_pigeonhole_cnf(holes))
@@ -389,12 +411,7 @@ class TestDeterminism:
         assert episode() == episode() == INCREMENTAL
 
     def test_incremental_3sat_fingerprint(self):
-        rng = random.Random(11)
-        cnf = Cnf(90)
-        for _ in range(380):
-            cnf.add_clause([
-                rng.randint(1, 90) * rng.choice((1, -1)) for _ in range(3)
-            ])
+        cnf = _random_3sat_cnf()
         assert self._blocking_episode(cnf, 12, 2) == INCREMENTAL_3SAT
 
     def test_rescale_fingerprint(self, monkeypatch):
@@ -423,4 +440,143 @@ INCREMENTAL_3SAT = (
     ("unsat", 249, 383, 5873, 0),
     ("sat", 283, 444, 6805, 0),
 )
-RESCALE = ("unsat", 144, 198, 1661, 1)
+RESCALE = ("unsat", 147, 186, 1684, 1)
+
+
+def _vsids_argmax(solver: Solver) -> int:
+    """Brute force: the unassigned variable of highest activity, ties to
+    the lowest index; 0 when every variable is assigned."""
+    best = 0
+    for var in range(1, solver.num_vars + 1):
+        if solver._values[var << 1] != solver_module._UNASSIGNED:
+            continue
+        if best == 0 or solver._activity[var] > solver._activity[best]:
+            best = var
+    return best
+
+
+def _searches() -> None:
+    """Seeded pigeonhole, forced-reduction and 3-SAT blocking runs."""
+    solver = Solver(seed=1)
+    solver.add_cnf(_pigeonhole_cnf(5))
+    assert solver.solve() is SolveStatus.UNSAT
+    TestDeterminism._run(seed=3)  # tiny _max_learnts: many reductions
+    TestDeterminism._blocking_episode(_random_3sat_cnf(), 12, 2)
+
+
+class TestVsidsOrder:
+    """Every decision takes the highest-activity unassigned variable,
+    ties going to the lowest index, also across activity rescales."""
+
+    @pytest.mark.parametrize("rescale_limit", [None, 100.0])
+    def test_pick_is_argmax_of_activity(self, monkeypatch, rescale_limit):
+        if rescale_limit is not None:
+            monkeypatch.setattr(solver_module, "_RESCALE_LIMIT", rescale_limit)
+        picks = []
+        rescales = []
+        pick = Solver._pick_branch_var
+        rescale = Solver._rescale_activities
+
+        def checked_pick(self):
+            # The presence flag is exact: a variable's current key is in
+            # the heap once when the flag is set, else not at all, and
+            # every unassigned variable's is there.
+            counts = Counter(self._heap)
+            for var in range(1, self.num_vars + 1):
+                assert counts[self._heap_key[var]] == self._in_heap[var]
+                if self._values[var << 1] == solver_module._UNASSIGNED:
+                    assert self._in_heap[var]
+            expected = _vsids_argmax(self)
+            var = pick(self)
+            assert var == expected
+            picks.append(var)
+            return var
+
+        def checked_rescale(self):
+            rescale(self)
+            # One heap entry per variable, every one present.
+            assert sorted(self._heap) == sorted(self._heap_key[1:])
+            assert all(self._in_heap[1:])
+            rescales.append(self.stats.conflicts)
+
+        monkeypatch.setattr(Solver, "_pick_branch_var", checked_pick)
+        monkeypatch.setattr(Solver, "_rescale_activities", checked_rescale)
+        _searches()
+        assert len(picks) > 1000
+        assert bool(rescales) == (rescale_limit is not None)
+
+
+class TestWatchInvariant:
+    """After every propagation and database reduction, each live clause
+    sits once in the watch lists of ``clause[0]`` and ``clause[1]`` and
+    in no other; deleted learnt clauses sit in none."""
+
+    def test_watch_lists_match_watched_slots(self, monkeypatch):
+        # Per solver (held, so ids stay unique): id -> clause.
+        live: dict[Solver, dict[int, list[int]]] = defaultdict(dict)
+        deleted: dict[Solver, dict[int, list[int]]] = defaultdict(dict)
+        reductions = []
+        propagate = Solver._propagate
+        reduce_db = Solver._reduce_db
+        attach = Solver._attach
+
+        def check(solver):
+            found: dict[int, list[int]] = {}
+            for lit, watchlist in enumerate(solver._watches):
+                for clause in watchlist:
+                    key = id(clause)
+                    assert key not in deleted[solver], "deleted clause watched"
+                    assert key in live[solver], "unknown clause watched"
+                    found.setdefault(key, []).append(lit)
+            for key, clause in live[solver].items():
+                assert sorted(found.get(key, ())) == sorted(clause[:2])
+
+        def checked_attach(self, clause):
+            live[self][id(clause)] = clause
+            attach(self, clause)
+
+        def checked_propagate(self):
+            conflict = propagate(self)
+            check(self)
+            return conflict
+
+        def checked_reduce_db(self):
+            before = self._learnts
+            reduce_db(self)
+            kept = {id(clause) for clause in self._learnts}
+            for clause in before:
+                if id(clause) not in kept:
+                    deleted[self][id(clause)] = live[self].pop(id(clause))
+            reductions.append(len(before) - len(kept))
+            check(self)
+
+        monkeypatch.setattr(Solver, "_attach", checked_attach)
+        monkeypatch.setattr(Solver, "_propagate", checked_propagate)
+        monkeypatch.setattr(Solver, "_reduce_db", checked_reduce_db)
+        _searches()
+        assert len(reductions) > 5 and sum(reductions) > 100
+
+
+class TestAddCnf:
+    def test_start_loads_only_new_clauses(self):
+        cnf = Cnf()
+        a, b = cnf.new_vars(2)
+        cnf.add_clause([a, b])
+        solver = Solver()
+        watermark = solver.add_cnf(cnf)
+        assert watermark == 1
+        cnf.add_clause([-a])
+        assert solver.solve() is SolveStatus.SAT
+        watermark = solver.add_cnf(cnf, watermark)
+        assert watermark == 2
+        assert solver.solve() is SolveStatus.SAT
+        assert solver.model_value(b) is True
+        cnf.add_clause([-b])
+        assert solver.add_cnf(cnf, watermark) == 3
+        assert solver.solve() is SolveStatus.UNSAT
+
+    def test_registers_every_variable(self):
+        cnf = Cnf(5)
+        solver = Solver()
+        assert solver.add_cnf(cnf) == 0
+        assert solver.num_vars == 5
