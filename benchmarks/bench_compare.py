@@ -9,22 +9,12 @@ Only *ratios* are compared — a speedup divides two timings taken on the
 same machine in the same process, so absolute machine speed cancels and
 the gate transfers between the committed baseline's machine and a CI
 runner. That cancellation only holds when numerator and denominator run
-the *same implementation* on the *same resources*:
-
-- cross-implementation ratios (CPython bigints vs numpy SIMD —
-  ``sliced_numpy_speedup``, ``numpy_popcount_speedup``) legitimately
-  vary with CPU, numpy build and Python version;
-- cross-parallelism ratios (single-process vs process-sharded —
-  ``sharded_outputs_speedup``, ``sharded_popcount_speedup``) scale with
-  the host's core count, which does not cancel between the baseline
-  machine and a CI runner (``bench_simulate.py`` itself warns — without
-  failing — when a multi-core host misses the sharded speedup target,
-  and hard-fails only on lost bit-exactness).
-
-Both groups are reported as informational and never failed. Ratios
-present in the baseline but absent from the fresh report (for example
-the numpy entries on the no-numpy CI leg) are skipped and listed, never
-failed.
+the *same algorithm* on the *same resources*: cross-algorithm ratios
+(``fall_vs_sat_speedup``) and cross-parallelism ratios
+(``portfolio_parallel_speedup``, which scales with the host's core
+count) are reported as informational and never failed. Ratios present
+in the baseline but absent from the fresh report are skipped and
+listed, never failed.
 
 Usage (CI runs exactly this, once per benchmark report)::
 
@@ -49,18 +39,12 @@ from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.30
 
-# Ratios whose numerator and denominator run different implementations
-# (CPython bigint kernel vs numpy SIMD), different algorithms (FALL vs
-# the SAT attack), or different degrees of parallelism (single process
-# vs the sharded worker pool / the racing portfolio): machine speed /
-# core count does not cancel, so they are reported but never gate the
-# build.
+# Ratios whose numerator and denominator run different algorithms (FALL
+# vs the SAT attack) or different degrees of parallelism (single process
+# vs the racing portfolio): machine speed / core count does not cancel,
+# so they are reported but never gate the build.
 INFORMATIONAL_RATIOS = frozenset(
     {
-        "sliced_numpy_speedup",
-        "numpy_popcount_speedup",
-        "sharded_outputs_speedup",
-        "sharded_popcount_speedup",
         "fall_vs_sat_speedup",
         "portfolio_parallel_speedup",
     }

@@ -13,18 +13,7 @@ pre-compilation implementation kept for differential testing):
   (the FALL unateness-prefilter shape);
 - **sliced_sweep** — a 4096-pattern outputs sweep issued one pattern
   per call (the PR 1 scalar-compiled shape) against the bit-sliced bulk
-  entry point ``eval_outputs_sliced`` on each available backend;
-- **signal_probability** — a 2^19-pattern per-node popcount sweep (the
-  SPS shape) on each available backend, where the numpy
-  ``bitwise_count`` reduction pays off;
-- **sharded_sweep** — a 2^17-pattern outputs + per-node-popcount sweep
-  through the process-sharded layer (``repro.circuit.sharding``)
-  against the same sweep on the single-process sliced path. The
-  speedups are machine-*parallelism*-dependent (they are ~1x or below
-  on a single-core host, where the pool only adds overhead); the
-  benchmark asserts bit-exactness everywhere (a hard failure) and, on
-  multi-core hosts only, warns — without failing — when the popcount
-  speedup misses its target.
+  entry point ``eval_outputs_sliced``.
 
 Run ``python benchmarks/bench_simulate.py`` from the repo root (with
 ``PYTHONPATH=src``); results are printed and written to
@@ -44,9 +33,7 @@ from pathlib import Path
 
 from repro.attacks.fall.prefilter import passes_unateness_sim
 from repro.attacks.oracle import IOOracle
-from repro.circuit import sharding
 from repro.circuit.analysis import extract_cone
-from repro.circuit.backends import NumpyWordBackend, numpy_available
 from repro.circuit.compiled import compile_circuit, pack_patterns
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate_interpreted
@@ -54,7 +41,6 @@ from repro.utils.rng import make_rng
 
 _REPEATS = 5
 _MIN_SLICED_SPEEDUP = 40.0
-_MIN_SHARDED_SPEEDUP = 1.5  # multi-core target; warn-only, never fails
 
 
 def _best_of(fn, repeats: int = _REPEATS) -> float:
@@ -172,12 +158,8 @@ def bench_sliced_sweep() -> dict:
     """The acceptance workload: 4096-pattern sweep, per-call vs sliced.
 
     ``scalar_compiled`` is the PR 1 shape — one ``eval_outputs`` call
-    per pattern on the compiled engine. The sliced timings run the same
-    4096 patterns through one ``eval_outputs_sliced`` pass. The numpy
-    timing forces the vectorized chunk-array path (the shipped adaptive
-    policy would delegate this width to bigints, which are faster —
-    recording the forced path keeps the array pipeline measured and
-    exercised).
+    per pattern on the compiled engine. The sliced timing runs the same
+    4096 patterns through one ``eval_outputs_sliced`` pass.
     """
     circuit = generate_random_circuit("bench_sliced", 24, 8, 600, seed=11)
     patterns = 4096
@@ -187,7 +169,7 @@ def bench_sliced_sweep() -> dict:
         for _ in range(patterns)
     ]
     packed = pack_patterns(circuit.inputs, rows)
-    engine = compile_circuit(circuit, backend="python")
+    engine = compile_circuit(circuit)
     engine.eval_outputs(rows[0], width=1)  # warm the outputs program
 
     def scalar_compiled():
@@ -200,127 +182,13 @@ def bench_sliced_sweep() -> dict:
         for _ in range(sliced_rounds):
             engine.eval_outputs_sliced(packed, width=patterns)
 
-    entry = {
+    return {
         "workload": f"{patterns}-pattern outputs sweep, "
                     "one call per pattern vs one bit-sliced pass",
         "gates": circuit.num_gates,
         "scalar_compiled_s": _best_of(scalar_compiled),
         "sliced_python_s": _best_of(sliced_python) / sliced_rounds,
     }
-    if numpy_available():
-        np_engine = compile_circuit(circuit, backend="numpy")
-        forced_width = NumpyWordBackend.min_eval_width
-        NumpyWordBackend.min_eval_width = 1
-        try:
-            np_engine.eval_outputs_sliced(packed, width=patterns)  # warm
-
-            def sliced_numpy():
-                for _ in range(sliced_rounds):
-                    np_engine.eval_outputs_sliced(packed, width=patterns)
-
-            entry["sliced_numpy_s"] = _best_of(sliced_numpy) / sliced_rounds
-        finally:
-            NumpyWordBackend.min_eval_width = forced_width
-    return entry
-
-
-def bench_signal_probability() -> dict:
-    """Per-node popcount sweep (the SPS shape) across backends."""
-    circuit = generate_random_circuit("bench_sps", 24, 8, 600, seed=11)
-    patterns = 1 << 19
-    rng = make_rng(3)
-    values = {
-        name: rng.getrandbits(patterns) for name in circuit.inputs
-    }
-    engine = compile_circuit(circuit, backend="python")
-    engine.node_popcounts(values, patterns)  # warm the full program
-
-    def python_counts():
-        engine.node_popcounts(values, patterns)
-
-    entry = {
-        "workload": f"per-node popcounts over {patterns} patterns",
-        "gates": circuit.num_gates,
-        "python_s": _best_of(python_counts),
-    }
-    if numpy_available():
-        np_engine = compile_circuit(circuit, backend="numpy")
-        np_engine.node_popcounts(values, patterns)  # warm
-
-        def numpy_counts():
-            np_engine.node_popcounts(values, patterns)
-
-        entry["numpy_s"] = _best_of(numpy_counts)
-    return entry
-
-
-def bench_sharded_sweep() -> dict:
-    """The sharding acceptance workload: one 2^17-pattern wide sweep.
-
-    Times the outputs-only sweep and the per-node popcount reduction
-    (the SPS shape — the ROADMAP's >10^5-pattern workload) on the
-    single-process sliced path and through the process-sharded layer
-    with the pool and per-worker compile caches warmed. Both paths are
-    asserted bit-exact before anything is timed.
-    """
-    circuit = generate_random_circuit("bench_shard", 24, 8, 600, seed=11)
-    patterns = 1 << 17
-    rng = make_rng(7)
-    values = {
-        name: rng.getrandbits(patterns) for name in circuit.inputs
-    }
-    engine = compile_circuit(circuit, backend="python")
-    jobs = min(8, max(2, sharding.cpu_jobs()))
-
-    outputs_ref = engine.eval_outputs_sliced(values, width=patterns)
-    popcounts_ref = engine.node_popcounts(values, patterns)
-    sharded_kwargs = dict(backend="python", jobs=jobs, threshold=1)
-    # Warm the pool + per-worker compile caches, and prove bit-exactness.
-    bit_exact = (
-        sharding.sweep_outputs(circuit, values, patterns, **sharded_kwargs)
-        == outputs_ref
-        and sharding.sweep_popcounts(
-            circuit, values, patterns, **sharded_kwargs
-        )
-        == popcounts_ref
-    )
-
-    rounds = 5  # single sweeps are ms-scale; time a block per repeat
-
-    def single_outputs():
-        for _ in range(rounds):
-            engine.eval_outputs_sliced(values, width=patterns)
-
-    def sharded_outputs():
-        for _ in range(rounds):
-            sharding.sweep_outputs(
-                circuit, values, patterns, **sharded_kwargs
-            )
-
-    def single_popcounts():
-        for _ in range(rounds):
-            engine.node_popcounts(values, patterns)
-
-    def sharded_popcounts():
-        for _ in range(rounds):
-            sharding.sweep_popcounts(
-                circuit, values, patterns, **sharded_kwargs
-            )
-
-    entry = {
-        "workload": f"{patterns}-pattern outputs + popcount sweeps, "
-                    "single-process vs process-sharded",
-        "gates": circuit.num_gates,
-        "cpus": sharding.cpu_jobs(),
-        "jobs": jobs,
-        "bit_exact": bit_exact,
-        "single_outputs_s": _best_of(single_outputs) / rounds,
-        "sharded_outputs_s": _best_of(sharded_outputs) / rounds,
-        "single_popcounts_s": _best_of(single_popcounts) / rounds,
-        "sharded_popcounts_s": _best_of(sharded_popcounts) / rounds,
-    }
-    sharding.shutdown_pool()
-    return entry
 
 
 def bench_compile_cost() -> dict:
@@ -355,8 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         "oracle_queries": bench_oracle_queries(),
         "prefilter_sweep": bench_prefilter_sweep(),
         "sliced_sweep": bench_sliced_sweep(),
-        "signal_probability": bench_signal_probability(),
-        "sharded_sweep": bench_sharded_sweep(),
         "compile_cost": bench_compile_cost(),
     }
     for name, entry in suites.items():
@@ -369,26 +235,12 @@ def main(argv: list[str] | None = None) -> int:
                 entry["interpreted_s"] / entry["batched_s"], 2
             )
         if "scalar_compiled_s" in entry:
-            for key in ("sliced_python_s", "sliced_numpy_s"):
-                if key in entry:
-                    entry[key.removesuffix("_s") + "_speedup"] = round(
-                        entry["scalar_compiled_s"] / entry[key], 2
-                    )
-        if "python_s" in entry and "numpy_s" in entry:
-            entry["numpy_popcount_speedup"] = round(
-                entry["python_s"] / entry["numpy_s"], 2
-            )
-        if "single_outputs_s" in entry:
-            entry["sharded_outputs_speedup"] = round(
-                entry["single_outputs_s"] / entry["sharded_outputs_s"], 2
-            )
-            entry["sharded_popcount_speedup"] = round(
-                entry["single_popcounts_s"] / entry["sharded_popcounts_s"], 2
+            entry["sliced_python_speedup"] = round(
+                entry["scalar_compiled_s"] / entry["sliced_python_s"], 2
             )
     report = {
         "bench": "simulate",
         "python": sys.version.split()[0],
-        "numpy": numpy_available(),
         "suites": suites,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
@@ -405,25 +257,6 @@ def main(argv: list[str] | None = None) -> int:
             f"sliced_sweep: bit-sliced speedup "
             f"{sliced['sliced_python_speedup']}x below the "
             f"{_MIN_SLICED_SPEEDUP:g}x acceptance floor"
-        )
-    sharded = suites["sharded_sweep"]
-    if not sharded["bit_exact"]:
-        failures.append("sharded_sweep: sharded results are NOT bit-exact")
-    if (
-        sharded["cpus"] >= 2
-        and sharded["sharded_popcount_speedup"] < _MIN_SHARDED_SPEEDUP
-    ):
-        # Parallel speedups only exist where parallel hardware does (a
-        # single-core host records the expected overhead instead), and
-        # even on multi-core hosts they depend on how loaded / shared
-        # the machine is — so a shortfall is reported loudly but never
-        # fails the run, matching bench_compare's treatment of
-        # parallelism-dependent ratios as informational.
-        print(
-            f"WARNING (informational): sharded_sweep popcount speedup "
-            f"{sharded['sharded_popcount_speedup']}x on a "
-            f"{sharded['cpus']}-core host, below the "
-            f"{_MIN_SHARDED_SPEEDUP:g}x multi-core target"
         )
     if failures:
         for failure in failures:

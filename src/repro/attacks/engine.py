@@ -19,23 +19,25 @@ family functions it provides:
   populated from the locked netlist.
 
 :func:`run_portfolio` races several registered attacks on one benchmark
-across the persistent worker pool shared with the sharded simulation
-layer (:mod:`repro.circuit.sharding`). The first conclusive (SUCCESS)
+across the persistent worker pool (:mod:`repro.circuit.sharding`)
+shared with the suite runner. The first conclusive (SUCCESS)
 finisher sets a cross-process cancellation event; the other racers
 observe it through their cooperative budgets and stop at their next
 budget check. The reported winner is deterministic given seeds: among
 conclusive results, the earliest attack in the requested order wins
 (completion order never decides), and with one worker the race
-degenerates to an in-order sequential run with early exit.
+degenerates to an in-order sequential run with early exit. A pool that
+breaks (a worker killed) is torn down and the race finishes
+sequentially.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from repro.attacks.base import AttackConfig, TelemetryRecorder
@@ -45,13 +47,15 @@ from repro.attacks.registry import get_attack
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import (
-    ENV_JOBS,
-    circuit_fingerprint,
-    circuit_from_spec,
-    circuit_spec,
     pool_allowed,
     pool_executor,
     resolve_jobs,
+    shutdown_pool,
+)
+from repro.circuit.spec import (
+    circuit_fingerprint,
+    circuit_from_spec,
+    circuit_spec,
 )
 from repro.errors import AttackError
 from repro.utils.timer import Budget
@@ -129,9 +133,8 @@ def run_attack(
         )
 
     run_config = replace(config, telemetry=telemetry)
-    with _jobs_env(config.jobs):
-        with telemetry.stage("run", attack=attack.name):
-            result = attack.run(locked, run_oracle, run_config)
+    with telemetry.stage("run", attack=attack.name):
+        result = attack.run(locked, run_oracle, run_config)
     telemetry.set_counter("oracle_queries", result.oracle_queries)
 
     if not result.key_names:
@@ -159,33 +162,6 @@ def run_attack(
         else:
             checkpoint_oracle.finalize(result)
     return result
-
-
-class _jobs_env:
-    """Scoped publication of ``config.jobs`` to ``REPRO_SIM_JOBS``.
-
-    The sharded sweep layer and the suite runner both read the
-    environment, so one scoped assignment covers every downstream
-    consumer without threading ``jobs=`` through eight signatures; the
-    prior value is restored on exit so nothing leaks across calls.
-    """
-
-    def __init__(self, jobs):
-        self._jobs = jobs
-        self._previous: str | None = None
-
-    def __enter__(self):
-        if self._jobs is not None:
-            self._previous = os.environ.get(ENV_JOBS)
-            os.environ[ENV_JOBS] = str(self._jobs)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._jobs is not None:
-            if self._previous is None:
-                os.environ.pop(ENV_JOBS, None)
-            else:
-                os.environ[ENV_JOBS] = self._previous
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +262,8 @@ def run_portfolio(
     requested order) is returned so callers always get the best
     available outcome.
 
-    ``jobs`` resolves like the sharded sweep layer (argument, then
-    ``REPRO_SIM_JOBS``, then auto). With one worker the attacks run
+    ``jobs`` (argument, then ``config.jobs``; ``None`` = every usable
+    core) sets the number of pool workers. With one worker the attacks run
     sequentially in the requested order and the race stops at the first
     conclusive result — the fully deterministic mode; with more workers
     the same winner is reported whenever the racers' own outcomes are
@@ -311,11 +287,17 @@ def run_portfolio(
         )
     workers = min(resolve_jobs(jobs if jobs is not None else config.jobs),
                   len(names))
+    results = None
     if workers > 1 and pool_allowed():
-        results, cancelled = _race_in_processes(
-            names, locked, oracle, config, workers
-        )
-    else:
+        try:
+            results, cancelled = _race_in_processes(
+                names, locked, oracle, config, workers
+            )
+        except BrokenProcessPool:
+            # A worker died (OOM kill, segfault): drop the dead executor
+            # so later calls start a fresh one, and rerun the race here.
+            shutdown_pool()
+    if results is None:
         results, cancelled = _race_sequentially(names, locked, oracle, config)
     return _pick_winner(names, results, cancelled)
 
@@ -359,6 +341,8 @@ def _race_in_processes(names, locked, oracle, config, workers):
                 name = futures[future]
                 try:
                     results[name] = future.result()
+                except BrokenProcessPool:
+                    raise
                 except Exception:
                     results[name] = None
                 if _conclusive(results[name]) and not cancel.is_set():

@@ -13,8 +13,7 @@ function call instead of a full interpreted netlist walk. Attack loops
 that need many patterns at once should use :meth:`IOOracle.query_batch`
 (per-pattern dict rows) or :meth:`IOOracle.query_sliced` (packed words,
 one per output), both of which pack all patterns into one wide
-simulation on the selected evaluation backend — sharded across worker
-processes (:mod:`repro.circuit.sharding`) when the batch is wide enough.
+bit-sliced simulation.
 """
 
 from __future__ import annotations

@@ -168,7 +168,6 @@ class SpsFamily(Attack):
             patterns=config.option("patterns", 4096),
             seed=config.seed,
             skew_threshold=config.option("skew_threshold", 0.45),
-            jobs=config.jobs,
             telemetry=config.telemetry,
         )
 

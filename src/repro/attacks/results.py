@@ -188,7 +188,7 @@ def jsonify_details(value):
 
 
 def _circuit_payload(circuit) -> dict:
-    from repro.circuit.sharding import circuit_spec
+    from repro.circuit.spec import circuit_spec
 
     name, nodes, outputs, key_inputs = circuit_spec(circuit)
     return {
@@ -206,7 +206,7 @@ def circuit_from_details(payload: dict):
     Accepts either the marker dict itself or its inner payload, so both
     ``circuit_from_details(details["reconstructed"])`` forms work.
     """
-    from repro.circuit.sharding import circuit_from_spec
+    from repro.circuit.spec import circuit_from_spec
 
     inner = payload.get("__circuit__", payload)
     spec = (

@@ -61,20 +61,11 @@ def estimate_signal_probabilities(
     circuit: Circuit,
     patterns: int = 4096,
     seed: RngLike = 0,
-    jobs: int | str | None = None,
 ) -> dict[str, SkewEstimate]:
-    """Monte-Carlo signal probabilities for every node (keys included).
-
-    The pattern words are drawn once in the calling process, so the
-    estimate is identical for every ``jobs`` setting; wide sweeps are
-    sharded across the worker pool (``REPRO_SIM_JOBS``, or ``jobs=``).
-    """
+    """Monte-Carlo signal probabilities for every node (keys included)."""
     rng = make_rng(seed)
     values = {name: rng.getrandbits(patterns) for name in circuit.inputs}
-    # The reduction happens inside the backend (node_popcounts), so no
-    # per-node packed bigints are materialized on the numpy path; above
-    # the sharding crossover each worker reduces its own chunk.
-    counts = sweep_popcounts(circuit, values, patterns, jobs=jobs)
+    counts = sweep_popcounts(circuit, values, patterns)
     return {
         node: SkewEstimate(node, counts[node] / patterns)
         for node in circuit.nodes
@@ -86,7 +77,6 @@ def sps_attack(
     patterns: int = 4096,
     seed: RngLike = 0,
     skew_threshold: float = _SKEW_THRESHOLD,
-    jobs: int | str | None = None,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run the SPS removal attack.
@@ -100,9 +90,7 @@ def sps_attack(
     if not locked.key_inputs:
         raise AttackError("circuit has no key inputs to attack")
     with telemetry.stage("probability_estimation", patterns=patterns):
-        probabilities = estimate_signal_probabilities(
-            locked, patterns, seed, jobs=jobs
-        )
+        probabilities = estimate_signal_probabilities(locked, patterns, seed)
 
     with telemetry.stage("xor_stage"):
         reconstructed, info = _try_xor_stage(

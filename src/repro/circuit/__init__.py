@@ -16,15 +16,8 @@ from repro.circuit.analysis import (
     extract_cone,
     circuit_depth,
 )
-from repro.circuit.backends import (
-    available_backends,
-    numpy_available,
-    resolve_backend,
-)
 from repro.circuit.compiled import CompiledCircuit, compile_circuit
 from repro.circuit.sharding import (
-    ShardPlan,
-    plan_sweep,
     resolve_jobs,
     sweep_node_values,
     sweep_outputs,
@@ -66,16 +59,11 @@ __all__ = [
     "circuit_depth",
     "CompiledCircuit",
     "compile_circuit",
-    "ShardPlan",
-    "plan_sweep",
     "resolve_jobs",
     "sweep_node_values",
     "sweep_outputs",
     "sweep_popcounts",
     "sweep_truth_table",
-    "available_backends",
-    "numpy_available",
-    "resolve_backend",
     "simulate",
     "simulate_interpreted",
     "simulate_pattern",

@@ -1,222 +1,14 @@
-"""Evaluation backends for the compiled simulation engine.
+"""The evaluation backend of the compiled simulation engine.
 
-The code generated by :mod:`repro.circuit.compiled` is pure bitwise
-straight-line Python (``v9 = mask ^ (v3 & v7)``), so the *same* compiled
-function can execute against different packed-value representations:
-
-- **python** (aliases: ``bitslice``, ``bigint``) — the zero-dependency
-  default. A width-``w`` simulation packs pattern ``j`` into bit ``j``
-  of one Python int per signal; CPython's bignum kernel then performs
-  64 patterns per machine-word op with arbitrary width. This is the
-  representation the engine has used since PR 1, now named and
-  selectable.
-- **numpy** — each signal is a little-endian ``uint64`` chunk array
-  (``ceil(w / 64)`` chunks). The compiled function runs unchanged on the
-  arrays (NumPy's elementwise ``&``/``|``/``^``), and reductions such as
-  population counts stay vectorized (``np.bitwise_count``). Packed
-  Python ints remain the API currency: conversion happens only at the
-  backend boundary (one ``int.to_bytes``/``int.from_bytes`` per input
-  and result signal).
-
-Backend choice resolves in priority order: explicit ``backend=``
-argument, the ``REPRO_SIM_BACKEND`` environment variable, then
-``"auto"``. ``auto`` selects numpy when it is importable and falls back
-to the pure-Python backend otherwise, so the repo keeps zero hard
-dependencies. Requesting ``"numpy"`` explicitly (argument or env var)
-on a machine without numpy raises :class:`~repro.errors.CircuitError`
-instead of silently degrading.
-
-The numpy backend is *adaptive*: below its per-entry-point width
-thresholds it delegates to the python word representation. Measured on
-the 600-gate benchmark netlist (see ``benchmarks/BENCH_simulate.json``),
-CPython's bignum kernel outruns ``uint64`` chunk arrays on raw gate
-evaluation at every width up to 2^21 patterns — NumPy's per-op dispatch
-and array allocation dominate at 600 gates × ~64-to-32k chunks — while
-vectorized ``np.bitwise_count`` reductions win popcount-heavy sweeps
-(signal-probability estimation) above ~2^16 patterns. Selecting the
-numpy backend is therefore never a slowdown: it vectorizes exactly
-where vectorization pays.
+:mod:`repro.circuit.compiled` evaluates on packed Python ints: pattern
+``j`` lives in bit ``j`` of one int per signal, and CPython's bignum
+kernel performs 64 patterns per machine-word op at any width. That is
+the only backend; :func:`resolve_backend` names it for reports.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Sequence
 
-from repro.errors import CircuitError
-
-ENV_BACKEND = "REPRO_SIM_BACKEND"
-WORD_BITS = 64
-
-_BACKEND_ALIASES = {
-    "auto": "auto",
-    "python": "python",
-    "bitslice": "python",
-    "bigint": "python",
-    "numpy": "numpy",
-}
-
-_np = None
-_np_checked = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` when unavailable (memoized)."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-        except ImportError:
-            _np = None
-        else:
-            _np = numpy
-    return _np
-
-
-def numpy_available() -> bool:
-    return _numpy() is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Canonical backend names usable in this environment."""
-    return ("python", "numpy") if numpy_available() else ("python",)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend request to a canonical, available backend name.
-
-    ``name`` wins over ``REPRO_SIM_BACKEND``, which wins over ``auto``.
-    ``auto`` prefers numpy when importable; an *explicit* ``numpy``
-    request without numpy installed is an error, not a fallback.
-    """
-    raw = name if name is not None else os.environ.get(ENV_BACKEND)
-    if raw is None or not raw.strip():
-        raw = "auto"
-    canonical = _BACKEND_ALIASES.get(raw.strip().lower())
-    if canonical is None:
-        raise CircuitError(
-            f"unknown simulation backend {raw!r}; expected one of "
-            f"{sorted(set(_BACKEND_ALIASES))}"
-        )
-    if canonical == "auto":
-        return "numpy" if numpy_available() else "python"
-    if canonical == "numpy" and not numpy_available():
-        raise CircuitError(
-            "simulation backend 'numpy' requested but numpy is not "
-            "importable; install numpy or select 'python'/'auto'"
-        )
-    return canonical
-
-
-class PythonWordBackend:
-    """Packed Python bigints: the zero-dependency bit-sliced backend."""
-
-    name = "python"
-
-    def run(
-        self, fn, input_words: Sequence[int], width: int
-    ) -> tuple[int, ...]:
-        """Execute a compiled program over packed ints; packed ints out."""
-        return fn(list(input_words), (1 << width) - 1)
-
-    def popcounts(
-        self, fn, input_words: Sequence[int], width: int
-    ) -> tuple[int, ...]:
-        """Per-result set-bit counts of one packed evaluation."""
-        return tuple(
-            word.bit_count() for word in self.run(fn, input_words, width)
-        )
-
-
-class NumpyWordBackend:
-    """``uint64`` chunk arrays: vectorized where measured to pay off.
-
-    The width thresholds are class attributes so tests (and unusual
-    deployments) can force the vectorized paths at small widths.
-    """
-
-    name = "numpy"
-    # Measured crossovers on the benchmark netlists (module docstring):
-    # bigints won raw evaluation at every width measured (through 2^21
-    # patterns), so vectorized evaluation engages only beyond the
-    # measured range; popcount reductions vectorize from ~2^16.
-    min_eval_width = 1 << 22
-    min_popcount_width = 1 << 16
-
-    def __init__(self):
-        self._scalar = PythonWordBackend()
-        self._mask_cache: dict[int, object] = {}
-
-    def _mask(self, width: int):
-        mask = self._mask_cache.get(width)
-        if mask is None:
-            np = _numpy()
-            nchunks = -(-width // WORD_BITS)
-            mask = np.full(nchunks, 0xFFFF_FFFF_FFFF_FFFF, dtype="<u8")
-            rem = width % WORD_BITS
-            if rem:
-                mask[-1] = (1 << rem) - 1
-            mask.setflags(write=False)
-            if len(self._mask_cache) < 64:  # bound cache memory
-                self._mask_cache[width] = mask
-        return mask
-
-    def _chunk_inputs(self, input_words: Sequence[int], width: int) -> list:
-        np = _numpy()
-        nbytes = (-(-width // WORD_BITS)) * (WORD_BITS // 8)
-        # Truncate to the allocated chunks first: the generated code's
-        # `& mask` tolerates words wider than the evaluated width (the
-        # python backend relies on that), so the conversion must too.
-        keep = (1 << (nbytes * 8)) - 1
-        return [
-            np.frombuffer((word & keep).to_bytes(nbytes, "little"), dtype="<u8")
-            for word in input_words
-        ]
-
-    def _run_raw(self, fn, input_words: Sequence[int], width: int):
-        return fn(self._chunk_inputs(input_words, width), self._mask(width))
-
-    def run(
-        self, fn, input_words: Sequence[int], width: int
-    ) -> tuple[int, ...]:
-        """Execute a compiled program on chunk arrays; packed ints out."""
-        if width < self.min_eval_width:
-            return self._scalar.run(fn, input_words, width)
-        return tuple(
-            value if isinstance(value, int)  # constant results stay ints
-            else int.from_bytes(value.tobytes(), "little")
-            for value in self._run_raw(fn, input_words, width)
-        )
-
-    def popcounts(
-        self, fn, input_words: Sequence[int], width: int
-    ) -> tuple[int, ...]:
-        """Per-result set-bit counts, reduced without leaving NumPy."""
-        np = _numpy()
-        bitwise_count = getattr(np, "bitwise_count", None)
-        if width < self.min_popcount_width or bitwise_count is None:
-            # Narrow sweep, or numpy < 2.0 (no vectorized popcount):
-            # the array path would only add conversion overhead.
-            return self._scalar.popcounts(fn, input_words, width)
-        results = self._run_raw(fn, input_words, width)
-        return tuple(
-            value.bit_count() if isinstance(value, int)
-            else int(bitwise_count(value).sum())
-            for value in results
-        )
-
-
-_PYTHON_BACKEND = PythonWordBackend()
-_NUMPY_BACKEND: NumpyWordBackend | None = None
-
-
-def get_backend(name: str | None = None):
-    """The backend object for a resolved or resolvable backend name."""
-    canonical = resolve_backend(name)
-    if canonical == "python":
-        return _PYTHON_BACKEND
-    global _NUMPY_BACKEND
-    if _NUMPY_BACKEND is None:
-        _NUMPY_BACKEND = NumpyWordBackend()
-    return _NUMPY_BACKEND
+def resolve_backend(name: None = None) -> str:
+    """The name of the evaluation backend: always ``"python"``."""
+    return "python"

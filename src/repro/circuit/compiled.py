@@ -33,13 +33,9 @@ entry points (:meth:`CompiledCircuit.eval_outputs`,
 :meth:`CompiledCircuit.query_batch`) for output-only and batched oracle
 workloads where skipping the full node dict matters.
 
-The generated code is pure bitwise straight-line Python, so it executes
-against interchangeable value representations — *backends* (see
-:mod:`repro.circuit.backends`): packed Python bigints (the
-zero-dependency default) or NumPy ``uint64`` chunk arrays. Pass
-``backend=`` to :func:`compile_circuit` or set ``REPRO_SIM_BACKEND`` to
-choose; ``auto`` (the default) picks numpy when importable. Wide
-pattern-parallel sweeps should use the bulk entry points —
+The generated function runs on packed Python ints: pattern ``j`` lives
+in bit ``j`` of one int per signal. Wide pattern-parallel sweeps should
+use the bulk entry points —
 :meth:`CompiledCircuit.eval_outputs_sliced`,
 :meth:`CompiledCircuit.node_values_sliced`,
 :meth:`CompiledCircuit.node_popcounts` — which evaluate thousands of
@@ -51,7 +47,6 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping, Sequence
 
-from repro.circuit.backends import get_backend, resolve_backend
 from repro.circuit.circuit import Circuit, topological_region_order
 from repro.circuit.gates import GateType
 from repro.errors import CircuitError
@@ -138,11 +133,9 @@ class CompiledCircuit:
     instance that tracks the circuit's structural version.
     """
 
-    def __init__(self, circuit: Circuit, backend: str | None = None):
+    def __init__(self, circuit: Circuit):
         self.name = circuit.name
         self.version = circuit.structural_version
-        self.backend = resolve_backend(backend)
-        self._backend = get_backend(self.backend)
         self.input_names = circuit.inputs
         self.output_names = circuit.outputs
         self.key_input_names = circuit.key_inputs
@@ -276,8 +269,8 @@ class CompiledCircuit:
         if width < 1:
             raise CircuitError(f"width must be >= 1, got {width}")
         program = self._program(targets)
-        values = self._backend.run(
-            program.fn, self._gather_inputs(program, input_values), width
+        values = program.fn(
+            self._gather_inputs(program, input_values), (1 << width) - 1
         )
         return dict(zip(program.result_names, values))
 
@@ -291,8 +284,8 @@ class CompiledCircuit:
         if width < 1:
             raise CircuitError(f"width must be >= 1, got {width}")
         program = self._program(tuple(nodes), results=tuple(nodes))
-        return self._backend.run(
-            program.fn, self._gather_inputs(program, input_values), width
+        return program.fn(
+            self._gather_inputs(program, input_values), (1 << width) - 1
         )
 
     def eval_outputs(
@@ -302,8 +295,8 @@ class CompiledCircuit:
         if width < 1:
             raise CircuitError(f"width must be >= 1, got {width}")
         program = self._program(self.output_names, results=self.output_names)
-        return self._backend.run(
-            program.fn, self._gather_inputs(program, input_values), width
+        return program.fn(
+            self._gather_inputs(program, input_values), (1 << width) - 1
         )
 
     def _sliced_inputs(
@@ -347,35 +340,6 @@ class CompiledCircuit:
             words.append(word)
         return words, len(rows)
 
-    def packed_sliced_inputs(
-        self,
-        patterns,
-        width: int | None = None,
-        nodes: Sequence[str] | None = None,
-    ) -> tuple[dict[str, int], int]:
-        """Normalize a bulk-pattern argument to named packed words.
-
-        Returns ``({input_name: packed word}, width)`` covering exactly
-        the inputs the outputs program (or the ``nodes`` program) reads,
-        in program order. This is the hand-off point for the sharding
-        layer (:mod:`repro.circuit.sharding`), which slices the words
-        into per-chunk work units.
-        """
-        if nodes is None:
-            program = self._program(
-                self.output_names, results=self.output_names
-            )
-        else:
-            program = self._program(tuple(nodes), results=tuple(nodes))
-        words, width = self._sliced_inputs(program, patterns, width)
-        return dict(zip(program.input_names, words)), width
-
-    def region_input_names(
-        self, targets: Sequence[str] | None = None
-    ) -> tuple[str, ...]:
-        """The inputs read by the evaluated region of ``targets``."""
-        return self._program(targets).input_names
-
     def eval_outputs_sliced(
         self,
         patterns,
@@ -392,7 +356,7 @@ class CompiledCircuit:
         """
         program = self._program(self.output_names, results=self.output_names)
         words, width = self._sliced_inputs(program, patterns, width)
-        return self._backend.run(program.fn, words, width)
+        return program.fn(words, (1 << width) - 1)
 
     def node_values_sliced(
         self,
@@ -403,7 +367,7 @@ class CompiledCircuit:
         """Bit-sliced values of exactly ``nodes`` for many patterns."""
         program = self._program(tuple(nodes), results=tuple(nodes))
         words, width = self._sliced_inputs(program, patterns, width)
-        return self._backend.run(program.fn, words, width)
+        return program.fn(words, (1 << width) - 1)
 
     def node_popcounts(
         self,
@@ -413,17 +377,18 @@ class CompiledCircuit:
     ) -> dict[str, int]:
         """Set-bit counts per node of one packed ``width``-wide pass.
 
-        The signal-probability workload (SPS, density ranking): the
-        reduction stays inside the backend, so the numpy path never
-        materializes per-node Python bigints.
+        The signal-probability workload (SPS, density ranking).
         """
         if width < 1:
             raise CircuitError(f"width must be >= 1, got {width}")
         program = self._program(targets)
-        counts = self._backend.popcounts(
-            program.fn, self._gather_inputs(program, input_values), width
+        values = program.fn(
+            self._gather_inputs(program, input_values), (1 << width) - 1
         )
-        return dict(zip(program.result_names, counts))
+        return {
+            name: value.bit_count()
+            for name, value in zip(program.result_names, values)
+        }
 
     def query_batch(
         self, assignments: Sequence[Mapping[str, int]]
@@ -431,10 +396,10 @@ class CompiledCircuit:
         """Outputs for many single 0/1 patterns via one wide simulation.
 
         Packs pattern ``j`` into bit ``j`` of every input word, runs the
-        outputs-only program once through the selected backend, and
-        unpacks per-pattern output tuples. Callers that can consume
-        packed words directly should prefer :meth:`eval_outputs_sliced`,
-        which skips the per-pattern unpacking entirely.
+        outputs-only program once, and unpacks per-pattern output tuples.
+        Callers that can consume packed words directly should prefer
+        :meth:`eval_outputs_sliced`, which skips the per-pattern
+        unpacking entirely.
         """
         width = len(assignments)
         if width == 0:
@@ -459,35 +424,24 @@ class CompiledCircuit:
     def __repr__(self) -> str:
         return (
             f"CompiledCircuit({self.name!r}, nodes={len(self._types)}, "
-            f"version={self.version}, backend={self.backend!r})"
+            f"version={self.version})"
         )
 
 
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Circuit, dict[str, CompiledCircuit]]" = (
+_COMPILE_CACHE: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def compile_circuit(
-    circuit: Circuit, backend: str | None = None
-) -> CompiledCircuit:
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """The cached compiled form of ``circuit`` (rebuilt after mutation).
 
-    The cache is keyed weakly by circuit identity plus resolved backend
-    name and checked against :attr:`Circuit.structural_version`, so
-    holding the result across mutations is safe as long as it is
-    re-fetched through this function. ``backend`` is ``"python"``
-    (aliases ``"bitslice"``/``"bigint"``), ``"numpy"``, or ``"auto"``;
-    ``None`` defers to the ``REPRO_SIM_BACKEND`` environment variable
-    and then to ``"auto"``.
+    The cache is keyed weakly by circuit identity and checked against
+    :attr:`Circuit.structural_version`, so holding the result across
+    mutations is safe as long as it is re-fetched through this function.
     """
-    name = resolve_backend(backend)
-    per_backend = _COMPILE_CACHE.get(circuit)
-    if per_backend is None:
-        per_backend = {}
-        _COMPILE_CACHE[circuit] = per_backend
-    compiled = per_backend.get(name)
+    compiled = _COMPILE_CACHE.get(circuit)
     if compiled is None or compiled.version != circuit.structural_version:
-        compiled = CompiledCircuit(circuit, backend=name)
-        per_backend[name] = compiled
+        compiled = CompiledCircuit(circuit)
+        _COMPILE_CACHE[circuit] = compiled
     return compiled

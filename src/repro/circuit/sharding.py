@@ -1,78 +1,31 @@
-"""Process-sharded wide sweeps over the compiled simulation engine.
+"""The persistent worker pool, and the simulation-layer sweep calls.
 
-The bit-sliced entry points of :class:`~repro.circuit.compiled.
-CompiledCircuit` (``eval_outputs_sliced``, ``node_values_sliced``,
-``node_popcounts``) evaluate thousands of patterns per pass, but a pass
-still runs on one CPU core. The FALL reproduction's widest workloads —
-SPS signal-probability estimation, density prefilters, equivalence
-refutation, exhaustive cone truth tables — are >10^5-pattern sweeps
-whose wall clock is bounded by that single core.
+Task-level parallelism — suite cells (:func:`repro.experiments.runner.
+run_suite`) and portfolio racers (:func:`repro.attacks.engine.
+run_portfolio`) — runs on one shared
+:class:`~concurrent.futures.ProcessPoolExecutor` that starts lazily and
+persists across calls. The worker count is an explicit ``jobs``
+argument: a positive int, or ``None``/``"auto"`` for every usable CPU
+core. ``jobs=1``, a single item, or a caller that is itself a pool
+worker (or any daemonic process) runs inline instead; worker processes
+never start nested pools.
 
-This module removes the ceiling by partitioning the pattern range into
-chunks and shipping each chunk to a persistent
-:class:`~concurrent.futures.ProcessPoolExecutor`:
-
-- a work unit is ``(circuit spec, fingerprint, backend, chunk)`` — the
-  *spec* is a compact picklable snapshot of the netlist, and each worker
-  compiles it at most once per fingerprint (a per-process compile
-  cache), so repeated sweeps over the same circuit pay no per-chunk
-  compilation;
-- input words are bit-sliced *before* shipping (``(word >> offset) &
-  mask``) and results are merged deterministically in chunk order
-  (packed words are OR-shifted back into place, popcounts are summed),
-  so sharded results are bit-exact with the single-process path and
-  independent of worker scheduling;
-- the plan layer (:class:`ShardPlan` / :func:`plan_sweep`) stays
-  single-process below a crossover threshold (:data:`SHARD_THRESHOLD`
-  patterns), so the small sweeps that dominate unit tests and attack
-  inner loops never touch the pool.
-
-Worker-count selection resolves in priority order: explicit ``jobs=``
-argument, the ``REPRO_SIM_JOBS`` environment variable, then ``auto``
-(the number of usable CPU cores). ``jobs=1`` — or any sweep narrower
-than the threshold — runs inline on the calling process's engine.
-Worker processes never shard further (nested pools are suppressed), so
-process-parallel *suite* runs (see :mod:`repro.experiments.runner`) and
-sharded sweeps compose safely.
+The ``sweep_*`` functions are the attack code's calls into bit-sliced
+simulation: each evaluates on the calling process's cached compiled
+engine (:func:`~repro.circuit.compiled.compile_circuit`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
-import weakref
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
-from repro.circuit.backends import resolve_backend
 from repro.circuit.circuit import Circuit
-from repro.circuit.compiled import (
-    CompiledCircuit,
-    canonical_input_words,
-    compile_circuit,
-)
-from repro.circuit.gates import GateType
+from repro.circuit.compiled import compile_circuit
 from repro.errors import CircuitError
-
-ENV_JOBS = "REPRO_SIM_JOBS"
-
-# Crossover: below this many patterns a sweep always stays on the
-# calling process. One bit-sliced pass over a ~600-gate netlist at 2^15
-# patterns takes a few ms — the same order as pickling one work unit —
-# so narrower sweeps cannot win by sharding.
-SHARD_THRESHOLD = 1 << 15
-
-# Smallest work unit worth shipping: chunks are never made smaller than
-# this (except a ragged final chunk), so a sweep just over the threshold
-# is not shredded into per-chunk overhead.
-MIN_CHUNK_WIDTH = 1 << 12
-
-_WORD_ALIGN = 64  # chunk boundaries align to backend uint64 chunks
-
-_MAX_WORKER_ENGINES = 16  # per-process compile-cache bound
 
 
 def parse_jobs(value: int | str | None) -> int | None:
@@ -102,173 +55,26 @@ def parse_jobs(value: int | str | None) -> int | None:
     return jobs
 
 
-_CPU_JOBS: int | None = None
-
-
 def cpu_jobs() -> int:
-    """The *auto* worker count: usable CPU cores (affinity-aware).
-
-    Memoized — it sits on the planning path of every sweep, and the
-    affinity mask does not change under us in practice.
-    """
-    global _CPU_JOBS
-    if _CPU_JOBS is None:
-        try:
-            _CPU_JOBS = max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux
-            _CPU_JOBS = max(1, os.cpu_count() or 1)
-    return _CPU_JOBS
+    """The *auto* worker count: usable CPU cores (affinity-aware)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return max(1, os.cpu_count() or 1)
 
 
 def resolve_jobs(jobs: int | str | None = None) -> int:
-    """Resolve a jobs request to a concrete worker count.
-
-    ``jobs`` wins over ``REPRO_SIM_JOBS``, which wins over auto
-    detection.
-    """
-    parsed = parse_jobs(
-        jobs if jobs is not None else os.environ.get(ENV_JOBS)
-    )
+    """Resolve a jobs request to a concrete worker count."""
+    parsed = parse_jobs(jobs)
     return cpu_jobs() if parsed is None else parsed
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """How one ``width``-pattern sweep is split across processes."""
-
-    jobs: int         # worker processes; 1 = run inline, no pool
-    chunk_width: int  # patterns per work unit (final chunk may be ragged)
-    width: int
-
-    @property
-    def use_pool(self) -> bool:
-        return self.jobs > 1
-
-    def chunks(self) -> list[tuple[int, int]]:
-        """``(offset, size)`` work units covering ``[0, width)`` in order."""
-        out: list[tuple[int, int]] = []
-        offset = 0
-        while offset < self.width:
-            size = min(self.chunk_width, self.width - offset)
-            out.append((offset, size))
-            offset += size
-        return out
-
-
-def plan_sweep(
-    width: int,
-    jobs: int | str | None = None,
-    chunk_width: int | None = None,
-    threshold: int | None = None,
-) -> ShardPlan:
-    """Plan a ``width``-pattern sweep.
-
-    The auto heuristic keeps sub-``threshold`` sweeps single-process
-    (they cannot amortize work-unit shipping), sizes chunks to
-    word-aligned ``width / jobs`` slices no smaller than
-    :data:`MIN_CHUNK_WIDTH`, and never allocates more workers than
-    chunks. ``chunk_width`` forces exact chunk boundaries (tests and
-    benchmarks use this to exercise ragged and unaligned splits).
-    """
-    if width < 1:
-        raise CircuitError(f"width must be >= 1, got {width}")
-    if threshold is None:
-        threshold = SHARD_THRESHOLD
-    # The threshold check comes first so sub-threshold sweeps — FALL's
-    # hottest inner loops — skip the env read / affinity syscall of
-    # jobs resolution entirely (an invalid jobs value therefore only
-    # surfaces on sweeps wide enough to shard; the CLI validates
-    # eagerly at parse time).
-    if width < threshold or _pool_disallowed():
-        return ShardPlan(jobs=1, chunk_width=width, width=width)
-    resolved = resolve_jobs(jobs)
-    if resolved <= 1:
-        return ShardPlan(jobs=1, chunk_width=width, width=width)
-    if chunk_width is None:
-        per_worker = -(-width // resolved)
-        chunk = max(MIN_CHUNK_WIDTH, per_worker)
-        chunk = ((chunk + _WORD_ALIGN - 1) // _WORD_ALIGN) * _WORD_ALIGN
-    else:
-        if chunk_width < 1:
-            raise CircuitError(
-                f"chunk_width must be >= 1, got {chunk_width}"
-            )
-        chunk = chunk_width
-    num_chunks = -(-width // chunk)
-    return ShardPlan(
-        jobs=min(resolved, num_chunks), chunk_width=chunk, width=width
-    )
-
-
 # ----------------------------------------------------------------------
-# Circuit specs: compact picklable snapshots + fingerprints
-# ----------------------------------------------------------------------
-def circuit_spec(circuit: Circuit) -> tuple:
-    """A compact picklable snapshot sufficient to rebuild ``circuit``."""
-    return (
-        circuit.name,
-        tuple(
-            (name, circuit.gate_type(name).value, circuit.fanins(name))
-            for name in circuit.nodes
-        ),
-        circuit.outputs,
-        circuit.key_inputs,
-    )
-
-
-def circuit_from_spec(spec: tuple) -> Circuit:
-    """Rebuild a :class:`Circuit` from :func:`circuit_spec` output."""
-    name, nodes, outputs, key_inputs = spec
-    keys = set(key_inputs)
-    circuit = Circuit(name)
-    for node, type_value, fanins in nodes:
-        gate_type = GateType(type_value)
-        if gate_type is GateType.INPUT:
-            circuit.add_input(node, key=node in keys)
-        elif gate_type is GateType.CONST0:
-            circuit.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            circuit.add_const(node, 1)
-        else:
-            circuit.add_gate(node, gate_type, fanins)
-    for out in outputs:
-        circuit.add_output(out)
-    return circuit
-
-
-_SPEC_CACHE: "weakref.WeakKeyDictionary[Circuit, tuple[int, tuple, str]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _spec_and_fingerprint(circuit: Circuit) -> tuple[tuple, str]:
-    """Memoized (spec, fingerprint) per circuit structural version."""
-    cached = _SPEC_CACHE.get(circuit)
-    if cached is not None and cached[0] == circuit.structural_version:
-        return cached[1], cached[2]
-    spec = circuit_spec(circuit)
-    fingerprint = hashlib.blake2b(
-        repr(spec).encode(), digest_size=16
-    ).hexdigest()
-    _SPEC_CACHE[circuit] = (circuit.structural_version, spec, fingerprint)
-    return spec, fingerprint
-
-
-def circuit_fingerprint(circuit: Circuit) -> str:
-    """A stable content hash of the netlist structure.
-
-    Memoized per structural version; used by the worker compile caches
-    and by attack checkpoints to verify a resume targets the same
-    circuit the transcript was recorded against.
-    """
-    return _spec_and_fingerprint(circuit)[1]
-
-
-# ----------------------------------------------------------------------
-# Worker side
+# The persistent pool
 # ----------------------------------------------------------------------
 _IN_WORKER = False
-_WORKER_ENGINES: dict[tuple[str, str], CompiledCircuit] = {}
+_POOL: ProcessPoolExecutor | None = None
+_POOL_WORKERS = 0
 
 
 def _pool_disallowed() -> bool:
@@ -289,42 +95,9 @@ def _init_worker() -> None:
     _POOL_WORKERS = 0
 
 
-def _worker_engine(
-    fingerprint: str, spec: tuple, backend: str
-) -> CompiledCircuit:
-    key = (fingerprint, backend)
-    engine = _WORKER_ENGINES.get(key)
-    if engine is None:
-        if len(_WORKER_ENGINES) >= _MAX_WORKER_ENGINES:
-            _WORKER_ENGINES.pop(next(iter(_WORKER_ENGINES)))
-        engine = CompiledCircuit(circuit_from_spec(spec), backend=backend)
-        _WORKER_ENGINES[key] = engine
-    return engine
-
-
-def _worker_sweep(task: tuple):
-    """Evaluate one chunk; runs inside a pool worker process."""
-    fingerprint, spec, backend, kind, names, values, width = task
-    engine = _worker_engine(fingerprint, spec, backend)
-    if kind == "outputs":
-        return engine.eval_outputs_sliced(values, width=width)
-    if kind == "nodes":
-        return engine.node_values_sliced(names, values, width=width)
-    if kind == "popcounts":
-        return engine.node_popcounts(values, width, targets=names)
-    raise CircuitError(f"unknown sweep kind {kind!r}")
-
-
 def _call(fn, item):
     """Top-level apply helper (bound methods don't pickle portably)."""
     return fn(item)
-
-
-# ----------------------------------------------------------------------
-# The persistent pool
-# ----------------------------------------------------------------------
-_POOL: ProcessPoolExecutor | None = None
-_POOL_WORKERS = 0
 
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
@@ -368,6 +141,21 @@ def shutdown_pool() -> None:
         _POOL_WORKERS = 0
 
 
+def _run_sharded(fn, items: list, workers: int) -> list | None:
+    """Map ``fn`` over ``items`` on the pool, results in item order.
+
+    Returns ``None`` when the pool breaks (a worker was killed: OOM,
+    segfault): the dead executor is torn down so the next pooled call
+    starts a fresh one, and the caller finishes inline.
+    """
+    try:
+        pool = _get_pool(workers)
+        return list(pool.map(_call, [fn] * len(items), items))
+    except BrokenProcessPool:
+        shutdown_pool()
+        return None
+
+
 def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
     """Order-preserving map over the persistent pool.
 
@@ -377,103 +165,21 @@ def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
     """
     items = list(items)
     workers = resolve_jobs(jobs)
-    if _pool_disallowed() or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = _get_pool(min(workers, len(items)))
-    try:
-        return list(pool.map(_call, [fn] * len(items), items))
-    except BrokenProcessPool:
-        # A worker died (OOM kill, segfault). Drop the dead executor so
-        # the next parallel call starts a fresh one, and finish this
-        # call inline rather than failing the sweep.
-        shutdown_pool()
-        return [fn(item) for item in items]
+    if not (_pool_disallowed() or workers <= 1 or len(items) <= 1):
+        results = _run_sharded(fn, items, min(workers, len(items)))
+        if results is not None:
+            return results
+    return [fn(item) for item in items]
 
 
 # ----------------------------------------------------------------------
-# Sharded sweep entry points
+# Sweeps on the cached compiled engine
 # ----------------------------------------------------------------------
-def _run_sharded(
-    circuit: Circuit,
-    backend: str,
-    kind: str,
-    names,
-    values: Mapping[str, int],
-    plan: ShardPlan,
-):
-    """Ship the chunks, collect in submission order, return raw results.
-
-    Returns ``None`` when the pool breaks mid-sweep (a worker was
-    killed): the dead executor is torn down so the next sharded call
-    starts fresh, and the caller falls back to its inline path.
-    """
-    spec, fingerprint = _spec_and_fingerprint(circuit)
-    try:
-        pool = _get_pool(plan.jobs)
-        futures = []
-        for offset, size in plan.chunks():
-            mask = (1 << size) - 1
-            chunk_values = {
-                name: (word >> offset) & mask
-                for name, word in values.items()
-            }
-            futures.append(
-                pool.submit(
-                    _worker_sweep,
-                    (fingerprint, spec, backend, kind, names, chunk_values,
-                     size),
-                )
-            )
-        return [future.result() for future in futures]
-    except BrokenProcessPool:
-        shutdown_pool()
-        return None
-
-
-def _merge_words(
-    chunk_results: Sequence[Sequence[int]], chunks: Sequence[tuple[int, int]]
-) -> tuple[int, ...]:
-    merged = [0] * len(chunk_results[0])
-    for (offset, _), words in zip(chunks, chunk_results):
-        for position, word in enumerate(words):
-            merged[position] |= word << offset
-    return tuple(merged)
-
-
 def sweep_outputs(
-    circuit: Circuit,
-    patterns,
-    width: int | None = None,
-    *,
-    backend: str | None = None,
-    jobs: int | str | None = None,
-    chunk_width: int | None = None,
-    threshold: int | None = None,
+    circuit: Circuit, patterns, width: int | None = None
 ) -> tuple[int, ...]:
-    """Sharded :meth:`CompiledCircuit.eval_outputs_sliced`.
-
-    Accepts the same flexible ``patterns`` forms and returns the same
-    packed words; wide sweeps are split across the worker pool per
-    :func:`plan_sweep`, narrow ones run inline on the cached engine.
-    With an explicit ``width`` the inline path adds nothing beyond the
-    plan check — ``patterns`` goes to the engine untouched.
-    """
-    engine = compile_circuit(circuit, backend=backend)
-    if width is None:
-        values, width = engine.packed_sliced_inputs(patterns, width)
-        patterns = values
-    plan = plan_sweep(
-        width, jobs=jobs, chunk_width=chunk_width, threshold=threshold
-    )
-    if not plan.use_pool:
-        return engine.eval_outputs_sliced(patterns, width=width)
-    values, _ = engine.packed_sliced_inputs(patterns, width)
-    results = _run_sharded(
-        circuit, engine.backend, "outputs", None, values, plan
-    )
-    if results is None:
-        return engine.eval_outputs_sliced(values, width=width)
-    return _merge_words(results, plan.chunks())
+    """:meth:`CompiledCircuit.eval_outputs_sliced` on the cached engine."""
+    return compile_circuit(circuit).eval_outputs_sliced(patterns, width)
 
 
 def sweep_node_values(
@@ -481,36 +187,9 @@ def sweep_node_values(
     nodes: Sequence[str],
     patterns,
     width: int | None = None,
-    *,
-    backend: str | None = None,
-    jobs: int | str | None = None,
-    chunk_width: int | None = None,
-    threshold: int | None = None,
 ) -> tuple[int, ...]:
-    """Sharded :meth:`CompiledCircuit.node_values_sliced`.
-
-    Like :func:`sweep_outputs`, an explicit ``width`` lets the inline
-    path forward ``patterns`` to the engine without re-normalizing.
-    """
-    engine = compile_circuit(circuit, backend=backend)
-    nodes = tuple(nodes)
-    if width is None:
-        values, width = engine.packed_sliced_inputs(
-            patterns, width, nodes=nodes
-        )
-        patterns = values
-    plan = plan_sweep(
-        width, jobs=jobs, chunk_width=chunk_width, threshold=threshold
-    )
-    if not plan.use_pool:
-        return engine.node_values_sliced(nodes, patterns, width=width)
-    values, _ = engine.packed_sliced_inputs(patterns, width, nodes=nodes)
-    results = _run_sharded(
-        circuit, engine.backend, "nodes", nodes, values, plan
-    )
-    if results is None:
-        return engine.node_values_sliced(nodes, values, width=width)
-    return _merge_words(results, plan.chunks())
+    """:meth:`CompiledCircuit.node_values_sliced` on the cached engine."""
+    return compile_circuit(circuit).node_values_sliced(nodes, patterns, width)
 
 
 def sweep_popcounts(
@@ -518,75 +197,13 @@ def sweep_popcounts(
     input_values: Mapping[str, int],
     width: int,
     targets: Sequence[str] | None = None,
-    *,
-    backend: str | None = None,
-    jobs: int | str | None = None,
-    chunk_width: int | None = None,
-    threshold: int | None = None,
 ) -> dict[str, int]:
-    """Sharded :meth:`CompiledCircuit.node_popcounts`.
-
-    Each worker reduces its chunk inside the backend and ships per-node
-    integer counts; the merge is a sum, so nothing wide crosses the
-    process boundary on the way back.
-    """
-    engine = compile_circuit(circuit, backend=backend)
-    plan = plan_sweep(
-        width, jobs=jobs, chunk_width=chunk_width, threshold=threshold
-    )
-    if not plan.use_pool:
-        return engine.node_popcounts(input_values, width, targets=targets)
-    needed = engine.region_input_names(targets)
-    values = {name: input_values[name] for name in needed}
-    results = _run_sharded(
-        circuit,
-        engine.backend,
-        "popcounts",
-        tuple(targets) if targets is not None else None,
-        values,
-        plan,
-    )
-    if results is None:
-        return engine.node_popcounts(input_values, width, targets=targets)
-    merged = dict(results[0])
-    for counts in results[1:]:
-        for node, count in counts.items():
-            merged[node] += count
-    return merged
+    """:meth:`CompiledCircuit.node_popcounts` on the cached engine."""
+    return compile_circuit(circuit).node_popcounts(input_values, width, targets)
 
 
 def sweep_truth_table(
-    circuit: Circuit,
-    node: str,
-    *,
-    backend: str | None = None,
-    jobs: int | str | None = None,
-    chunk_width: int | None = None,
-    threshold: int | None = None,
+    circuit: Circuit, node: str
 ) -> tuple[int, tuple[str, ...]]:
-    """Sharded :meth:`CompiledCircuit.truth_table`.
-
-    The exhaustive ``2^n`` enumeration of a wide cone is the single
-    heaviest sweep in the repo (up to 2^24 patterns); each worker
-    evaluates a contiguous slice of the canonical pattern words.
-    """
-    engine = compile_circuit(circuit, backend=backend)
-    support = engine.cone_inputs(node)
-    width = 1 << len(support)
-    plan = plan_sweep(
-        width, jobs=jobs, chunk_width=chunk_width, threshold=threshold
-    )
-    if not plan.use_pool:
-        return engine.truth_table(node)
-    values = dict(zip(support, canonical_input_words(len(support))))
-    (table,) = sweep_node_values(
-        circuit,
-        (node,),
-        values,
-        width,
-        backend=backend,
-        jobs=jobs,
-        chunk_width=chunk_width,
-        threshold=threshold,
-    )
-    return table, support
+    """:meth:`CompiledCircuit.truth_table` on the cached engine."""
+    return compile_circuit(circuit).truth_table(node)

@@ -39,18 +39,14 @@ def simulate(
     input_values: Mapping[str, int],
     width: int = 1,
     targets: Sequence[str] | None = None,
-    backend: str | None = None,
 ) -> dict[str, int]:
     """Simulate ``width`` patterns at once.
 
     ``input_values`` maps every relevant input to a packed int (bit ``j``
     = value in pattern ``j``). Returns packed values for every node in
     the evaluated region (all nodes, or the fanin cones of ``targets``).
-    ``backend`` selects the evaluation backend (see
-    :mod:`repro.circuit.backends`); ``None`` defers to
-    ``REPRO_SIM_BACKEND`` and then auto-detection.
     """
-    return compile_circuit(circuit, backend=backend).simulate(
+    return compile_circuit(circuit).simulate(
         input_values, width=width, targets=targets
     )
 
@@ -154,8 +150,6 @@ def truth_table(circuit: Circuit, node: str | None = None) -> int:
     all_inputs = circuit.inputs
     if len(all_inputs) <= 24:
         values, width = exhaustive_input_values(all_inputs)
-        # Above the sharding crossover (2^15 patterns — i.e. >15 inputs)
-        # the exhaustive enumeration fans out across worker processes.
         (table,) = sweep_node_values(circuit, (node,), values, width)
         return table
     table, _ = sweep_truth_table(circuit, node)
@@ -170,8 +164,6 @@ def cone_truth_table(
     Returns ``(table, support_inputs)``: bit ``j`` of ``table`` is the
     node's value when support input ``i`` is bit ``i`` of ``j``. Always
     enumerates just the cone, so it stays feasible on arbitrarily wide
-    circuits as long as the cone has at most 24 inputs. Cones wider
-    than 15 inputs cross the sharding threshold and are enumerated in
-    parallel chunks (see :mod:`repro.circuit.sharding`).
+    circuits as long as the cone has at most 24 inputs.
     """
     return sweep_truth_table(circuit, node)

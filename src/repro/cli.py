@@ -13,16 +13,15 @@ Three commands (also exposed as console scripts via pyproject):
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
-from contextlib import contextmanager
 
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import all_attacks, attack_names, get_attack
 from repro.circuit.bench_io import read_bench, save_bench
-from repro.circuit.sharding import ENV_JOBS, parse_jobs
+from repro.circuit.sharding import parse_jobs
 from repro.errors import CircuitError
 from repro.locking import (
     lock_antisat,
@@ -33,49 +32,23 @@ from repro.locking import (
 )
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+def _jobs(value: str) -> int | None:
+    """argparse type for ``--jobs``: a positive int, or ``None`` (auto)."""
+    try:
+        return parse_jobs(value)
+    except CircuitError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
         "--jobs",
+        type=_jobs,
         default=None,
         metavar="N",
-        help="worker processes for sharded simulation sweeps and "
-             "parallel suite runs: a positive integer or 'auto' "
-             "(default: the REPRO_SIM_JOBS environment variable, then "
-             "'auto' = all usable CPU cores)",
+        help=f"worker processes for {what}: a positive integer or "
+             "'auto' (default: auto = all usable CPU cores)",
     )
-
-
-@contextmanager
-def _jobs_scope(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-):
-    """Validate the jobs request and publish it to ``REPRO_SIM_JOBS``.
-
-    Validation covers both the ``--jobs`` flag and an inherited
-    ``REPRO_SIM_JOBS`` value, so a typo fails fast with a usage error
-    instead of surfacing mid-attack from the sweep layer. The sweep
-    layer and suite runner both read the environment, so one assignment
-    covers every downstream consumer — and it is scoped to this
-    invocation (the prior value is restored on exit), so one command's
-    ``--jobs`` never leaks into later in-process calls.
-    """
-    source = args.jobs if args.jobs is not None else os.environ.get(ENV_JOBS)
-    try:
-        parse_jobs(source)
-    except CircuitError as error:
-        parser.error(str(error))
-    if args.jobs is None:
-        yield
-        return
-    previous = os.environ.get(ENV_JOBS)
-    os.environ[ENV_JOBS] = args.jobs
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_JOBS, None)
-        else:
-            os.environ[ENV_JOBS] = previous
 
 
 def main_lock(argv: list[str] | None = None) -> int:
@@ -222,7 +195,7 @@ def main_attack(argv: list[str] | None = None) -> int:
              "and an interrupted run resumes bit-exactly (iterative "
              "oracle-guided attacks only; not valid with --portfolio)",
     )
-    _add_jobs_argument(parser)
+    _add_jobs_argument(parser, "--portfolio racing")
     args = parser.parse_args(argv)
 
     if args.list_attacks:
@@ -240,31 +213,31 @@ def main_attack(argv: list[str] | None = None) -> int:
     if args.portfolio is not None and args.checkpoint is not None:
         parser.error("--checkpoint cannot be combined with --portfolio")
 
-    with _jobs_scope(parser, args):
-        locked = read_bench(args.netlist)
-        oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
-        config = AttackConfig(
-            h=args.h,
-            time_limit=args.time_limit,
-            max_iterations=args.max_iterations,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-        )
-        if args.portfolio is not None:
-            names = _parse_portfolio(parser, args.portfolio)
-            result = run_portfolio(names, locked, oracle, config)
-            portfolio = result.details["portfolio"]
-            print(f"portfolio winner: {portfolio['winner']}")
-            for name in names:
-                entry = portfolio["attacks"][name]
-                status = entry["status"]
-                if entry.get("cancelled"):
-                    status += " (cancelled)"
-                print(f"  {name:14s} {status}")
-        else:
-            if oracle is None and get_attack(args.attack).requires_oracle:
-                parser.error(f"the {args.attack} attack requires --oracle")
-            result = run_attack(args.attack, locked, oracle, config)
+    locked = read_bench(args.netlist)
+    oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
+    config = AttackConfig(
+        h=args.h,
+        time_limit=args.time_limit,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        jobs=args.jobs,
+        checkpoint_path=args.checkpoint,
+    )
+    if args.portfolio is not None:
+        names = _parse_portfolio(parser, args.portfolio)
+        result = run_portfolio(names, locked, oracle, config)
+        portfolio = result.details["portfolio"]
+        print(f"portfolio winner: {portfolio['winner']}")
+        for name in names:
+            entry = portfolio["attacks"][name]
+            status = entry["status"]
+            if entry.get("cancelled"):
+                status += " (cancelled)"
+            print(f"  {name:14s} {status}")
+    else:
+        if oracle is None and get_attack(args.attack).requires_oracle:
+            parser.error(f"the {args.attack} attack requires --oracle")
+        result = run_attack(args.attack, locked, oracle, config)
     print(result.summary())
     if result.key is not None:
         print("key:", "".join(str(b) for b in result.key))
@@ -286,32 +259,26 @@ def main_experiments(argv: list[str] | None = None) -> int:
         choices=("table1", "fig5", "fig6", "summary", "all"),
     )
     parser.add_argument("--csv", default=None, help="also write CSV here")
-    _add_jobs_argument(parser)
+    _add_jobs_argument(parser, "the summary sweep's grid cells")
     args = parser.parse_args(argv)
 
     from repro.experiments import fig5, fig6, summary, table1
 
-    # Every artifact picks the worker count up from REPRO_SIM_JOBS
-    # (published for this invocation when --jobs was given); the summary
-    # sweep additionally parallelizes across its (circuit × h) grid
-    # cells.
     mains = {
         "table1": table1.main,
         "fig5": fig5.main,
         "fig6": fig6.main,
-        "summary": summary.main,
+        "summary": functools.partial(summary.main, jobs=args.jobs),
     }
-    with _jobs_scope(parser, args):
-        if args.artifact == "all":
-            for name, entry in mains.items():
-                print(
-                    entry(
-                        csv_path=f"{args.csv}.{name}.csv"
-                        if args.csv else None
-                    )
+    if args.artifact == "all":
+        for name, entry in mains.items():
+            print(
+                entry(
+                    csv_path=f"{args.csv}.{name}.csv" if args.csv else None
                 )
-        else:
-            print(mains[args.artifact](csv_path=args.csv))
+            )
+    else:
+        print(mains[args.artifact](csv_path=args.csv))
     return 0
 
 

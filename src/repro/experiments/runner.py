@@ -13,8 +13,7 @@ engine and classifies the outcome with the defender-side ground truth:
 
 The module also provides the process-parallel suite driver:
 :func:`run_suite` maps :class:`SuiteTask` cells onto the persistent
-worker pool shared with the sharded simulation layer
-(:mod:`repro.circuit.sharding`). Every task carries its own
+worker pool (:mod:`repro.circuit.sharding`). Every task carries its own
 deterministic seeds (the benchmark is rebuilt inside the worker from
 the profile seed + lock seed) and names its attack by registry name, so
 a parallel sweep produces the same records as a sequential one —
@@ -219,9 +218,8 @@ def run_suite(
 ) -> list[RunRecord]:
     """Run a list of suite cells, optionally across worker processes.
 
-    ``jobs`` resolves like the sharded sweep layer (explicit argument,
-    then ``REPRO_SIM_JOBS``, then auto); ``jobs=1`` runs sequentially in
-    this process. Records are returned in task order either way, so
+    ``jobs`` is the worker count (``None`` or ``"auto"`` = every usable
+    core); ``jobs=1`` runs sequentially in this process. Records are returned in task order either way, so
     summaries merged from them are independent of the worker count.
     """
     return map_in_processes(run_suite_task, tasks, jobs=jobs)

@@ -57,9 +57,9 @@ def run_summary(
     ``attack`` names any registry entry (the registry-driven suite has
     no hardcoded attack wrappers), defaulting to the paper's oracle-less
     FALL sweep. ``jobs`` spreads the (circuit × h) cells across worker
-    processes (explicit argument, then ``REPRO_SIM_JOBS``, then
-    auto-detection); every cell is seeded independently and the records
-    are merged in grid order, so the summary is identical for every
+    processes (``None`` = every usable core); every cell is seeded
+    independently and the records are merged in grid order, so the
+    summary is identical for every
     worker count — up to wall-clock effects: timing fields always vary,
     and a cell running close to its time limit can cross it under heavy
     oversubscription. Keep ``jobs`` at or below the core count when

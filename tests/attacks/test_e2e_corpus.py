@@ -7,7 +7,7 @@ AppSAT baselines — all driven through the unified engine
 registry adapters and the engine's lifecycle normalization. Every cell
 pins the attack *outcome* — status, recovered-key correctness, and an
 oracle query-count budget — so a regression anywhere in the stack
-(locking, simulation, sharding, SAT solving, the attack pipelines, the
+(locking, simulation, SAT solving, the attack pipelines, the
 engine) shows up as a changed outcome rather than a silent behavior
 drift.
 

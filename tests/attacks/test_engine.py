@@ -12,6 +12,8 @@ exactly.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
 
 import pytest
@@ -21,6 +23,7 @@ from repro.attacks.checkpoint import CheckpointError, load_checkpoint
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
+from repro.circuit import sharding
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import (
@@ -230,6 +233,32 @@ class TestPortfolio:
         assert sat_entry["status"] in ("timeout", "success")
         if sat_entry["status"] == "timeout":
             assert sat_entry["cancelled"]
+
+    def test_broken_pool_falls_back_to_a_sequential_race(self):
+        """A pool that lost a worker must not fail this race or later
+        ones: the dead executor is dropped and the race finishes."""
+        original, locked = _benchmark("sarlock")
+
+        def race(jobs):
+            return run_portfolio(
+                ["fall", "appsat"], locked.circuit, IOOracle(original),
+                AttackConfig(time_limit=_TIME_LIMIT), jobs=jobs,
+            )
+
+        expected = race(1)
+        sharding.shutdown_pool()
+        try:
+            killed = sharding.pool_executor(2).submit(os._exit, 1)
+            with pytest.raises(BrokenProcessPool):
+                killed.result()
+            for _ in range(2):
+                result = race(2)
+                assert result.details["portfolio"]["winner"] == (
+                    expected.details["portfolio"]["winner"]
+                )
+                assert result.key == expected.key
+        finally:
+            sharding.shutdown_pool()
 
     def test_unknown_and_duplicate_names_rejected_up_front(self):
         original, locked = _benchmark("ttlock")

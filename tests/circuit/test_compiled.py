@@ -10,10 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.circuit import Circuit
+from repro.attacks.oracle import IOOracle
+from repro.circuit.backends import resolve_backend
 from repro.circuit.compiled import (
     CompiledCircuit,
     canonical_input_words,
     compile_circuit,
+    pack_patterns,
 )
 from repro.circuit.gates import GateType
 from repro.circuit.library import c17, paper_example_circuit
@@ -292,3 +295,113 @@ class TestConeTruthTable:
                 assignment[name] = (pattern >> i) & 1
             scalar = simulate_pattern(circuit, assignment)
             assert (table >> pattern) & 1 == scalar[node]
+
+
+class TestSlicedInputForms:
+    def test_packed_rows_and_dicts_agree(self):
+        circuit = generate_random_circuit("forms", 8, 3, 60, seed=21)
+        rng = make_rng(2)
+        patterns = 77
+        dict_rows = [
+            {name: rng.getrandbits(1) for name in circuit.inputs}
+            for _ in range(patterns)
+        ]
+        bit_rows = [
+            [row[name] for name in circuit.inputs] for row in dict_rows
+        ]
+        packed = pack_patterns(circuit.inputs, dict_rows)
+        engine = compile_circuit(circuit)
+        from_packed = engine.eval_outputs_sliced(packed, width=patterns)
+        assert engine.eval_outputs_sliced(dict_rows) == from_packed
+        assert engine.eval_outputs_sliced(bit_rows) == from_packed
+
+    def test_packed_mapping_requires_width(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="width is required"):
+            engine.eval_outputs_sliced({name: 1 for name in engine.input_names})
+
+    def test_row_count_width_mismatch_rejected(self):
+        engine = compile_circuit(c17())
+        rows = [{name: 0 for name in engine.input_names}] * 3
+        with pytest.raises(CircuitError, match="does not match"):
+            engine.eval_outputs_sliced(rows, width=4)
+
+    def test_empty_patterns_rejected(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="at least one pattern"):
+            engine.eval_outputs_sliced([])
+
+    def test_node_values_sliced_matches_simulate(self):
+        circuit = generate_random_circuit("nvs", 6, 2, 50, seed=31)
+        engine = compile_circuit(circuit)
+        rng = make_rng(4)
+        width = 130
+        values = {name: rng.getrandbits(width) for name in circuit.inputs}
+        full = simulate_interpreted(circuit, values, width=width)
+        nodes = tuple(circuit.gates[:5])
+        assert engine.node_values_sliced(nodes, values, width=width) == tuple(
+            full[n] for n in nodes
+        )
+
+    def test_oversized_input_words_are_masked(self):
+        """Words wider than the evaluated width truncate to it."""
+        circuit = generate_random_circuit("ovs", 5, 2, 30, seed=91)
+        width = 65
+        values = {
+            name: ((1 << 130) | (7 << i))
+            for i, name in enumerate(circuit.inputs)
+        }
+        masked = {
+            name: word & ((1 << width) - 1) for name, word in values.items()
+        }
+        engine = compile_circuit(circuit)
+        assert engine.eval_outputs_sliced(
+            values, width=width
+        ) == engine.eval_outputs_sliced(masked, width=width)
+
+
+class TestPopcounts:
+    def test_node_popcounts_match_simulation(self):
+        circuit = generate_random_circuit("pc", 9, 4, 90, seed=41)
+        rng = make_rng(6)
+        width = 300
+        values = {name: rng.getrandbits(width) for name in circuit.inputs}
+        reference = simulate_interpreted(circuit, values, width=width)
+        counts = compile_circuit(circuit).node_popcounts(values, width)
+        assert counts == {
+            node: word.bit_count() for node, word in reference.items()
+        }
+
+    def test_bad_width_rejected(self):
+        engine = compile_circuit(c17())
+        with pytest.raises(CircuitError, match="width must be"):
+            engine.node_popcounts({}, 0)
+
+
+class TestOracleSliced:
+    def test_query_sliced_matches_query_batch(self):
+        circuit = generate_random_circuit("orc", 7, 3, 60, seed=51)
+        oracle = IOOracle(circuit)
+        rng = make_rng(12)
+        patterns = [
+            {name: rng.getrandbits(1) for name in oracle.input_names}
+            for _ in range(33)
+        ]
+        rows = oracle.query_batch(patterns)
+        before = oracle.query_count
+        words = oracle.query_sliced(patterns)
+        assert oracle.query_count == before + len(patterns)
+        for j, row in enumerate(rows):
+            assert tuple(
+                (word >> j) & 1 for word in words
+            ) == tuple(row[name] for name in oracle.output_names)
+
+    def test_query_sliced_empty(self):
+        oracle = IOOracle(c17())
+        assert oracle.query_sliced([]) == tuple(
+            0 for _ in oracle.output_names
+        )
+
+
+def test_backend_is_packed_python_ints():
+    assert resolve_backend(None) == "python"

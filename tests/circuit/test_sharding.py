@@ -1,10 +1,9 @@
-"""Tests for the process-sharded sweep layer.
+"""Tests for the worker pool, the sweep calls and circuit specs.
 
-The load-bearing guarantee mirrors the backend tests one level up:
-sharded sweep results — any worker count, both backends, forced chunk
-boundaries including ragged final chunks — are bit-exact with the
-single-process sliced path and the interpreted reference, and the plan
-layer never spins the pool up for sweeps below the crossover threshold.
+The pool's guarantees: ``map_in_processes`` preserves item order, runs
+inline when there is nothing to parallelize or the caller may not spawn
+workers, and survives a killed worker. The sweep calls evaluate on the
+cached compiled engine, and specs rebuild circuits exactly.
 """
 
 from __future__ import annotations
@@ -16,15 +15,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.circuit import sharding
-from repro.circuit.backends import NumpyWordBackend, numpy_available
 from repro.circuit.compiled import compile_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.sharding import (
-    ShardPlan,
-    circuit_from_spec,
-    circuit_spec,
     parse_jobs,
-    plan_sweep,
     resolve_jobs,
     sweep_node_values,
     sweep_outputs,
@@ -32,12 +26,13 @@ from repro.circuit.sharding import (
     sweep_truth_table,
 )
 from repro.circuit.simulate import simulate_interpreted
+from repro.circuit.spec import (
+    circuit_fingerprint,
+    circuit_from_spec,
+    circuit_spec,
+)
 from repro.errors import CircuitError
 from repro.utils.rng import make_rng
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
-)
 
 
 @pytest.fixture
@@ -70,63 +65,11 @@ class TestJobsParsing:
         with pytest.raises(CircuitError, match="jobs must be >= 1"):
             parse_jobs(bad)
 
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(sharding.ENV_JOBS, "5")
-        assert resolve_jobs() == 5
-        assert resolve_jobs(2) == 2  # explicit argument wins
-        monkeypatch.setenv(sharding.ENV_JOBS, "auto")
+    def test_resolution_reads_only_the_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_JOBS", "5")
+        assert resolve_jobs(2) == 2
         assert resolve_jobs() == sharding.cpu_jobs()
-
-    def test_invalid_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(sharding.ENV_JOBS, "many")
-        with pytest.raises(CircuitError, match="invalid jobs value"):
-            resolve_jobs()
-
-
-class TestShardPlan:
-    def test_sub_threshold_stays_single_process(self):
-        plan = plan_sweep(sharding.SHARD_THRESHOLD - 1, jobs=8)
-        assert plan == ShardPlan(
-            jobs=1,
-            chunk_width=sharding.SHARD_THRESHOLD - 1,
-            width=sharding.SHARD_THRESHOLD - 1,
-        )
-        assert not plan.use_pool
-
-    def test_jobs_one_never_shards(self):
-        plan = plan_sweep(1 << 20, jobs=1)
-        assert plan.jobs == 1 and not plan.use_pool
-
-    def test_above_threshold_shards_and_aligns(self):
-        width = 1 << 17
-        plan = plan_sweep(width, jobs=4)
-        assert plan.use_pool and plan.jobs == 4
-        assert plan.chunk_width % 64 == 0
-        chunks = plan.chunks()
-        assert sum(size for _, size in chunks) == width
-        assert [offset for offset, _ in chunks] == sorted(
-            offset for offset, _ in chunks
-        )
-
-    def test_ragged_final_chunk(self):
-        plan = plan_sweep(1000, jobs=3, chunk_width=300, threshold=1)
-        assert plan.chunks() == [
-            (0, 300), (300, 300), (600, 300), (900, 100)
-        ]
-
-    def test_never_more_jobs_than_chunks(self):
-        plan = plan_sweep(1 << 16, jobs=64)
-        assert plan.jobs <= len(plan.chunks())
-
-    def test_chunks_never_smaller_than_floor(self):
-        plan = plan_sweep(sharding.SHARD_THRESHOLD, jobs=64)
-        assert plan.chunk_width >= sharding.MIN_CHUNK_WIDTH
-
-    def test_bad_width_and_chunk_rejected(self):
-        with pytest.raises(CircuitError, match="width must be"):
-            plan_sweep(0)
-        with pytest.raises(CircuitError, match="chunk_width must be"):
-            plan_sweep(1 << 17, jobs=2, chunk_width=0)
+        assert resolve_jobs("auto") == sharding.cpu_jobs()
 
 
 class TestCircuitSpecRoundTrip:
@@ -150,149 +93,69 @@ class TestCircuitSpecRoundTrip:
             values, width=128
         ) == compile_circuit(circuit).eval_outputs_sliced(values, width=128)
 
+    def test_fingerprint_tracks_name_and_structure(self):
+        circuit = generate_random_circuit("fp", 6, 2, 40, seed=5)
+        original = circuit_fingerprint(circuit)
+        rebuilt = circuit_from_spec(circuit_spec(circuit))
+        assert circuit_fingerprint(rebuilt) == original
+        circuit.name = "renamed"
+        renamed = circuit_fingerprint(circuit)
+        assert renamed != original
+        circuit.add_input("k0", key=True)
+        assert circuit_fingerprint(circuit) not in (original, renamed)
 
-def _packed_reference(circuit, values, width):
-    reference = simulate_interpreted(circuit, values, width=width)
-    return tuple(reference[name] for name in circuit.outputs)
 
-
-class TestShardedDifferential:
-    def test_100_random_circuits_sharded_bit_for_bit(self, fresh_pool):
-        """Sharded == single-process sliced == interpreted on 100+ circuits.
-
-        Worker counts alternate between 2 and 3, chunk widths cycle
-        through unaligned values that force ragged final chunks, and the
-        threshold is dropped so every sweep really crosses the pool.
-        """
+class TestSweeps:
+    def test_sweeps_match_the_interpreter(self):
         rng = make_rng(17)
-        width = 260  # spans several 64-bit words; all chunkings ragged
-        checked = 0
-        for seed in range(102):
-            num_inputs = 2 + seed % 9
-            circuit = generate_random_circuit(
-                f"sh{seed}",
-                num_inputs,
-                1 + seed % 4,
-                num_inputs + 8 + seed % 37,
-                seed=4000 + seed,
-            )
-            values = {
-                name: rng.getrandbits(width) for name in circuit.inputs
-            }
-            reference = _packed_reference(circuit, values, width)
-            engine = compile_circuit(circuit, backend="python")
-            assert engine.eval_outputs_sliced(values, width=width) == (
-                reference
-            ), f"single-process mismatch on seed {seed}"
-            jobs = 2 + seed % 2
-            chunk = (37, 64, 100, 129)[seed % 4]
-            assert sweep_outputs(
-                circuit, values, width,
-                backend="python", jobs=jobs, chunk_width=chunk, threshold=1,
-            ) == reference, f"sharded mismatch on seed {seed}"
-            checked += 1
-        assert checked >= 100
-
-    @requires_numpy
-    def test_sharded_numpy_backend_matches(self, fresh_pool, monkeypatch):
-        monkeypatch.setattr(NumpyWordBackend, "min_eval_width", 1)
-        rng = make_rng(23)
-        width = 200
+        width = 260
         for seed in range(12):
             circuit = generate_random_circuit(
-                f"shnp{seed}", 6, 3, 50, seed=5000 + seed
+                f"sw{seed}", 6, 3, 50, seed=4000 + seed
             )
             values = {
                 name: rng.getrandbits(width) for name in circuit.inputs
             }
-            assert sweep_outputs(
-                circuit, values, width,
-                backend="numpy", jobs=2, chunk_width=96, threshold=1,
-            ) == _packed_reference(circuit, values, width)
+            reference = simulate_interpreted(circuit, values, width=width)
+            assert sweep_outputs(circuit, values, width) == tuple(
+                reference[name] for name in circuit.outputs
+            )
+            nodes = tuple(circuit.gates[:6])
+            assert sweep_node_values(circuit, nodes, values, width) == tuple(
+                reference[name] for name in nodes
+            )
+            assert sweep_popcounts(circuit, values, width) == {
+                node: word.bit_count() for node, word in reference.items()
+            }
 
-    def test_sharded_node_values_match(self, fresh_pool):
-        circuit = generate_random_circuit("shnv", 8, 3, 70, seed=61)
-        rng = make_rng(3)
-        width = 500
-        values = {name: rng.getrandbits(width) for name in circuit.inputs}
-        nodes = tuple(circuit.gates[:6])
-        reference = simulate_interpreted(circuit, values, width=width)
-        assert sweep_node_values(
-            circuit, nodes, values, width, jobs=3, chunk_width=111,
-            threshold=1,
-        ) == tuple(reference[n] for n in nodes)
-
-    def test_sharded_popcounts_match(self, fresh_pool):
-        circuit = generate_random_circuit("shpc", 9, 4, 90, seed=71)
-        rng = make_rng(5)
-        width = 700
-        values = {name: rng.getrandbits(width) for name in circuit.inputs}
-        reference = simulate_interpreted(circuit, values, width=width)
-        counts = sweep_popcounts(
-            circuit, values, width, jobs=2, chunk_width=128, threshold=1
-        )
-        assert counts == {
-            node: word.bit_count() for node, word in reference.items()
-        }
-
-    def test_sharded_popcounts_with_targets(self, fresh_pool):
-        circuit = generate_random_circuit("shpt", 8, 3, 60, seed=73)
-        rng = make_rng(7)
-        width = 300
-        values = {name: rng.getrandbits(width) for name in circuit.inputs}
-        targets = list(circuit.outputs)
-        single = compile_circuit(circuit).node_popcounts(
-            values, width, targets=targets
-        )
-        assert sweep_popcounts(
-            circuit, values, width, targets,
-            jobs=2, chunk_width=64, threshold=1,
-        ) == single
-
-    def test_sharded_truth_table_matches(self, fresh_pool):
-        circuit = generate_random_circuit("shtt", 10, 2, 90, seed=81)
-        node = circuit.outputs[0]
-        single = compile_circuit(circuit).truth_table(node)
-        assert sweep_truth_table(
-            circuit, node, jobs=2, chunk_width=200, threshold=1
-        ) == single
-
-    def test_row_pattern_forms_shard_identically(self, fresh_pool):
-        circuit = generate_random_circuit("shrows", 6, 2, 40, seed=91)
+    def test_row_patterns_and_truth_table(self):
+        circuit = generate_random_circuit("swrows", 10, 2, 90, seed=81)
         rng = make_rng(9)
         rows = [
             {name: rng.getrandbits(1) for name in circuit.inputs}
             for _ in range(150)
         ]
-        single = compile_circuit(circuit).eval_outputs_sliced(rows)
-        assert sweep_outputs(
-            circuit, rows, jobs=2, chunk_width=47, threshold=1
-        ) == single
+        engine = compile_circuit(circuit)
+        assert sweep_outputs(circuit, rows) == engine.eval_outputs_sliced(rows)
+        node = circuit.outputs[0]
+        assert sweep_truth_table(circuit, node) == engine.truth_table(node)
 
 
 class TestPoolLifecycle:
-    def test_sub_threshold_sweep_never_spins_up_the_pool(self, fresh_pool):
+    def test_sweeps_never_spin_up_the_pool(self, fresh_pool):
         circuit = generate_random_circuit("nopool", 8, 3, 60, seed=33)
         rng = make_rng(11)
-        width = sharding.SHARD_THRESHOLD - 1
+        width = 1 << 16
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
-        assert not sharding.pool_is_running()
-        sweep_outputs(circuit, values, width, jobs=8)
-        sweep_popcounts(circuit, values, width, jobs=8)
+        sweep_outputs(circuit, values, width)
+        sweep_popcounts(circuit, values, width)
         assert not sharding.pool_is_running()
 
     def test_pool_persists_across_sweeps(self, fresh_pool):
-        circuit = generate_random_circuit("pp", 6, 2, 40, seed=35)
-        rng = make_rng(13)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
+        assert sharding.map_in_processes(_square, [1, 2], jobs=2) == [1, 4]
         first = sharding._POOL
         assert first is not None
-        sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
+        assert sharding.map_in_processes(_square, [3, 4], jobs=2) == [9, 16]
         assert sharding._POOL is first  # reused, not respawned
 
     def test_shutdown_is_idempotent(self, fresh_pool):
@@ -318,7 +181,7 @@ class TestMapInProcesses:
 
 
 class TestBrokenPoolRecovery:
-    """One killed worker must never poison later sharded calls."""
+    """One killed worker must never poison later pooled calls."""
 
     def test_map_falls_back_inline_when_workers_die(self, fresh_pool):
         result = sharding.map_in_processes(_square_or_die, [1, 2, 3], jobs=2)
@@ -327,15 +190,9 @@ class TestBrokenPoolRecovery:
 
     def test_next_sweep_after_breakage_gets_a_fresh_pool(self, fresh_pool):
         sharding.map_in_processes(_square_or_die, [1, 2], jobs=2)
-        circuit = generate_random_circuit("rec", 6, 2, 40, seed=97)
-        rng = make_rng(19)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        single = compile_circuit(circuit).eval_outputs_sliced(
-            values, width=256
-        )
-        assert sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        ) == single
+        assert sharding.map_in_processes(_square, [1, 2, 3], jobs=2) == [
+            1, 4, 9
+        ]
         assert sharding.pool_is_running()
 
     def test_sweep_falls_back_inline_on_broken_pool(
@@ -345,19 +202,10 @@ class TestBrokenPoolRecovery:
             raise BrokenProcessPool("worker died")
 
         monkeypatch.setattr(sharding, "_get_pool", broken)
-        circuit = generate_random_circuit("recs", 6, 2, 40, seed=99)
-        rng = make_rng(21)
-        values = {name: rng.getrandbits(256) for name in circuit.inputs}
-        single = compile_circuit(circuit).eval_outputs_sliced(
-            values, width=256
-        )
-        assert sweep_outputs(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        ) == single
-        counts = sweep_popcounts(
-            circuit, values, 256, jobs=2, chunk_width=64, threshold=1
-        )
-        assert counts == compile_circuit(circuit).node_popcounts(values, 256)
+        assert sharding._run_sharded(_square, [1, 2], 2) is None
+        assert sharding.map_in_processes(_square, [1, 2, 3], jobs=2) == [
+            1, 4, 9
+        ]
 
 
 class TestDaemonicCallerGuard:
@@ -365,7 +213,7 @@ class TestDaemonicCallerGuard:
         self, fresh_pool, monkeypatch
     ):
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert plan_sweep(1 << 20, jobs=8).jobs == 1
+        assert not sharding.pool_allowed()
         assert sharding.map_in_processes(_square, [1, 2, 3], jobs=4) == [
             1, 4, 9
         ]

@@ -44,13 +44,9 @@ def _stable_view(record):
 
 
 class TestSummaryDeterminism:
-    def test_env_jobs_1_vs_4_identical_summaries(
-        self, small_grid, monkeypatch
-    ):
-        monkeypatch.setenv(sharding.ENV_JOBS, "1")
-        sequential = run_summary()
-        monkeypatch.setenv(sharding.ENV_JOBS, "4")
-        parallel = run_summary()
+    def test_env_jobs_1_vs_4_identical_summaries(self, small_grid):
+        sequential = run_summary(jobs=1)
+        parallel = run_summary(jobs=4)
         assert [_stable_view(r) for r in sequential.records] == [
             _stable_view(r) for r in parallel.records
         ]

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+import os
 
 import pytest
 
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
-from repro.circuit.sharding import ENV_JOBS
-from repro.cli import _jobs_scope, main_attack, main_experiments, main_lock
+from repro.cli import main_attack, main_experiments, main_lock
 
 
 @pytest.fixture
@@ -247,7 +246,7 @@ class TestAttackCommand:
 
 
 class TestJobsFlag:
-    """--jobs / REPRO_SIM_JOBS parsing on the attack + experiment CLIs."""
+    """--jobs parsing on the attack + experiment CLIs."""
 
     @pytest.fixture
     def locked_file(self, bench_file, tmp_path, capsys):
@@ -258,32 +257,50 @@ class TestJobsFlag:
         capsys.readouterr()
         return locked_path
 
-    def test_jobs_flag_publishes_env_for_the_run_only(
+    def test_experiments_jobs_reaches_run_suite(self, monkeypatch, capsys):
+        from repro.experiments import summary
+
+        seen = []
+
+        def fake_run_suite(tasks, jobs=None):
+            seen.append(jobs)
+            return []
+
+        monkeypatch.setattr(summary, "run_suite", fake_run_suite)
+        environ = dict(os.environ)
+        assert main_experiments(["summary", "--jobs", "2"]) == 0
+        assert seen == [2]
+        assert dict(os.environ) == environ
+
+    def test_portfolio_jobs_reaches_the_config(
         self, locked_file, bench_file, monkeypatch, capsys
     ):
-        import os
+        from repro import cli
+        from repro.attacks.engine import run_attack
 
-        # While the command runs, --jobs is visible to every layer via
-        # the environment ...
-        monkeypatch.delenv(ENV_JOBS, raising=False)
-        parser = argparse.ArgumentParser()
-        with _jobs_scope(parser, argparse.Namespace(jobs="1")):
-            assert os.environ[ENV_JOBS] == "1"
-        assert ENV_JOBS not in os.environ
-        # ... but a full invocation restores whatever was set before,
-        # so one command's --jobs never leaks into later in-process
-        # calls.
-        monkeypatch.setenv(ENV_JOBS, "3")
-        code = main_attack(
-            [str(locked_file), "--oracle", str(bench_file), "--jobs", "1"]
-        )
-        assert code == 0
-        assert os.environ[ENV_JOBS] == "3"
+        seen = []
+
+        def fake_run_portfolio(names, locked, oracle, config):
+            seen.append(config.jobs)
+            result = run_attack("sat", locked, oracle, config)
+            result.details["portfolio"] = {
+                "winner": "sat",
+                "attacks": {name: {"status": "skipped"} for name in names},
+            }
+            return result
+
+        monkeypatch.setattr(cli, "run_portfolio", fake_run_portfolio)
+        environ = dict(os.environ)
+        assert main_attack(
+            [str(locked_file), "--portfolio", "sat,appsat",
+             "--oracle", str(bench_file), "--jobs", "2"]
+        ) == 0
+        assert seen == [2]
+        assert dict(os.environ) == environ
 
     def test_jobs_auto_accepted(
-        self, locked_file, bench_file, monkeypatch, capsys
+        self, locked_file, bench_file, capsys
     ):
-        monkeypatch.delenv(ENV_JOBS, raising=False)
         assert main_attack(
             [str(locked_file), "--oracle", str(bench_file),
              "--jobs", "auto"]
@@ -298,17 +315,7 @@ class TestJobsFlag:
         assert excinfo.value.code == 2
         assert "jobs" in capsys.readouterr().err
 
-    def test_invalid_env_jobs_is_a_usage_error(
-        self, locked_file, monkeypatch, capsys
-    ):
-        monkeypatch.setenv(ENV_JOBS, "many")
-        with pytest.raises(SystemExit) as excinfo:
-            main_attack([str(locked_file)])
-        assert excinfo.value.code == 2
-        assert "invalid jobs value" in capsys.readouterr().err
-
-    def test_experiments_parser_validates_jobs(self, capsys, monkeypatch):
-        monkeypatch.delenv(ENV_JOBS, raising=False)
+    def test_experiments_parser_validates_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main_experiments(["summary", "--jobs", "zero"])
         assert excinfo.value.code == 2
@@ -320,4 +327,4 @@ class TestJobsFlag:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "--jobs" in out
-        assert "REPRO_SIM_JOBS" in out
+        assert "auto" in out
