@@ -10,8 +10,8 @@ registered attack family on the seeded corpus cells of
 
 plus three ratios consumed by the ``bench_compare.py`` regression gate:
 
-- ``engine_overhead_speedup`` — direct ``sat_attack(...)`` call time
-  over engine ``run_attack("sat", ...)`` time. Both run the identical
+- ``engine_overhead_speedup`` — direct ``repro.attacks.cegis.sat_attack``
+  call time over engine ``run_attack("sat", ...)`` time. Both run the identical
   workload on one core, so the ratio transfers across machines and is
   *gated*: it sitting near 1.0 is the proof the registry/telemetry/
   lifecycle layer stays out of the hot path.
@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
-from repro.attacks.sat_attack import sat_attack
+from repro.attacks.cegis import sat_attack
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.locking import lock_sarlock, lock_sfll_hd, lock_ttlock

@@ -11,9 +11,8 @@ the history the paper tells in §I:
 - SFLL resists all of the above — and falls to FALL.
 """
 
-from repro.attacks import IOOracle, fall_attack, sat_attack
-from repro.attacks.appsat import appsat_attack
-from repro.attacks.double_dip import double_dip_attack
+from repro.attacks import IOOracle, fall_attack
+from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.results import AttackStatus
 from repro.attacks.sps import sps_attack
 from repro.circuit import check_equivalence, generate_random_circuit

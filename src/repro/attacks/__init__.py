@@ -2,7 +2,11 @@
 
 The paper's contribution (the FALL attack pipeline and SAT-based key
 confirmation) plus the prior-work attacks used as baselines and context:
-the SAT attack [22], SPS [30], Double DIP [18] and AppSAT [17].
+the SAT attack [22], SPS [30], Double DIP [18] and AppSAT [17]. The SAT
+attack, AppSAT and Double DIP share one distinguishing-input loop in
+:mod:`repro.attacks.cegis`; key confirmation
+(:mod:`repro.attacks.key_confirmation`) reuses its input checks and I/O
+constraints.
 
 Since the unified-engine refactor, every family is registered behind the
 uniform :class:`~repro.attacks.base.Attack` interface and driven through
@@ -21,12 +25,10 @@ from repro.attacks.registry import (
     register_attack,
 )
 from repro.attacks.results import AttackResult, AttackStatus
-from repro.attacks.sat_attack import sat_attack
+from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.fall import fall_attack
 from repro.attacks.sps import sps_attack
-from repro.attacks.double_dip import double_dip_attack
-from repro.attacks.appsat import appsat_attack
 from repro.attacks.guess import guess_keys
 
 __all__ = [

@@ -1,7 +1,7 @@
 """JSON checkpoint/resume for oracle-guided attacks.
 
-The iterative oracle-guided attacks (SAT, AppSAT, Double DIP) are
-deterministic functions of their configuration *and* the oracle's
+The iterative oracle-guided attacks (SAT, AppSAT and Double DIP, all in
+:mod:`repro.attacks.cegis`) are deterministic functions of their configuration *and* the oracle's
 answers: the CDCL solver is seeded, every RNG is seeded, and dict
 iteration order is deterministic. (FALL, guess and standalone key
 confirmation are *not* checkpointable: their probe mining and budget

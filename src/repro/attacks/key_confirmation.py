@@ -56,12 +56,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.attacks.base import TelemetryRecorder, telemetry_or_null
+from repro.attacks.cegis import check_attack_inputs, constrain_io
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.tseitin import encode_circuit, encode_under_assignment
 from repro.errors import AttackError
 from repro.sat.cnf import Cnf
+from repro.sat.encodings import encode_difference_bits, encode_xor
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget, Stopwatch
 
@@ -130,11 +132,10 @@ def key_confirmation(
     """
     stopwatch = Stopwatch()
     telemetry = telemetry_or_null(telemetry)
+    check_attack_inputs(locked, oracle)
     key_names = locked.key_inputs
     input_names = locked.circuit_inputs
     output_names = locked.outputs
-    if not key_names:
-        raise AttackError("circuit has no key inputs to attack")
     queries_before = oracle.query_count
     has_phi = candidates is not None
 
@@ -153,16 +154,9 @@ def key_confirmation(
     k2_vars = {name: q_cnf.new_var() for name in key_names}
     enc1 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k1_vars})
     enc2 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k2_vars})
-    miter_bits = []
-    for out in output_names:
-        bit = q_cnf.new_var()
-        a, b = enc1.lit(out), enc2.lit(out)
-        q_cnf.add_clause([-bit, a, b])
-        q_cnf.add_clause([-bit, -a, -b])
-        q_cnf.add_clause([bit, -a, b])
-        q_cnf.add_clause([bit, a, -b])
-        miter_bits.append(bit)
-    q_cnf.add_clause(miter_bits)
+    q_cnf.add_clause(
+        encode_difference_bits(q_cnf, enc1.lits(output_names), enc2.lits(output_names))
+    )
     # Tier-1 guard: when assumed true, K2 must be a shortlist member.
     phi2_guard = None
     if has_phi:
@@ -199,17 +193,9 @@ def key_confirmation(
     ) -> None:
         """P_{i+1} = P_i ∧ C(Xd, K1, Yd); Q_{i+1} = Q_i ∧ C(Xd, K2, Yd)."""
         nonlocal p_watermark, q_watermark
-        enc = encode_under_assignment(
-            locked, p_cnf, fixed=pattern, shared_vars=p_key_vars
-        )
-        for out in output_names:
-            enc.assert_node_equals(out, observed[out])
+        constrain_io(locked, p_cnf, pattern, observed, p_key_vars)
         p_watermark = p_solver.add_cnf(p_cnf, p_watermark)
-        enc = encode_under_assignment(
-            locked, q_cnf, fixed=pattern, shared_vars=k2_vars
-        )
-        for out in output_names:
-            enc.assert_node_equals(out, observed[out])
+        constrain_io(locked, q_cnf, pattern, observed, k2_vars)
         q_watermark = q_solver.add_cnf(q_cnf, q_watermark)
 
     # Probe mining (module docstring note 1). Mining is independent of
@@ -389,13 +375,7 @@ def _mine_probes(
                 lit = enc_a.lits[out]
                 diff_lits.append(-lit if b_const else lit)
             else:
-                fresh = cnf.new_var()
-                a, b = enc_a.lits[out], enc_b.lits[out]
-                cnf.add_clause([-fresh, a, b])
-                cnf.add_clause([-fresh, -a, -b])
-                cnf.add_clause([fresh, -a, b])
-                cnf.add_clause([fresh, a, -b])
-                diff_lits.append(fresh)
+                diff_lits.append(encode_xor(cnf, enc_a.lits[out], enc_b.lits[out]))
         if not always_different:
             if not diff_lits:
                 continue  # the two keys are functionally identical

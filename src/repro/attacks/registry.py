@@ -101,7 +101,7 @@ class SatAttackFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.sat_attack import sat_attack
+        from repro.attacks.cegis import sat_attack
 
         return sat_attack(
             locked,
@@ -120,7 +120,7 @@ class AppSatFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.appsat import appsat_attack
+        from repro.attacks.cegis import appsat_attack
 
         return appsat_attack(
             locked,
@@ -143,7 +143,7 @@ class DoubleDipFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.double_dip import double_dip_attack
+        from repro.attacks.cegis import double_dip_attack
 
         return double_dip_attack(
             locked,

