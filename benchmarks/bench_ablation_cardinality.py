@@ -1,8 +1,8 @@
 """A1 — Ablation: cardinality encoding for the HD(X, X') = 2h constraint.
 
-DESIGN.md calls out the choice of cardinality encoding as a design
-decision; this bench times the SlidingWindow F-query under all three
-encodings. Expected: sequential counter and totalizer are comparable;
+The cardinality encoding is a design choice (see
+:mod:`repro.sat.cardinality`); this bench times the SlidingWindow
+F-query under all three encodings. Expected: sequential counter and totalizer are comparable;
 pairwise explodes combinatorially and is only valid for tiny bounds.
 """
 

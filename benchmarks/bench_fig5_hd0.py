@@ -7,17 +7,18 @@ circuit quickly; the SAT attack lags or times out as circuits grow.
 from __future__ import annotations
 
 from repro.experiments.fig5 import run_panel
-from repro.experiments.profiles import time_limit_seconds
 from repro.experiments.report import render_cactus
 
 
-def test_fig5_hd0(benchmark):
-    result = benchmark.pedantic(run_panel, args=("hd0",), iterations=1, rounds=1)
+def test_fig5_hd0(benchmark, scale):
+    result = benchmark.pedantic(
+        run_panel, args=("hd0", scale), iterations=1, rounds=1
+    )
     print()
     print(
         render_cactus(
             result.series,
-            time_limit_seconds(),
+            scale.time_limit,
             result.total,
             title="Figure 5: SFLL-HD0",
         )

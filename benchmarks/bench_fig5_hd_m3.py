@@ -8,17 +8,18 @@ with h — §VI-B); the SAT attack fails on most circuits.
 from __future__ import annotations
 
 from repro.experiments.fig5 import run_panel
-from repro.experiments.profiles import time_limit_seconds
 from repro.experiments.report import render_cactus
 
 
-def test_fig5_h_m3(benchmark):
-    result = benchmark.pedantic(run_panel, args=("m/3",), iterations=1, rounds=1)
+def test_fig5_h_m3(benchmark, scale):
+    result = benchmark.pedantic(
+        run_panel, args=("m/3", scale), iterations=1, rounds=1
+    )
     print()
     print(
         render_cactus(
             result.series,
-            time_limit_seconds(),
+            scale.time_limit,
             result.total,
             title="Figure 5: SFLL-HD h=m/3",
         )

@@ -10,8 +10,8 @@ from repro.experiments.fig6 import HEADERS, run_fig6
 from repro.experiments.report import render_table
 
 
-def test_fig6(benchmark):
-    rows = benchmark.pedantic(run_fig6, iterations=1, rounds=1)
+def test_fig6(benchmark, scale):
+    rows = benchmark.pedantic(run_fig6, args=(scale,), iterations=1, rounds=1)
     print()
     print(
         render_table(

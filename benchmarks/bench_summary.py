@@ -10,8 +10,8 @@ from repro.experiments.report import render_table
 from repro.experiments.summary import run_summary
 
 
-def test_summary(benchmark):
-    stats = benchmark.pedantic(run_summary, iterations=1, rounds=1)
+def test_summary(benchmark, scale):
+    stats = benchmark.pedantic(run_summary, args=(scale,), iterations=1, rounds=1)
     print()
     print(
         render_table(

@@ -1,19 +1,18 @@
 """E1 — Table I: benchmark statistics, original vs SFLL gate counts.
 
-Regenerates the paper's Table I over the active profiles. The timed
-kernel is suite construction (generate + lock + strash), which is the
-fixed cost every other experiment pays per cell.
+Regenerates the paper's Table I over the benchmark scale's profiles.
+The timed kernel is suite construction (generate + lock + strash),
+which is the fixed cost every other experiment pays per cell.
 """
 
 from __future__ import annotations
 
-from repro.experiments.profiles import active_profiles
 from repro.experiments.table1 import HEADERS, table1_rows
 from repro.experiments.report import render_table
 
 
-def test_table1(benchmark):
-    profiles = active_profiles()[:3]
+def test_table1(benchmark, scale):
+    profiles = scale.profiles()[:3]
     rows = benchmark.pedantic(
         table1_rows, args=(profiles,), iterations=1, rounds=1
     )

@@ -1,10 +1,10 @@
 """Shared configuration for the pytest-benchmark harness.
 
 Every benchmark regenerates one paper artifact (table/figure) at the
-laptop scale configured through ``repro.experiments.profiles`` (set
-``REPRO_FULL=1`` for paper-scale runs). Benchmarks print the regenerated
-artifact so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
-reproduction report generator.
+``scale`` fixture below: a small default that the ``REPRO_*`` variables
+override (set ``REPRO_FULL=1`` for paper-scale runs). Benchmarks print
+the regenerated artifact so ``pytest benchmarks/ --benchmark-only -s``
+doubles as the reproduction report generator.
 """
 
 from __future__ import annotations
@@ -13,12 +13,18 @@ import os
 
 import pytest
 
+from repro.experiments.profiles import Scale, scale_from_env
 
-@pytest.fixture(scope="session", autouse=True)
-def _benchmark_scale():
-    """Pin a small default scale when the caller has not chosen one."""
-    os.environ.setdefault("REPRO_MAX_KEYS", "12")
-    os.environ.setdefault("REPRO_MAX_GATES", "250")
-    os.environ.setdefault("REPRO_CIRCUITS", "4")
-    os.environ.setdefault("REPRO_TIME_LIMIT", "20")
-    yield
+# Smaller than the library's default scale, so the harness runs in minutes.
+_BENCH_DEFAULTS = {
+    "REPRO_MAX_KEYS": "12",
+    "REPRO_MAX_GATES": "250",
+    "REPRO_CIRCUITS": "4",
+    "REPRO_TIME_LIMIT": "20",
+}
+
+
+@pytest.fixture(scope="session")
+def scale() -> Scale:
+    """The benchmark scale: the caller's ``REPRO_*`` variables, else ours."""
+    return scale_from_env({**_BENCH_DEFAULTS, **os.environ})

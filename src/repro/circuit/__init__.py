@@ -39,16 +39,9 @@ from repro.circuit.equivalence import (
     check_outputs_equal,
 )
 from repro.circuit.aig import Aig
-from repro.circuit.bdd import Bdd, bdd_from_circuit
 from repro.circuit.opt import optimize, sweep
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.library import c17, paper_example_circuit
-from repro.circuit.sequential import (
-    SequentialCircuit,
-    combinational_view,
-    parse_bench_sequential,
-)
-from repro.circuit.verilog import parse_verilog, write_verilog
 
 __all__ = [
     "GateType",
@@ -77,16 +70,9 @@ __all__ = [
     "check_equivalence",
     "check_outputs_equal",
     "Aig",
-    "Bdd",
-    "bdd_from_circuit",
     "optimize",
     "sweep",
     "generate_random_circuit",
     "c17",
     "paper_example_circuit",
-    "SequentialCircuit",
-    "combinational_view",
-    "parse_bench_sequential",
-    "parse_verilog",
-    "write_verilog",
 ]

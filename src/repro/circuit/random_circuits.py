@@ -1,9 +1,9 @@
 """Synthetic combinational benchmark generation.
 
 The paper evaluates on ISCAS'85 and MCNC netlists, which are public but
-unavailable in this offline environment. We substitute deterministic,
-seeded random circuits matched to each benchmark's (#inputs, #outputs,
-#gates) profile from Table I (see DESIGN.md "Substitutions"). FALL's
+not bundled with this repository. We substitute deterministic, seeded
+random circuits matched to each benchmark's (#inputs, #outputs, #gates)
+profile from Table I (see :mod:`repro.experiments.profiles`). FALL's
 behaviour is driven by the locking parameters (key length m, Hamming
 distance h) and by synthesis obscuring the locking logic, both of which
 are preserved by this substitution.

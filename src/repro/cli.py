@@ -7,13 +7,16 @@ Three commands (also exposed as console scripts via pyproject):
 - ``fall-attack``: run any registered attack family (``--attack``), or
   race several (``--portfolio``), on a locked ``.bench`` netlist,
   optionally with an oracle netlist and JSON checkpointing.
-- ``fall-experiments``: regenerate the paper's tables and figures.
+- ``fall-experiments``: regenerate the paper's tables and figures at
+  the scale the ``REPRO_*`` environment variables select (the only
+  place the library reads the environment).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from repro.attacks.base import AttackConfig
@@ -263,7 +266,12 @@ def main_experiments(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.experiments import fig5, fig6, summary, table1
+    from repro.experiments.profiles import scale_from_env
 
+    try:
+        scale = scale_from_env(os.environ)
+    except ValueError as error:
+        parser.error(str(error))
     mains = {
         "table1": table1.main,
         "fig5": fig5.main,
@@ -274,11 +282,12 @@ def main_experiments(argv: list[str] | None = None) -> int:
         for name, entry in mains.items():
             print(
                 entry(
-                    csv_path=f"{args.csv}.{name}.csv" if args.csv else None
+                    scale,
+                    csv_path=f"{args.csv}.{name}.csv" if args.csv else None,
                 )
             )
     else:
-        print(mains[args.artifact](csv_path=args.csv))
+        print(mains[args.artifact](scale, csv_path=args.csv))
     return 0
 
 

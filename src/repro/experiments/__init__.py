@@ -4,17 +4,19 @@ One module per artifact: Table I (:mod:`repro.experiments.table1`),
 Figure 5 (:mod:`repro.experiments.fig5`), Figure 6
 (:mod:`repro.experiments.fig6`) and the §VI-B headline statistics
 (:mod:`repro.experiments.summary`). The benchmark suite substitutes
-profile-matched synthetic circuits for the ISCAS/MCNC netlists (see
-DESIGN.md "Substitutions"); scaling is controlled by ``REPRO_FULL`` /
-``REPRO_MAX_KEYS`` / ``REPRO_TIME_LIMIT`` environment variables so the
-default run is laptop-friendly while the paper-scale run stays one flag
-away.
+profile-matched synthetic circuits for the ISCAS/MCNC netlists, and
+each artifact takes a :class:`~repro.experiments.profiles.Scale`: the
+laptop-sized ``DEFAULT_SCALE``, the paper's ``PAPER_SCALE``, or any
+scale in between (see :mod:`repro.experiments.profiles`).
 """
 
 from repro.experiments.profiles import (
+    DEFAULT_SCALE,
+    PAPER_SCALE,
     CircuitProfile,
+    Scale,
     TABLE1_PROFILES,
-    active_profiles,
+    scale_from_env,
 )
 from repro.experiments.suite import LockedBenchmark, build_benchmark, build_suite
 from repro.experiments.runner import (
@@ -26,8 +28,11 @@ from repro.experiments.runner import (
 
 __all__ = [
     "CircuitProfile",
+    "DEFAULT_SCALE",
+    "PAPER_SCALE",
+    "Scale",
     "TABLE1_PROFILES",
-    "active_profiles",
+    "scale_from_env",
     "LockedBenchmark",
     "build_benchmark",
     "build_suite",

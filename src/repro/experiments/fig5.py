@@ -12,16 +12,13 @@ a panel's cactus series is the sorted list of solve times. The paper's
 shape to reproduce: the functional analyses solve (nearly) everything
 well inside the limit while the SAT attack solves (almost) nothing;
 Distance2H dominates SlidingWindow as h grows.
-
-Run: ``python -m repro.experiments.fig5 [panel]``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from repro.experiments.profiles import active_profiles, time_limit_seconds
+from repro.experiments.profiles import Scale
 from repro.experiments.report import render_cactus, render_table, write_csv
 from repro.experiments.runner import RunRecord, run_benchmark_attack
 from repro.experiments.suite import build_benchmark
@@ -50,10 +47,9 @@ class PanelResult:
     records: list[RunRecord]
 
 
-def run_panel(label: str, time_limit: float | None = None) -> PanelResult:
-    """Execute one Figure 5 panel over the active profiles."""
-    limit = time_limit if time_limit is not None else time_limit_seconds()
-    profiles = active_profiles()
+def run_panel(label: str, scale: Scale) -> PanelResult:
+    """Execute one Figure 5 panel over the profiles of ``scale``."""
+    profiles = scale.profiles()
     series: dict[str, list[float]] = {name: [] for name in PANELS[label]}
     records: list[RunRecord] = []
     for profile in profiles:
@@ -63,7 +59,7 @@ def run_panel(label: str, time_limit: float | None = None) -> PanelResult:
             record = run_benchmark_attack(
                 benchmark,
                 attack,
-                limit,
+                scale.time_limit,
                 with_oracle=None if attack == "sat" else True,
                 options=options,
                 attack_label=attack_name,
@@ -76,16 +72,18 @@ def run_panel(label: str, time_limit: float | None = None) -> PanelResult:
     )
 
 
-def main(panel: str | None = None, csv_path: str | None = None) -> str:
+def main(
+    scale: Scale, panel: str | None = None, csv_path: str | None = None
+) -> str:
     labels = [panel] if panel else list(PANELS)
     out = []
     rows = []
     for label in labels:
-        result = run_panel(label)
+        result = run_panel(label, scale)
         out.append(
             render_cactus(
                 result.series,
-                time_limit_seconds(),
+                scale.time_limit,
                 result.total,
                 title=f"Figure 5 panel: SFLL-HD {label}",
             )
@@ -106,7 +104,3 @@ def main(panel: str | None = None, csv_path: str | None = None) -> str:
             rows,
         )
     return "\n".join(out)
-
-
-if __name__ == "__main__":
-    print(main(sys.argv[1] if len(sys.argv) > 1 else None))

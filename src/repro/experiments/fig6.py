@@ -8,8 +8,6 @@ the locked variants (the h settings), and compare the mean execution
 time with the vanilla SAT attack's. The paper's shape: key confirmation
 succeeds everywhere and is orders of magnitude faster; the SAT attack
 times out on most SFLL variants.
-
-Run: ``python -m repro.experiments.fig6``.
 """
 
 from __future__ import annotations
@@ -18,14 +16,12 @@ from dataclasses import dataclass
 from statistics import mean, pstdev
 
 from repro.attacks.fall.pipeline import fall_attack
-from repro.experiments.profiles import active_profiles, time_limit_seconds
+from repro.experiments.profiles import H_LABELS, Scale
 from repro.experiments.report import render_table, write_csv
 from repro.experiments.runner import run_benchmark_attack
 from repro.experiments.suite import build_benchmark
 from repro.utils.bitops import complement_bits
 from repro.utils.timer import Budget
-
-H_LABELS = ("hd0", "m/8", "m/4", "m/3")
 
 
 @dataclass
@@ -74,10 +70,10 @@ def shortlist_for(benchmark, time_limit: float) -> list[tuple[int, ...]]:
     return [zero, complement_bits(zero)]
 
 
-def run_fig6(time_limit: float | None = None) -> list[Fig6Row]:
-    limit = time_limit if time_limit is not None else time_limit_seconds()
+def run_fig6(scale: Scale) -> list[Fig6Row]:
+    limit = scale.time_limit
     rows: list[Fig6Row] = []
-    for profile in active_profiles():
+    for profile in scale.profiles():
         confirmation_times: list[float] = []
         confirmation_success = 0
         sat_times: list[float] = []
@@ -124,8 +120,8 @@ HEADERS = (
 )
 
 
-def main(csv_path: str | None = None) -> str:
-    rows = run_fig6()
+def main(scale: Scale, csv_path: str | None = None) -> str:
+    rows = run_fig6(scale)
     table_rows = [row.row() for row in rows]
     text = render_table(
         HEADERS,
@@ -135,7 +131,3 @@ def main(csv_path: str | None = None) -> str:
     if csv_path:
         write_csv(csv_path, HEADERS, table_rows)
     return text
-
-
-if __name__ == "__main__":
-    print(main())

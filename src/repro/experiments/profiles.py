@@ -1,20 +1,23 @@
-"""Benchmark circuit profiles (paper Table I).
+"""Benchmark circuit profiles (paper Table I) and the experiment scale.
 
 The paper evaluates on 20 ISCAS'85 + MCNC circuits. Each profile below
 records the published interface and size: inputs, outputs, key width and
-original gate count. The actual netlists are substituted by seeded
-synthetic circuits with the same profile (DESIGN.md "Substitutions").
+original gate count. The netlists themselves are substituted by seeded
+synthetic circuits with the same profile
+(:mod:`repro.circuit.random_circuits`).
 
 Scaling: the paper ran 64-bit keys on a 28-core Xeon with a 1000 s
-limit. The default configuration here shrinks key widths and gate
-counts so the whole evaluation runs on a laptop in minutes; set
-``REPRO_FULL=1`` for paper-scale parameters, or tune individually via
-``REPRO_MAX_KEYS`` / ``REPRO_MAX_GATES`` / ``REPRO_CIRCUITS``.
+limit. :data:`DEFAULT_SCALE` shrinks key widths, gate counts and the
+circuit count so the whole evaluation runs on a laptop in minutes;
+:data:`PAPER_SCALE` keeps the published profiles and limit. Every
+artifact module takes a :class:`Scale` argument. Only the
+``fall-experiments`` command reads the ``REPRO_*`` environment
+variables, through :func:`scale_from_env`.
 """
 
 from __future__ import annotations
 
-import os
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 
@@ -57,13 +60,8 @@ TABLE1_PROFILES: tuple[CircuitProfile, ...] = (
     CircuitProfile("des", 256, 245, 64, 3839),
 )
 
-# The Hamming-distance settings of Figure 5, as fractions of key width.
-H_SETTINGS: tuple[tuple[str, int], ...] = (
-    ("hd0", 0),
-    ("m/8", 8),
-    ("m/4", 4),
-    ("m/3", 3),
-)
+# The Hamming-distance settings of Figure 5, one locked variant each.
+H_LABELS: tuple[str, ...] = ("hd0", "m/8", "m/4", "m/3")
 
 
 def h_for(label: str, key_width: int) -> int:
@@ -74,33 +72,87 @@ def h_for(label: str, key_width: int) -> int:
     return key_width // divisor
 
 
-def is_full_scale() -> bool:
-    return os.environ.get("REPRO_FULL", "") == "1"
+@dataclass(frozen=True)
+class Scale:
+    """How much of the paper's evaluation an artifact runs.
 
+    ``circuits`` takes the first rows of Table I. ``max_keys`` and
+    ``max_gates`` cap each profile's key width and gate count, and a
+    capped profile's interface is clipped to 64 inputs and 16 outputs;
+    ``None`` for both keeps the published profiles. ``time_limit`` is
+    the per-attack limit in seconds.
+    """
 
-def active_profiles() -> list[CircuitProfile]:
-    """Profiles after applying the environment scaling knobs."""
-    if is_full_scale():
-        selected = list(TABLE1_PROFILES)
-    else:
-        max_keys = int(os.environ.get("REPRO_MAX_KEYS", "16"))
-        max_gates = int(os.environ.get("REPRO_MAX_GATES", "400"))
-        count = int(os.environ.get("REPRO_CIRCUITS", "8"))
-        selected = [
+    circuits: int
+    max_keys: int | None
+    max_gates: int | None
+    time_limit: float
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.circuits <= len(TABLE1_PROFILES):
+            raise ValueError(
+                f"circuits must be 1..{len(TABLE1_PROFILES)}, got {self.circuits}"
+            )
+        if (self.max_keys is None) != (self.max_gates is None):
+            raise ValueError("max_keys and max_gates must both be set or both None")
+        for name in ("max_keys", "max_gates"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not self.time_limit > 0:
+            raise ValueError(f"time_limit must be > 0, got {self.time_limit}")
+
+    def profiles(self) -> list[CircuitProfile]:
+        """The Table I profiles this scale runs, in table order."""
+        selected = TABLE1_PROFILES[: self.circuits]
+        if self.max_keys is None:
+            return list(selected)
+        return [
             replace(
                 profile,
-                key_width=min(profile.key_width, max_keys),
-                num_gates=min(profile.num_gates, max_gates),
+                key_width=min(profile.key_width, self.max_keys),
+                num_gates=min(profile.num_gates, self.max_gates),
                 num_inputs=min(profile.num_inputs, 64),
                 num_outputs=min(profile.num_outputs, 16),
             )
-            for profile in TABLE1_PROFILES[:count]
+            for profile in selected
         ]
-    return selected
 
 
-def time_limit_seconds() -> float:
-    """Per-attack time limit (paper: 1000 s; default here: 30 s)."""
-    if "REPRO_TIME_LIMIT" in os.environ:
-        return float(os.environ["REPRO_TIME_LIMIT"])
-    return 1000.0 if is_full_scale() else 30.0
+DEFAULT_SCALE = Scale(circuits=8, max_keys=16, max_gates=400, time_limit=30.0)
+PAPER_SCALE = Scale(
+    circuits=len(TABLE1_PROFILES), max_keys=None, max_gates=None, time_limit=1000.0
+)
+
+# Environment variable -> (Scale field, parser), applied in this order.
+_ENV_FIELDS: dict[str, tuple[str, type]] = {
+    "REPRO_CIRCUITS": ("circuits", int),
+    "REPRO_MAX_KEYS": ("max_keys", int),
+    "REPRO_MAX_GATES": ("max_gates", int),
+    "REPRO_TIME_LIMIT": ("time_limit", float),
+}
+
+
+def scale_from_env(environ: Mapping[str, str]) -> Scale:
+    """The scale the ``REPRO_*`` variables in ``environ`` select.
+
+    ``REPRO_FULL=1`` starts from :data:`PAPER_SCALE` and ignores the
+    three reduction variables; otherwise each set variable overrides
+    one field of :data:`DEFAULT_SCALE`. ``REPRO_TIME_LIMIT`` applies
+    at either scale. Raises ``ValueError`` naming the variable when a
+    value is malformed or out of range.
+    """
+    full = environ.get("REPRO_FULL", "0")
+    if full not in ("0", "1"):
+        raise ValueError(f"REPRO_FULL must be unset, 0 or 1, got {full!r}")
+    paper = full == "1"
+    scale = PAPER_SCALE if paper else DEFAULT_SCALE
+    for variable, (field, parse) in _ENV_FIELDS.items():
+        if variable not in environ or (paper and field != "time_limit"):
+            continue
+        text = environ[variable]
+        try:
+            scale = replace(scale, **{field: parse(text)})
+        except ValueError as error:
+            raise ValueError(f"{variable}={text!r}: {error}") from None
+    return scale

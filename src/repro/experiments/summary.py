@@ -11,8 +11,6 @@ The numbers the paper leads with:
 
 This module sweeps the full (circuit × h) grid with the complete FALL
 pipeline and tabulates the same statistics for our suite.
-
-Run: ``python -m repro.experiments.summary``.
 """
 
 from __future__ import annotations
@@ -20,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.results import AttackStatus
-from repro.experiments.profiles import active_profiles, time_limit_seconds
+from repro.experiments.profiles import H_LABELS, Scale
 from repro.experiments.report import render_table, write_csv
 from repro.experiments.runner import RunRecord, SuiteTask, run_suite
 from repro.utils.bitops import complement_bits
-
-H_LABELS = ("hd0", "m/8", "m/4", "m/3")
 
 
 @dataclass
@@ -48,7 +44,7 @@ class SummaryStats:
 
 
 def run_summary(
-    time_limit: float | None = None,
+    scale: Scale,
     jobs: int | str | None = None,
     attack: str = "fall",
 ) -> SummaryStats:
@@ -65,12 +61,14 @@ def run_summary(
     oversubscription. Keep ``jobs`` at or below the core count when
     timeout classifications matter.
     """
-    limit = time_limit if time_limit is not None else time_limit_seconds()
     tasks = [
         SuiteTask(
-            profile=profile, h_label=label, time_limit=limit, attack=attack
+            profile=profile,
+            h_label=label,
+            time_limit=scale.time_limit,
+            attack=attack,
         )
-        for profile in active_profiles()
+        for profile in scale.profiles()
         for label in H_LABELS
     ]
     stats = SummaryStats()
@@ -99,9 +97,9 @@ def _is_complement_pair(record: RunRecord) -> bool:
 
 
 def main(
-    csv_path: str | None = None, jobs: int | str | None = None
+    scale: Scale, csv_path: str | None = None, jobs: int | str | None = None
 ) -> str:
-    stats = run_summary(jobs=jobs)
+    stats = run_summary(scale, jobs=jobs)
     rows = [record.row() for record in stats.records]
     table = render_table(
         ("benchmark", "attack", "status", "solved", "t[s]", "queries", "shortlist"),
@@ -134,7 +132,3 @@ def main(
             rows,
         )
     return table + "\n" + headline
-
-
-if __name__ == "__main__":
-    print(main())

@@ -3,24 +3,21 @@
 Regenerates the paper's Table I layout — circuit name, #inputs,
 #outputs, #keys, original gate count, and min/max gate counts over the
 SFLL-locked variants (the paper's min/max span its h settings).
-
-Run: ``python -m repro.experiments.table1`` (or the bench target
-``benchmarks/bench_table1.py``).
 """
 
 from __future__ import annotations
 
-from repro.experiments.profiles import active_profiles
+from collections.abc import Sequence
+
+from repro.experiments.profiles import H_LABELS, CircuitProfile, Scale
 from repro.experiments.report import render_table, write_csv
 from repro.experiments.suite import build_benchmark
 
-H_LABELS = ("hd0", "m/8", "m/4", "m/3")
 
-
-def table1_rows(profiles=None) -> list[tuple]:
+def table1_rows(profiles: Sequence[CircuitProfile]) -> list[tuple]:
     """One row per circuit: (name, #in, #out, #keys, gates, min, max)."""
     rows = []
-    for profile in profiles if profiles is not None else active_profiles():
+    for profile in profiles:
         benchmarks = [build_benchmark(profile, label) for label in H_LABELS]
         original_gates = benchmarks[0].original.num_gates
         locked_gates = [b.locked.circuit.num_gates for b in benchmarks]
@@ -41,15 +38,11 @@ def table1_rows(profiles=None) -> list[tuple]:
 HEADERS = ("ckt", "#in", "#out", "#keys", "gates-orig", "SFLL-min", "SFLL-max")
 
 
-def main(csv_path: str | None = None) -> str:
-    rows = table1_rows()
+def main(scale: Scale, csv_path: str | None = None) -> str:
+    rows = table1_rows(scale.profiles())
     text = render_table(
         HEADERS, rows, title="Table I: benchmark circuits (reproduced)"
     )
     if csv_path:
         write_csv(csv_path, HEADERS, rows)
     return text
-
-
-if __name__ == "__main__":
-    print(main())

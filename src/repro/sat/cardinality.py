@@ -3,8 +3,8 @@
 The SlidingWindow and Distance2H analyses (paper Algorithms 2 and 3) both
 constrain ``HD(X, X') = 2h``, i.e. *exactly-k* over the XOR difference
 bits. The paper's prototype uses an adder-based encoding; we provide three
-interchangeable encodings so the ablation benchmark (DESIGN.md A1) can
-compare them:
+interchangeable encodings so the ablation benchmark
+(``benchmarks/bench_ablation_cardinality.py``) can compare them:
 
 - ``seq``: Sinz's sequential counter (default; O(n*k) clauses, arc
   consistent),

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.profiles import (
+    DEFAULT_SCALE,
+    PAPER_SCALE,
     TABLE1_PROFILES,
     CircuitProfile,
-    active_profiles,
+    Scale,
     h_for,
-    is_full_scale,
-    time_limit_seconds,
+    scale_from_env,
 )
 from repro.experiments.report import (
     cactus_series,
@@ -25,13 +24,7 @@ from repro.experiments.suite import build_benchmark, build_suite
 from repro.attacks.results import AttackStatus
 
 
-@pytest.fixture
-def small_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FULL", raising=False)
-    monkeypatch.setenv("REPRO_MAX_KEYS", "8")
-    monkeypatch.setenv("REPRO_MAX_GATES", "120")
-    monkeypatch.setenv("REPRO_CIRCUITS", "2")
-    monkeypatch.setenv("REPRO_TIME_LIMIT", "15")
+SMALL = Scale(circuits=2, max_keys=8, max_gates=120, time_limit=15.0)
 
 
 class TestProfiles:
@@ -51,20 +44,55 @@ class TestProfiles:
         assert h_for("m/4", 64) == 16
         assert h_for("m/3", 64) == 21
 
-    def test_active_profiles_scaled(self, small_env):
-        profiles = active_profiles()
-        assert len(profiles) == 2
+    def test_scale_profiles_clipped(self):
+        profiles = SMALL.profiles()
+        assert [p.name for p in profiles] == ["ex1010", "apex4"]
         assert all(p.key_width <= 8 for p in profiles)
         assert all(p.num_gates <= 120 for p in profiles)
+        assert all(p.num_inputs <= 64 and p.num_outputs <= 16 for p in profiles)
 
-    def test_full_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert is_full_scale()
-        assert len(active_profiles()) == 20
-        assert time_limit_seconds() == 1000.0
+    def test_paper_scale_keeps_published_profiles(self):
+        assert PAPER_SCALE.profiles() == list(TABLE1_PROFILES)
+        assert PAPER_SCALE.time_limit == 1000.0
 
-    def test_time_limit_env(self, small_env):
-        assert time_limit_seconds() == 15.0
+    def test_default_scale(self):
+        assert DEFAULT_SCALE == Scale(
+            circuits=8, max_keys=16, max_gates=400, time_limit=30.0
+        )
+        assert scale_from_env({}) == DEFAULT_SCALE
+        assert scale_from_env({"REPRO_FULL": "0"}) == DEFAULT_SCALE
+
+    def test_scale_from_env_overrides_fields(self):
+        environ = {
+            "REPRO_CIRCUITS": "2",
+            "REPRO_MAX_KEYS": "8",
+            "REPRO_MAX_GATES": "120",
+            "REPRO_TIME_LIMIT": "15",
+            "UNRELATED": "x",
+        }
+        assert scale_from_env(environ) == SMALL
+
+    def test_full_scale_ignores_reductions_but_not_time_limit(self):
+        environ = {"REPRO_FULL": "1", "REPRO_CIRCUITS": "2", "REPRO_MAX_KEYS": "8"}
+        assert scale_from_env(environ) == PAPER_SCALE
+        environ["REPRO_TIME_LIMIT"] = "20"
+        assert scale_from_env(environ).time_limit == 20.0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"circuits": 0},
+            {"circuits": 21},
+            {"max_keys": 0},
+            {"max_gates": -1},
+            {"max_keys": None},
+            {"time_limit": 0.0},
+            {"time_limit": float("nan")},
+        ],
+    )
+    def test_invalid_scale_rejected(self, fields):
+        with pytest.raises(ValueError):
+            Scale(**{**vars(SMALL), **fields})
 
     def test_profile_seed_deterministic(self):
         profile = CircuitProfile("x", 4, 2, 4, 30)
@@ -72,38 +100,38 @@ class TestProfiles:
 
 
 class TestSuite:
-    def test_build_benchmark_is_locked_and_optimized(self, small_env):
-        profile = active_profiles()[0]
+    def test_build_benchmark_is_locked_and_optimized(self):
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "m/8")
         assert benchmark.h == profile.key_width // 8
         assert benchmark.locked.circuit.key_inputs
         assert benchmark.original.num_gates > 0
         assert benchmark.name == f"{profile.name}[m/8]"
 
-    def test_correct_key_unlocks_suite_members(self, small_env):
+    def test_correct_key_unlocks_suite_members(self):
         from repro.circuit.equivalence import check_equivalence
 
-        profile = active_profiles()[0]
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "hd0")
         unlocked = benchmark.locked.unlocked_with(
             benchmark.locked.reveal_correct_key()
         )
         assert check_equivalence(benchmark.original, unlocked).proved
 
-    def test_build_suite_grid(self, small_env):
-        suite = build_suite(active_profiles(), h_labels=("hd0", "m/8"))
+    def test_build_suite_grid(self):
+        suite = build_suite(SMALL.profiles(), h_labels=("hd0", "m/8"))
         assert len(suite) == 4  # 2 circuits x 2 settings
 
-    def test_originals_are_cached(self, small_env):
-        profile = active_profiles()[0]
+    def test_originals_are_cached(self):
+        profile = SMALL.profiles()[0]
         a = build_benchmark(profile, "hd0")
         b = build_benchmark(profile, "m/8")
         assert a.original is b.original
 
 
 class TestRunners:
-    def test_run_fall_solves_small_benchmark(self, small_env):
-        profile = active_profiles()[0]
+    def test_run_fall_solves_small_benchmark(self):
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "m/8")
         record = run_benchmark_attack(
             benchmark, "fall", time_limit=30, with_oracle=True
@@ -112,8 +140,8 @@ class TestRunners:
         assert record.solved
         assert record.correct_key
 
-    def test_run_fall_analyses_restriction(self, small_env):
-        profile = active_profiles()[0]
+    def test_run_fall_analyses_restriction(self):
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "m/8")
         record = run_benchmark_attack(
             benchmark,
@@ -125,8 +153,8 @@ class TestRunners:
         )
         assert record.attack == "Distance2H"
 
-    def test_run_sat_attack_on_small_hd0(self, small_env):
-        profile = active_profiles()[0]
+    def test_run_sat_attack_on_small_hd0(self):
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "hd0")
         record = run_benchmark_attack(benchmark, "sat", time_limit=30)
         # With 8 keys the SAT attack can win; either way the record is
@@ -137,8 +165,8 @@ class TestRunners:
         )
         assert record.elapsed_seconds >= 0.0
 
-    def test_run_key_confirmation(self, small_env):
-        profile = active_profiles()[0]
+    def test_run_key_confirmation(self):
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "hd0")
         correct = benchmark.locked.reveal_correct_key()
         wrong = tuple(1 - b for b in correct)
@@ -151,10 +179,10 @@ class TestRunners:
         assert record.solved
         assert record.correct_key
 
-    def test_any_registered_attack_runs_through_the_suite(self, small_env):
+    def test_any_registered_attack_runs_through_the_suite(self):
         from repro.attacks.registry import attack_names
 
-        profile = active_profiles()[0]
+        profile = SMALL.profiles()[0]
         benchmark = build_benchmark(profile, "hd0")
         # The suite runner accepts every registered family uniformly —
         # no hardcoded wrappers to fall out of sync with the registry.

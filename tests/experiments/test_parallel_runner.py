@@ -11,19 +11,18 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit import sharding
-from repro.experiments.profiles import active_profiles
+from repro.experiments.profiles import Scale
 from repro.experiments.runner import SuiteTask, run_suite, run_suite_task
 from repro.experiments.summary import run_summary
 
 
+# A grid small enough that the sweep runs in seconds.
+SMALL_GRID = Scale(circuits=1, max_keys=8, max_gates=80, time_limit=15.0)
+
+
 @pytest.fixture
-def small_grid(monkeypatch):
-    """Shrink the evaluation grid so the sweep runs in seconds."""
-    monkeypatch.delenv("REPRO_FULL", raising=False)
-    monkeypatch.setenv("REPRO_CIRCUITS", "1")
-    monkeypatch.setenv("REPRO_MAX_KEYS", "8")
-    monkeypatch.setenv("REPRO_MAX_GATES", "80")
-    monkeypatch.setenv("REPRO_TIME_LIMIT", "15")
+def fresh_pool():
+    """Run each test against a freshly started worker pool."""
     sharding.shutdown_pool()
     yield
     sharding.shutdown_pool()
@@ -44,9 +43,9 @@ def _stable_view(record):
 
 
 class TestSummaryDeterminism:
-    def test_env_jobs_1_vs_4_identical_summaries(self, small_grid):
-        sequential = run_summary(jobs=1)
-        parallel = run_summary(jobs=4)
+    def test_env_jobs_1_vs_4_identical_summaries(self, fresh_pool):
+        sequential = run_summary(SMALL_GRID, jobs=1)
+        parallel = run_summary(SMALL_GRID, jobs=4)
         assert [_stable_view(r) for r in sequential.records] == [
             _stable_view(r) for r in parallel.records
         ]
@@ -66,15 +65,15 @@ class TestSummaryDeterminism:
             parallel.timeouts,
         )
 
-    def test_summary_covers_the_whole_grid(self, small_grid):
-        stats = run_summary(jobs=1)
-        assert stats.total == len(active_profiles()) * 4
+    def test_summary_covers_the_whole_grid(self, fresh_pool):
+        stats = run_summary(SMALL_GRID, jobs=1)
+        assert stats.total == len(SMALL_GRID.profiles()) * 4
         assert len(stats.records) == stats.total
 
 
 class TestRunSuite:
-    def test_parallel_records_keep_task_order(self, small_grid):
-        profile = active_profiles()[0]
+    def test_parallel_records_keep_task_order(self, fresh_pool):
+        profile = SMALL_GRID.profiles()[0]
         tasks = [
             SuiteTask(profile=profile, h_label=label, time_limit=15.0)
             for label in ("hd0", "m/8", "m/4", "m/3")
@@ -85,8 +84,8 @@ class TestRunSuite:
             for label in ("hd0", "m/8", "m/4", "m/3")
         ]
 
-    def test_worker_entry_matches_inline_run(self, small_grid):
-        profile = active_profiles()[0]
+    def test_worker_entry_matches_inline_run(self, fresh_pool):
+        profile = SMALL_GRID.profiles()[0]
         task = SuiteTask(profile=profile, h_label="hd0", time_limit=15.0)
         inline = run_suite_task(task)
         (pooled,) = run_suite([task], jobs=1)

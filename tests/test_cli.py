@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
@@ -328,3 +331,61 @@ class TestJobsFlag:
         out = capsys.readouterr().out
         assert "--jobs" in out
         assert "auto" in out
+
+
+class TestExperimentsScale:
+    """The REPRO_* scale variables, read only at the fall-experiments edge."""
+
+    SCALE_VARIABLES = (
+        "REPRO_FULL",
+        "REPRO_CIRCUITS",
+        "REPRO_MAX_KEYS",
+        "REPRO_MAX_GATES",
+        "REPRO_TIME_LIMIT",
+    )
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for name in self.SCALE_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_CIRCUITS", "-1"),
+            ("REPRO_CIRCUITS", "0"),
+            ("REPRO_CIRCUITS", "21"),
+            ("REPRO_CIRCUITS", "two"),
+            ("REPRO_MAX_KEYS", "0"),
+            ("REPRO_MAX_KEYS", "1.5"),
+            ("REPRO_MAX_GATES", "-5"),
+            ("REPRO_TIME_LIMIT", "soon"),
+            ("REPRO_TIME_LIMIT", "0"),
+            ("REPRO_FULL", "yes"),
+        ],
+    )
+    def test_invalid_value_is_a_usage_error(
+        self, variable, value, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main_experiments(["table1"])
+        assert excinfo.value.code == 2
+        assert variable in capsys.readouterr().err
+
+    def test_variables_reach_the_artifact(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CIRCUITS", "1")
+        monkeypatch.setenv("REPRO_MAX_KEYS", "6")
+        monkeypatch.setenv("REPRO_MAX_GATES", "80")
+        assert main_experiments(["table1"]) == 0
+        out = capsys.readouterr().out
+        assert "ex1010" in out and "apex4" not in out
+
+    def test_only_the_cli_reads_the_environment(self):
+        src = Path(repro.__file__).parent
+        readers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if re.search(r"os\.environ|getenv", path.read_text())
+        )
+        assert readers == ["cli.py"]
