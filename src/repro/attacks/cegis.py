@@ -20,7 +20,9 @@ the key. The families differ in the miter and between iterations:
   sampled disagreements back as I/O constraints.
 
 Variables, clauses and solver calls come in one fixed order per family;
-the seeded searches depend on it.
+the seeded searches depend on it. Each ``Cnf`` is a staging buffer: its
+clauses are cleared once loaded into the solver, so a clause is stored
+only once, in the solver.
 """
 
 from __future__ import annotations
@@ -134,21 +136,24 @@ class _Cegis:
                 [list(ks.values()) for ks in self.key_sets],
             )
             self.solver = Solver(random_phase=random_phase)
-            self.watermark = self.solver.add_cnf(cnf)
+            self.solver.add_cnf(cnf)
+            cnf.clauses.clear()
 
             self.key_cnf = Cnf()
             self.key_vars = {name: self.key_cnf.new_var() for name in self.key_names}
             self.key_solver = Solver()
-            self.key_watermark = self.key_solver.add_cnf(self.key_cnf)
+            self.key_solver.add_cnf(self.key_cnf)
 
     def observe(self, pattern: Mapping[str, int], outputs: Mapping[str, int]):
         """Constrain every key copy and the key solver with one I/O pair."""
-        locked, key_cnf = self.locked, self.key_cnf
+        locked, cnf, key_cnf = self.locked, self.cnf, self.key_cnf
         for key_vars in self.key_sets:
-            constrain_io(locked, self.cnf, pattern, outputs, key_vars)
-        self.watermark = self.solver.add_cnf(self.cnf, self.watermark)
+            constrain_io(locked, cnf, pattern, outputs, key_vars)
+        self.solver.add_cnf(cnf)
+        cnf.clauses.clear()
         constrain_io(locked, key_cnf, pattern, outputs, self.key_vars)
-        self.key_watermark = self.key_solver.add_cnf(key_cnf, self.key_watermark)
+        self.key_solver.add_cnf(key_cnf)
+        key_cnf.clauses.clear()
 
     def extract_key(self) -> tuple[AttackStatus, tuple[int, ...] | None]:
         """A key consistent with every observation (FAILED: none is)."""

@@ -136,6 +136,7 @@ def _classify_sat(
     kv = encoding.lit(k)
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
 
     def is_valid_equiv(negate: bool) -> bool:
         # v ⇔ (x ⊕ k) is valid iff v ≠ (x ⊕ k) is UNSAT. Check the four

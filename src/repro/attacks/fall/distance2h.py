@@ -57,6 +57,7 @@ def distance_2h(
     )
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
 
     status = solver.solve(budget=budget)
     if status is not SolveStatus.SAT:

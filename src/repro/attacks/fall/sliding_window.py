@@ -59,6 +59,7 @@ def sliding_window(
     )
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
 
     status = solver.solve(budget=budget)
     if status is not SolveStatus.SAT:

@@ -54,6 +54,7 @@ def analyze_unateness(
         selectors[name] = s
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
 
     keys: dict[str, int] = {}
     for pivot in inputs:

@@ -145,7 +145,8 @@ def key_confirmation(
     if has_phi:
         encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
     p_solver = Solver()
-    p_watermark = p_solver.add_cnf(p_cnf)
+    p_solver.add_cnf(p_cnf)
+    p_cnf.clauses.clear()
 
     # Q: distinguishing-input generator (double instantiation + miter).
     q_cnf = Cnf()
@@ -165,7 +166,8 @@ def key_confirmation(
             q_cnf, k2_vars, key_names, candidates, guard=phi2_guard
         )
     q_solver = Solver(random_phase=0.2)
-    q_watermark = q_solver.add_cnf(q_cnf)
+    q_solver.add_cnf(q_cnf)
+    q_cnf.clauses.clear()
 
     probes_used = 0
     verification = "phi-relative" if has_phi else "exact"
@@ -192,11 +194,12 @@ def key_confirmation(
         pattern: dict[str, int], observed: dict[str, int]
     ) -> None:
         """P_{i+1} = P_i ∧ C(Xd, K1, Yd); Q_{i+1} = Q_i ∧ C(Xd, K2, Yd)."""
-        nonlocal p_watermark, q_watermark
         constrain_io(locked, p_cnf, pattern, observed, p_key_vars)
-        p_watermark = p_solver.add_cnf(p_cnf, p_watermark)
+        p_solver.add_cnf(p_cnf)
+        p_cnf.clauses.clear()
         constrain_io(locked, q_cnf, pattern, observed, k2_vars)
-        q_watermark = q_solver.add_cnf(q_cnf, q_watermark)
+        q_solver.add_cnf(q_cnf)
+        q_cnf.clauses.clear()
 
     # Probe mining (module docstring note 1). Mining is independent of
     # the observations, so all probes are collected first and replayed
@@ -382,6 +385,7 @@ def _mine_probes(
             cnf.add_clause(diff_lits)
         solver = Solver(random_phase=0.2, seed=len(seen_pairs))
         solver.add_cnf(cnf)
+        cnf.clauses.clear()
         for _ in range(rounds):
             if budget is not None and budget.expired:
                 return

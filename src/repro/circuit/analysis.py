@@ -59,6 +59,9 @@ def support_table(circuit: Circuit) -> dict[str, frozenset[str]]:
 
 
 def _build_support_table(circuit: Circuit) -> dict[str, frozenset[str]]:
+    """A gate whose support equals one of its fanins' shares that fanin's
+    ``frozenset`` object (every BUF/NOT, and most gates deep in a cone),
+    so the table holds far fewer distinct sets than nodes."""
     table: dict[str, frozenset[str]] = {}
     for node in circuit.topological_order():
         gate_type = circuit.gate_type(node)
@@ -67,10 +70,13 @@ def _build_support_table(circuit: Circuit) -> dict[str, frozenset[str]]:
         elif gate_type.is_constant:
             table[node] = frozenset()
         else:
-            merged: set[str] = set()
-            for fanin in circuit.fanins(node):
-                merged |= table[fanin]
-            table[node] = frozenset(merged)
+            supports = [table[fanin] for fanin in circuit.fanins(node)]
+            merged = supports[0].union(*supports[1:])
+            for fanin_support in supports:
+                if len(fanin_support) == len(merged):  # a subset: equal
+                    merged = fanin_support
+                    break
+            table[node] = merged
     return table
 
 

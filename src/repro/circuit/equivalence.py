@@ -85,6 +85,7 @@ def check_equivalence(
 
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
     status = solver.solve(budget=budget)
     if status is SolveStatus.UNKNOWN:
         return EquivalenceResult(equivalent=None)
@@ -108,6 +109,7 @@ def check_outputs_equal(
     cnf.add_clause([encode_xor(cnf, encoding.lit(node_a), encoding.lit(node_b))])
     solver = Solver()
     solver.add_cnf(cnf)
+    cnf.clauses.clear()
     status = solver.solve(budget=budget)
     if status is SolveStatus.UNKNOWN:
         return EquivalenceResult(equivalent=None)

@@ -2,8 +2,10 @@
 
 A conflict-driven clause learning solver in the MiniSat lineage:
 
-- two-watched-literal propagation (deleted learnt clauses are detached
-  from both of their watch lists when the database is reduced),
+- two-watched-literal propagation; a binary clause ``[a, b]`` is kept
+  inline as the int ``b`` in the watch list of ``a`` and ``a`` in that of
+  ``b`` (deleted learnt clauses are detached from both of their watch
+  lists when the database is reduced),
 - first-UIP conflict analysis with basic clause minimization,
 - VSIDS branching (a binary heap holding each variable's current key at
   most once, with phase saving),
@@ -136,10 +138,13 @@ class Solver:
         # Indexed by internal literal (2v / 2v+1); slots 0 and 1 are
         # padding so that var 1 maps to indices 2 and 3.
         self._values: list[int] = [_UNASSIGNED, _UNASSIGNED]
-        self._watches: list[list[list[int]]] = [[], []]
-        # Indexed by variable (slot 0 padding).
+        # A watch-list entry is a clause of three or more literals, or
+        # the other literal of a binary clause.
+        self._watches: list[list[list[int] | int]] = [[], []]
+        # Indexed by variable (slot 0 padding). A reason is a clause, or
+        # for a binary clause ``[implied, r]`` the false literal ``r``.
         self._activity: list[float] = [0.0]
-        self._reason: list[list[int] | None] = [None]
+        self._reason: list[list[int] | int | None] = [None]
         self._level: list[int] = [-1]
         self._phase: list[bool] = [False]
         self._seen: list[int] = [0]
@@ -160,8 +165,12 @@ class Solver:
         self._f64 = array("d", [0.0])
         self._f64_bits = memoryview(self._f64).cast("B").cast("q")
 
-        self._learnts: list[list[int]] = []
+        self._learnts: list[list[int]] = []  # learnt clauses of 3+ literals
         self._lbd: dict[int, int] = {}  # id(learnt clause) -> LBD
+        # Learnt binaries live only in the watch lists. Their LBD is at
+        # most 2, so ``_reduce_db`` would always keep them: they are never
+        # detached, and only count towards ``_max_learnts``.
+        self._binary_learnts = 0
         self._max_learnts = 4000.0
 
         self._ok = True
@@ -242,17 +251,18 @@ class Solver:
             return
         self._attach(clause)
 
-    def add_cnf(self, cnf: Cnf, start: int = 0) -> int:
-        """Load ``cnf.clauses[start:]`` (variables are shared 1:1).
+    def add_cnf(self, cnf: Cnf) -> None:
+        """Load every clause of ``cnf`` (variables are shared 1:1).
 
-        Returns ``len(cnf.clauses)``: the ``start`` of the next call when
-        the formula keeps growing between solves.
+        ``cnf`` is left as it is. An owner that keeps growing the formula
+        between solves clears ``cnf.clauses`` after each call, so the
+        next call loads only what was added since; ``cnf.num_vars`` keeps
+        counting, so new variables keep their numbers.
         """
         self._ensure_var(cnf.num_vars)
         add_clause = self.add_clause
-        for clause in cnf.clauses[start:]:
+        for clause in cnf.clauses:
             add_clause(clause)
-        return len(cnf.clauses)
 
     @property
     def num_vars(self) -> int:
@@ -262,10 +272,15 @@ class Solver:
     # Internal machinery
     # ------------------------------------------------------------------
     def _attach(self, clause: list[int]) -> None:
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
+        first, second = clause[0], clause[1]
+        if len(clause) == 2:
+            self._watches[first].append(second)
+            self._watches[second].append(first)
+        else:
+            self._watches[first].append(clause)
+            self._watches[second].append(clause)
 
-    def _enqueue(self, ilit: int, reason: list[int] | None) -> None:
+    def _enqueue(self, ilit: int, reason: list[int] | int | None) -> None:
         values = self._values
         values[ilit] = _TRUE
         values[ilit ^ 1] = _FALSE
@@ -277,13 +292,16 @@ class Solver:
     def _propagate(self) -> list[int] | None:
         """Propagate until fixpoint; return a conflicting clause or None.
 
-        Every clause sits in the watch lists of exactly ``clause[0]`` and
-        ``clause[1]``. A visited clause whose other watch is true is left
-        as it is, false watch in either slot. Otherwise the false watch
-        goes to ``clause[1]``, so a reason clause always has its implied
-        literal in ``clause[0]`` (``_analyze`` and ``_reduce_db`` rely on
-        that); then a non-false literal further on takes its place as a
-        watch, and failing that the clause is unit or conflicting.
+        Every long clause sits in the watch lists of exactly ``clause[0]``
+        and ``clause[1]``. A visited clause whose other watch is true is
+        left as it is, false watch in either slot. Otherwise the false
+        watch goes to ``clause[1]``, so a reason clause always has its
+        implied literal in ``clause[0]`` (``_analyze`` and ``_reduce_db``
+        rely on that); then a non-false literal further on takes its
+        place as a watch, and failing that the clause is unit or
+        conflicting. An int entry ``other`` is the binary clause
+        ``[other, false_lit]``: it implies ``other`` with the reason
+        ``false_lit``, or conflicts as that list.
         """
         values = self._values
         watches = self._watches
@@ -299,6 +317,20 @@ class Solver:
             watchlist = watches[false_lit]
             moved = False
             for clause in watchlist:
+                if type(clause) is int:
+                    value = values[clause]
+                    if value == _TRUE:
+                        continue
+                    if value == _FALSE:
+                        conflict = [clause, false_lit]
+                        break
+                    values[clause] = _TRUE
+                    values[clause ^ 1] = _FALSE
+                    var = clause >> 1
+                    level[var] = current_level
+                    reason[var] = false_lit
+                    trail.append(clause)
+                    continue
                 first = clause[0]
                 if first == false_lit:
                     first = clause[1]
@@ -333,9 +365,12 @@ class Solver:
             if moved:
                 # Drop the clauses whose watch moved on; false_lit is
                 # still in slot 0 or 1 of every other one, including
-                # the tail left unvisited by a conflict.
+                # the tail left unvisited by a conflict. Binary entries
+                # never move.
                 watches[false_lit] = [
-                    c for c in watchlist if c[1] == false_lit or c[0] == false_lit
+                    c
+                    for c in watchlist
+                    if type(c) is int or c[1] == false_lit or c[0] == false_lit
                 ]
             if conflict is not None:
                 break
@@ -416,6 +451,8 @@ class Solver:
             if counter == 0:
                 break
             clause = reason[p >> 1]
+            if type(clause) is int:
+                clause = (clause,)  # [p, r] minus p, which is skipped
         learnt[0] = p ^ 1
 
         # Basic clause minimization: drop literals whose reason is fully
@@ -427,6 +464,8 @@ class Solver:
                 if r is None:
                     minimized.append(q)
                     continue
+                if type(r) is int:
+                    r = (r,)  # [q ^ 1, r]; q's variable is seen
                 for other in r:
                     other_var = other >> 1
                     if not seen[other_var] and level[other_var] > 0:
@@ -482,11 +521,12 @@ class Solver:
 
     def _pick_branch_var(self) -> int:
         """The unassigned variable of highest activity, ties going to the
-        lowest index; 0 when every variable is assigned."""
+        lowest index. Only called while some variable is unassigned, and
+        so has its current key in the heap."""
         values = self._values
         heap = self._heap
         in_heap = self._in_heap
-        while heap:
+        while True:
             # The popped key is ``var``'s current one, or an outdated one
             # of lower activity, which sorts after the current key and so
             # surfaces only once that has left: either way it is gone.
@@ -494,13 +534,13 @@ class Solver:
             in_heap[var] = False
             if values[var << 1] == _UNASSIGNED:
                 return var
-        return 0
 
     def _reduce_db(self) -> None:
         """Drop the worst half of learned clauses (by LBD, then length).
 
         Deleted clauses are detached from the watch lists of their two
-        watched literals, ``clause[0]`` and ``clause[1]``.
+        watched literals, ``clause[0]`` and ``clause[1]``. Learnt
+        binaries are never candidates (see ``_binary_learnts``).
         """
         values = self._values
         reason = self._reason
@@ -592,9 +632,13 @@ class Solver:
                     self._enqueue(learnt[0], None)
                 else:
                     self._attach(learnt)
-                    self._learnts.append(learnt)
-                    self._lbd[id(learnt)] = lbd
-                    self._enqueue(learnt[0], learnt)
+                    if len(learnt) == 2:
+                        self._binary_learnts += 1
+                        self._enqueue(learnt[0], learnt[1])
+                    else:
+                        self._learnts.append(learnt)
+                        self._lbd[id(learnt)] = lbd
+                        self._enqueue(learnt[0], learnt)
                 self._decay_activities()
                 if budget_countdown <= 0:
                     budget_countdown = _BUDGET_CHECK_INTERVAL
@@ -617,7 +661,7 @@ class Solver:
                 self._cancel_until(0)
                 continue
 
-            if len(self._learnts) >= self._max_learnts:
+            if len(self._learnts) + self._binary_learnts >= self._max_learnts:
                 self._reduce_db()
                 self._max_learnts *= 1.3
 
@@ -638,11 +682,14 @@ class Solver:
                 self._enqueue(ilit, None)
                 continue
 
-            var = self._pick_branch_var()
-            if var == 0:
+            if len(self._trail) == self._num_vars:
+                # Every variable is assigned. The heap may still hold keys,
+                # but only of assigned variables or outdated ones, which a
+                # pop would discard: the search is the same as draining it.
                 self._store_model()
                 self._cancel_until(0)
                 return SolveStatus.SAT
+            var = self._pick_branch_var()
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))
             if self._random_phase and self._rng.random() < self._random_phase:

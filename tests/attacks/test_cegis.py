@@ -14,11 +14,14 @@ import pytest
 from repro.attacks.base import AttackConfig
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.engine import run_attack
+from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
-from repro.locking import lock_ttlock
+from repro.locking import lock_random_xor, lock_ttlock
+from repro.sat.solver import Solver
 from repro.utils.timer import Budget
 
 
@@ -66,3 +69,40 @@ def test_oracle_for_another_circuit_is_rejected(name):
     ):
         run_attack(name, locked.circuit, oracle, config)
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["sat", "appsat", "double-dip", "key-confirmation"]
+)
+def test_loaded_clauses_are_released(name, monkeypatch):
+    # Each family's private Cnf is a staging buffer: once the solver has
+    # loaded it, its clauses live only in the solver, and the two agree
+    # on the variables.
+    loaded: dict[int, tuple[Solver, object]] = {}
+    add_cnf = Solver.add_cnf
+
+    def recording_add_cnf(self, cnf):
+        loaded[id(cnf)] = (self, cnf)
+        add_cnf(self, cnf)
+
+    monkeypatch.setattr(Solver, "add_cnf", recording_add_cnf)
+    original = generate_random_circuit("released", 8, 2, 40, seed=1)
+    locked = lock_random_xor(original, key_width=6, seed=1)
+    oracle = IOOracle(original)
+    if name == "key-confirmation":
+        correct = locked.reveal_correct_key()
+        wrong = tuple(1 - bit for bit in correct)
+        result = key_confirmation(locked.circuit, oracle, [wrong, correct])
+    else:
+        attack = {
+            "sat": sat_attack,
+            "appsat": lambda c, o: appsat_attack(c, o, settle_rounds=1),
+            "double-dip": double_dip_attack,
+        }[name]
+        result = attack(locked.circuit, oracle)
+    assert result.status is AttackStatus.SUCCESS
+    assert result.oracle_queries > 1
+    assert len(loaded) >= 2
+    for solver, cnf in loaded.values():
+        assert cnf.clauses == []
+        assert cnf.num_vars == solver.num_vars

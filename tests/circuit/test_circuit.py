@@ -15,6 +15,7 @@ from repro.circuit.analysis import (
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType, check_arity, evaluate_gate
 from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import CircuitError
 
 
@@ -175,6 +176,33 @@ class TestAnalysis:
         table = support_table(c)
         for node in c.nodes:
             assert table[node] == support(c, node)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_support_table_matches_set_union_reference(self, seed):
+        c = generate_random_circuit("supp", 10, 3, 80, seed=seed)
+        reference: dict[str, set[str]] = {}
+        for node in c.topological_order():
+            if c.gate_type(node) is GateType.INPUT:
+                reference[node] = {node}
+            else:
+                reference[node] = set().union(
+                    *(reference[f] for f in c.fanins(node))
+                )
+        assert support_table(c) == reference
+
+    def test_support_table_shares_sets_along_a_chain(self):
+        c = Circuit()
+        c.add_input("a")
+        c.add_input("b")
+        c.add_gate("g", GateType.AND, ["a", "b"])
+        c.add_gate("n1", GateType.NOT, ["g"])
+        c.add_gate("n2", GateType.BUF, ["n1"])
+        c.add_gate("n3", GateType.NOT, ["n2"])
+        c.add_gate("h", GateType.OR, ["n3", "a"])  # no wider than n3
+        c.add_output("h")
+        table = support_table(c)
+        assert table["g"] == {"a", "b"}
+        assert len({id(table[n]) for n in ("g", "n1", "n2", "n3", "h")}) == 1
 
     def test_support_of_constant_is_empty(self):
         c = Circuit()

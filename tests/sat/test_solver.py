@@ -507,32 +507,49 @@ class TestVsidsOrder:
 
 
 class TestWatchInvariant:
-    """After every propagation and database reduction, each live clause
-    sits once in the watch lists of ``clause[0]`` and ``clause[1]`` and
-    in no other; deleted learnt clauses sit in none."""
+    """After every propagation and database reduction, each live long
+    clause sits once in the watch lists of ``clause[0]`` and ``clause[1]``
+    and in no other; deleted learnt clauses sit in none. Each binary
+    clause ``{a, b}`` ever attached sits once as ``b`` in ``watches[a]``
+    and once as ``a`` in ``watches[b]``, and there are no other int
+    entries: no learnt binary is ever deleted."""
 
     def test_watch_lists_match_watched_slots(self, monkeypatch):
         # Per solver (held, so ids stay unique): id -> clause.
         live: dict[Solver, dict[int, list[int]]] = defaultdict(dict)
         deleted: dict[Solver, dict[int, list[int]]] = defaultdict(dict)
+        # Per solver: (watched literal, int entry) -> count.
+        binaries: dict[Solver, Counter] = defaultdict(Counter)
         reductions = []
+        learnt_binaries = []
         propagate = Solver._propagate
         reduce_db = Solver._reduce_db
         attach = Solver._attach
 
         def check(solver):
             found: dict[int, list[int]] = {}
+            found_binaries: Counter = Counter()
             for lit, watchlist in enumerate(solver._watches):
                 for clause in watchlist:
+                    if type(clause) is int:
+                        found_binaries[lit, clause] += 1
+                        continue
+                    assert len(clause) > 2, "binary clause watched as a list"
                     key = id(clause)
                     assert key not in deleted[solver], "deleted clause watched"
                     assert key in live[solver], "unknown clause watched"
                     found.setdefault(key, []).append(lit)
             for key, clause in live[solver].items():
                 assert sorted(found.get(key, ())) == sorted(clause[:2])
+            assert found_binaries == binaries[solver]
 
         def checked_attach(self, clause):
-            live[self][id(clause)] = clause
+            if len(clause) == 2:
+                a, b = clause
+                binaries[self][a, b] += 1
+                binaries[self][b, a] += 1
+            else:
+                live[self][id(clause)] = clause
             attach(self, clause)
 
         def checked_propagate(self):
@@ -548,6 +565,7 @@ class TestWatchInvariant:
                 if id(clause) not in kept:
                     deleted[self][id(clause)] = live[self].pop(id(clause))
             reductions.append(len(before) - len(kept))
+            learnt_binaries.append(self._binary_learnts)
             check(self)
 
         monkeypatch.setattr(Solver, "_attach", checked_attach)
@@ -555,28 +573,48 @@ class TestWatchInvariant:
         monkeypatch.setattr(Solver, "_reduce_db", checked_reduce_db)
         _searches()
         assert len(reductions) > 5 and sum(reductions) > 100
+        assert max(learnt_binaries) > 0, "the searches learnt no binary clause"
 
 
 class TestAddCnf:
-    def test_start_loads_only_new_clauses(self):
+    def test_load_clear_append_load(self):
+        # The owners' pattern: load, clear the buffer, append, load again.
         cnf = Cnf()
         a, b = cnf.new_vars(2)
         cnf.add_clause([a, b])
         solver = Solver()
-        watermark = solver.add_cnf(cnf)
-        assert watermark == 1
+        solver.add_cnf(cnf)
+        cnf.clauses.clear()
         cnf.add_clause([-a])
         assert solver.solve() is SolveStatus.SAT
-        watermark = solver.add_cnf(cnf, watermark)
-        assert watermark == 2
+        solver.add_cnf(cnf)
+        cnf.clauses.clear()
         assert solver.solve() is SolveStatus.SAT
         assert solver.model_value(b) is True
-        cnf.add_clause([-b])
-        assert solver.add_cnf(cnf, watermark) == 3
+        c = cnf.new_var()  # numbering continues after a clear
+        assert c == 3
+        cnf.add_clause([-b, c])
+        cnf.add_clause([-c])
+        solver.add_cnf(cnf)
+        assert solver.num_vars == 3
         assert solver.solve() is SolveStatus.UNSAT
+
+    def test_leaves_its_argument_untouched(self):
+        rng = random.Random(4)
+        cnf = random_cnf(rng, 12, 40)
+        clauses = list(cnf.clauses)
+        num_vars = cnf.num_vars
+        solver = Solver()
+        solver.add_cnf(cnf)
+        assert cnf.clauses == clauses
+        assert cnf.num_vars == num_vars
+        if solver.solve() is SolveStatus.SAT:
+            check_model(cnf, solver)
+        else:
+            assert dpll_solve(cnf) is None
 
     def test_registers_every_variable(self):
         cnf = Cnf(5)
         solver = Solver()
-        assert solver.add_cnf(cnf) == 0
+        assert solver.add_cnf(cnf) is None
         assert solver.num_vars == 5
