@@ -5,29 +5,17 @@ committed baseline (``benchmarks/BENCH_simulate.json``) and exits
 non-zero when any tracked speedup ratio regresses by more than the
 tolerance (default 30%).
 
-Only *ratios* are compared — a speedup divides two timings taken on the
-same machine in the same process, so absolute machine speed cancels and
-the gate transfers between the committed baseline's machine and a CI
-runner. That cancellation only holds when numerator and denominator run
-the *same algorithm* on the *same resources*: cross-algorithm ratios
-(``fall_vs_sat_speedup``) and cross-parallelism ratios
-(``portfolio_parallel_speedup``, which scales with the host's core
-count) are reported as informational and never failed. Ratios present
-in the baseline but absent from the fresh report are skipped and
-listed, never failed.
+Only *ratios* are compared — a speedup divides two timings of the same
+workload taken on the same machine in the same process, so absolute
+machine speed cancels and the gate transfers between the committed
+baseline's machine and a CI runner. Ratios present in the
+baseline but absent from the fresh report are skipped and listed, never
+failed.
 
-Usage (CI runs exactly this, once per benchmark report)::
+Usage (CI runs exactly this)::
 
     PYTHONPATH=src python benchmarks/bench_simulate.py --output fresh.json
     python benchmarks/bench_compare.py benchmarks/BENCH_simulate.json fresh.json
-    PYTHONPATH=src python benchmarks/bench_attacks.py --output fresh_attacks.json
-    python benchmarks/bench_compare.py benchmarks/BENCH_attacks.json fresh_attacks.json
-
-Any report whose suites carry ``*speedup`` keys participates; the
-attack-throughput suite (``bench_attacks.py``) gates its
-``engine_overhead_speedup`` (same workload, same core — the unified
-engine must stay out of the hot path) while its cross-algorithm and
-parallelism-dependent ratios are informational.
 """
 
 from __future__ import annotations
@@ -38,17 +26,6 @@ import sys
 from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.30
-
-# Ratios whose numerator and denominator run different algorithms (FALL
-# vs the SAT attack) or different degrees of parallelism (single process
-# vs the racing portfolio): machine speed / core count does not cancel,
-# so they are reported but never gate the build.
-INFORMATIONAL_RATIOS = frozenset(
-    {
-        "fall_vs_sat_speedup",
-        "portfolio_parallel_speedup",
-    }
-)
 
 
 def tracked_ratios(report: dict) -> dict[tuple[str, str], float]:
@@ -78,9 +55,7 @@ def compare(
             lines.append(f"  {label:45s} {base_value:10.2f}x ->    (absent)")
             continue
         floor = base_value * (1.0 - tolerance)
-        if key in INFORMATIONAL_RATIOS:
-            status = "informational (machine-dependent, not gated)"
-        elif fresh_value < floor:
+        if fresh_value < floor:
             status = f"REGRESSION (floor {floor:.2f}x)"
             regressions.append(
                 f"{label}: {base_value:.2f}x -> {fresh_value:.2f}x "

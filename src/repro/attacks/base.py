@@ -63,9 +63,6 @@ class AttackConfig:
     jobs: int | str | None = None
     candidates: tuple[tuple[int, ...], ...] | None = None
     checkpoint_path: str | None = None
-    # 0 = adaptive (time-throttled) flushing; N > 0 = flush every N
-    # recorded queries. See repro.attacks.checkpoint.CheckpointOracle.
-    checkpoint_every: int = 0
     options: Mapping[str, Any] = field(default_factory=dict)
     telemetry: "TelemetryRecorder | None" = None
     budget: Budget | None = None

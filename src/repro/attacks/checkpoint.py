@@ -43,11 +43,11 @@ from repro.errors import AttackError
 
 CHECKPOINT_SCHEMA = 1
 
-#: Minimum seconds between adaptive flushes (``every=0``). The full
-#: transcript is rewritten on each flush, so per-query flushing would
-#: make a 2^k-query attack quadratic in file I/O; throttling bounds the
-#: loss on a hard crash to the last interval's queries — which a resume
-#: simply re-issues live (the replayed prefix stays bit-exact).
+#: Minimum seconds between transcript flushes. The full transcript is
+#: rewritten on each flush, so per-query flushing would make a
+#: 2^k-query attack quadratic in file I/O; throttling bounds the loss on
+#: a hard crash to the last interval's queries — which a resume simply
+#: re-issues live (the replayed prefix stays bit-exact).
 ADAPTIVE_FLUSH_SECONDS = 0.5
 
 
@@ -171,29 +171,20 @@ class CheckpointOracle:
     oracle after resume.
     """
 
-    def __init__(
-        self,
-        oracle: IOOracle,
-        checkpoint: Checkpoint,
-        path: str,
-        every: int = 0,
-    ):
-        """``every`` > 0 flushes after that many recorded queries;
-        ``every=0`` (the default) flushes adaptively, at most once per
+    def __init__(self, oracle: IOOracle, checkpoint: Checkpoint, path: str):
+        """Recorded queries are flushed at most once per
         :data:`ADAPTIVE_FLUSH_SECONDS` — the engine always flushes on
         interruption and finalization, so only a hard crash can lose
         the last interval, and resume re-queries that tail live."""
         self._oracle = oracle
         self._checkpoint = checkpoint
         self._path = path
-        self._every = max(0, int(every))
         self._last_flush = time.monotonic()
         self._replay_pos = 0
         # Only the transcript as it stood at resume time is replayable;
         # queries recorded *during* this run are appended behind the
         # boundary and never served back.
         self._replay_limit = len(checkpoint.queries)
-        self._unsynced = 0
         self.query_count = 0
         self.live_queries = 0
         self.replayed_queries = 0
@@ -228,18 +219,11 @@ class CheckpointOracle:
         self._checkpoint.queries.append(
             {"i": pattern, "o": {k: int(v) for k, v in outputs.items()}}
         )
-        self._unsynced += 1
-        if self._every > 0:
-            if self._unsynced >= self._every:
-                self.flush()
-        elif (
-            time.monotonic() - self._last_flush >= ADAPTIVE_FLUSH_SECONDS
-        ):
+        if time.monotonic() - self._last_flush >= ADAPTIVE_FLUSH_SECONDS:
             self.flush()
 
     def flush(self) -> None:
         save_checkpoint(self._path, self._checkpoint)
-        self._unsynced = 0
         self._last_flush = time.monotonic()
 
     def finalize(self, result) -> None:

@@ -119,10 +119,7 @@ def run_attack(
             ] = True
             return finished
         checkpoint_oracle = CheckpointOracle(
-            oracle,
-            checkpoint,
-            config.checkpoint_path,
-            every=config.checkpoint_every,
+            oracle, checkpoint, config.checkpoint_path
         )
         run_oracle = checkpoint_oracle
         telemetry.event(
@@ -250,7 +247,6 @@ def run_portfolio(
     locked: Circuit,
     oracle: IOOracle | None = None,
     config: AttackConfig | None = None,
-    jobs: int | str | None = None,
 ) -> AttackResult:
     """Race several registered attacks; first conclusive result wins.
 
@@ -262,10 +258,10 @@ def run_portfolio(
     requested order) is returned so callers always get the best
     available outcome.
 
-    ``jobs`` (argument, then ``config.jobs``; ``None`` = every usable
-    core) sets the number of pool workers. With one worker the attacks run
-    sequentially in the requested order and the race stops at the first
-    conclusive result — the fully deterministic mode; with more workers
+    ``config.jobs`` (``None`` = every usable core) sets the number of
+    pool workers. With one worker the attacks run sequentially in the
+    requested order and the race stops at the first conclusive result —
+    the fully deterministic mode; with more workers
     the same winner is reported whenever the racers' own outcomes are
     deterministic, because winner selection prefers requested order
     over completion order.
@@ -285,8 +281,7 @@ def run_portfolio(
             "checkpointing a portfolio is not supported; checkpoint "
             "individual attacks instead"
         )
-    workers = min(resolve_jobs(jobs if jobs is not None else config.jobs),
-                  len(names))
+    workers = min(resolve_jobs(config.jobs), len(names))
     results = None
     if workers > 1 and pool_allowed():
         try:

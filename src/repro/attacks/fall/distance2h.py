@@ -25,7 +25,6 @@ def distance_2h(
     cone: Circuit,
     h: int,
     budget: Budget | None = None,
-    cardinality_method: str = "seq",
 ) -> dict[str, int] | None:
     """Recover the protected cube with two HD-2h SAT queries.
 
@@ -53,7 +52,6 @@ def distance_2h(
         [a_vars[n] for n in inputs],
         [b_vars[n] for n in inputs],
         2 * h,
-        method=cardinality_method,
     )
     solver = Solver()
     solver.add_cnf(cnf)

@@ -74,7 +74,6 @@ def fall_attack(
     oracle: IOOracle | None = None,
     budget: Budget | None = None,
     max_candidates: int | None = None,
-    cardinality_method: str = "seq",
     use_prefilter: bool = True,
     analyses: tuple[str, ...] | None = None,
     telemetry: TelemetryRecorder | None = None,
@@ -198,12 +197,7 @@ def fall_attack(
                 report.prefilter_rejections += 1
                 continue
             cube = _analyze_candidate(
-                variant,
-                h,
-                candidate_budget,
-                cardinality_method,
-                report,
-                analyses=analyses,
+                variant, h, candidate_budget, report, analyses=analyses
             )
             if cube is None:
                 continue
@@ -285,7 +279,6 @@ def _analyze_candidate(
     cone: Circuit,
     h: int,
     budget: Budget,
-    cardinality_method: str,
     report: FallReport,
     analyses: tuple[str, ...] | None = None,
 ) -> dict[str, int] | None:
@@ -312,16 +305,12 @@ def _analyze_candidate(
             if 4 * h > m:
                 continue
             report.analyses_attempted += 1
-            cube = distance_2h(
-                cone, h, budget=budget, cardinality_method=cardinality_method
-            )
+            cube = distance_2h(cone, h, budget=budget)
         elif name == "sliding_window":
             if 2 * h >= m and h > 0:
                 continue
             report.analyses_attempted += 1
-            cube = sliding_window(
-                cone, h, budget=budget, cardinality_method=cardinality_method
-            )
+            cube = sliding_window(cone, h, budget=budget)
         else:
             raise AttackError(
                 f"unknown analysis {name!r}; choose from {ANALYSIS_NAMES}"

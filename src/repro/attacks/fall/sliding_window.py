@@ -27,7 +27,6 @@ def sliding_window(
     cone: Circuit,
     h: int,
     budget: Budget | None = None,
-    cardinality_method: str = "seq",
 ) -> dict[str, int] | None:
     """Recover the protected cube from an SFLL-HDh candidate node.
 
@@ -55,7 +54,6 @@ def sliding_window(
         [a_vars[n] for n in inputs],
         [b_vars[n] for n in inputs],
         2 * h,
-        method=cardinality_method,
     )
     solver = Solver()
     solver.add_cnf(cnf)

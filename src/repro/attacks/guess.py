@@ -107,9 +107,7 @@ def guess_keys(
         cone = extract_cone(locked, node)
         for variant in _polarities(cone):
             report.nodes_examined += 1
-            cube = _analyze_candidate(
-                variant, h, budget.sub(10.0), "seq", scratch
-            )
+            cube = _analyze_candidate(variant, h, budget.sub(10.0), scratch)
             if cube is None:
                 continue
             key = _cube_to_key(cube, report.pairing, key_names)

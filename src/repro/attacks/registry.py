@@ -86,7 +86,6 @@ class FallAttackFamily(Attack):
             oracle=oracle,
             budget=config.make_budget(),
             max_candidates=config.option("max_candidates"),
-            cardinality_method=config.option("cardinality_method", "seq"),
             use_prefilter=config.option("use_prefilter", True),
             analyses=_tuple_or_none(config.option("analyses")),
             telemetry=config.telemetry,

@@ -22,7 +22,7 @@ identical modulo wall-clock timing fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.attacks.base import AttackConfig
@@ -190,26 +190,13 @@ class SuiteTask:
     attack: str = "fall"
     with_oracle: bool | None = False
     lock_seed: int = 0
-    seed: int = 0
-    analyses: tuple[str, ...] | None = None
-    attack_label: str | None = None
-    options: tuple[tuple[str, Any], ...] = field(default=())
 
 
 def run_suite_task(task: SuiteTask) -> RunRecord:
     """Build one benchmark cell and run its attack (worker entry)."""
     benchmark = build_benchmark(task.profile, task.h_label, task.lock_seed)
-    options = dict(task.options)
-    if task.analyses is not None:
-        options["analyses"] = task.analyses
     return run_benchmark_attack(
-        benchmark,
-        task.attack,
-        task.time_limit,
-        with_oracle=task.with_oracle,
-        seed=task.seed,
-        options=options,
-        attack_label=task.attack_label,
+        benchmark, task.attack, task.time_limit, with_oracle=task.with_oracle
     )
 
 

@@ -43,31 +43,20 @@ class SummaryStats:
         return self.unique_key / self.defeated if self.defeated else 0.0
 
 
-def run_summary(
-    scale: Scale,
-    jobs: int | str | None = None,
-    attack: str = "fall",
-) -> SummaryStats:
-    """Sweep the grid and fold the records into headline statistics.
+def run_summary(scale: Scale, jobs: int | str | None = None) -> SummaryStats:
+    """Sweep the grid with oracle-less FALL and fold the records into
+    headline statistics.
 
-    ``attack`` names any registry entry (the registry-driven suite has
-    no hardcoded attack wrappers), defaulting to the paper's oracle-less
-    FALL sweep. ``jobs`` spreads the (circuit × h) cells across worker
-    processes (``None`` = every usable core); every cell is seeded
-    independently and the records are merged in grid order, so the
-    summary is identical for every
-    worker count — up to wall-clock effects: timing fields always vary,
-    and a cell running close to its time limit can cross it under heavy
-    oversubscription. Keep ``jobs`` at or below the core count when
-    timeout classifications matter.
+    ``jobs`` spreads the (circuit × h) cells across worker processes
+    (``None`` = every usable core); every cell is seeded independently
+    and the records are merged in grid order, so the summary is
+    identical for every worker count — up to wall-clock effects: timing
+    fields always vary, and a cell running close to its time limit can
+    cross it under heavy oversubscription. Keep ``jobs`` at or below the
+    core count when timeout classifications matter.
     """
     tasks = [
-        SuiteTask(
-            profile=profile,
-            h_label=label,
-            time_limit=scale.time_limit,
-            attack=attack,
-        )
+        SuiteTask(profile=profile, h_label=label, time_limit=scale.time_limit)
         for profile in scale.profiles()
         for label in H_LABELS
     ]

@@ -13,7 +13,6 @@ from repro.sat.cardinality import (
     encode_at_most,
     encode_at_least,
     encode_exactly,
-    CARDINALITY_METHODS,
 )
 from repro.sat.encodings import (
     encode_and,
@@ -32,7 +31,6 @@ __all__ = [
     "encode_at_most",
     "encode_at_least",
     "encode_exactly",
-    "CARDINALITY_METHODS",
     "encode_and",
     "encode_or",
     "encode_xor",

@@ -116,7 +116,6 @@ def encode_hamming_distance_equals(
     xs: Sequence[int],
     ys: Sequence[int],
     distance: int,
-    method: str = "seq",
 ) -> list[int]:
     """Constrain ``HD(xs, ys) == distance``; return the difference bits.
 
@@ -129,5 +128,5 @@ def encode_hamming_distance_equals(
             f"Hamming distance {distance} impossible for width {len(xs)}"
         )
     diffs = encode_difference_bits(cnf, xs, ys)
-    encode_exactly(cnf, diffs, distance, method=method)
+    encode_exactly(cnf, diffs, distance)
     return diffs

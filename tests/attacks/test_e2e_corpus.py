@@ -14,7 +14,9 @@ drift.
 The budgets encode the paper's qualitative story too: FALL defeats
 TTLock/SFLL-HD oracle-less (0 queries), the SAT attack needs ~2^k
 oracle queries against the point-function schemes (SARLock, Anti-SAT),
-and AppSAT escapes them early with an approximately-correct key.
+and AppSAT escapes them early with an approximately-correct key. The
+SPS removal attack is judged by CEC on its reconstructed netlist, and
+a capped Double DIP run pins its iteration accounting.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pytest
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack
 from repro.attacks.oracle import IOOracle
-from repro.attacks.results import AttackStatus
+from repro.attacks.results import AttackStatus, circuit_from_details
 from repro.circuit.compiled import compile_circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
@@ -92,6 +94,19 @@ CORPUS = (
 )
 
 _CELL_IDS = [cell.label for cell in CORPUS]
+_CELLS = {cell.label: cell for cell in CORPUS}
+
+# SPS: whether CEC proves the reconstructed netlist equivalent to the
+# original (None: SPS finds no skewed node and reconstructs nothing).
+# SPS removes SARLock's flip signal, but on TTLock and SFLL-HD1 the
+# node it forces is not the flip signal, so the reconstruction is wrong
+# although SPS reports SUCCESS ("breaks Anti-SAT but not SFLL-HDh").
+SPS_EQUIVALENT = (
+    ("paper/ttlock", None),
+    ("rand14/ttlock", False),
+    ("rand14/sfll_hd1", False),
+    ("rand10/sarlock", True),
+)
 
 
 @lru_cache(maxsize=None)
@@ -209,3 +224,40 @@ class TestAppSatBaseline:
             assert error <= cell.appsat_max_error, (
                 f"{cell.label}: approximate key error rate {error:.4f}"
             )
+
+
+@pytest.mark.parametrize(
+    "label,equivalent", SPS_EQUIVALENT, ids=[c[0] for c in SPS_EQUIVALENT]
+)
+class TestSpsRemoval:
+    def test_reconstruction_checked_by_cec(self, label, equivalent):
+        cell = _CELLS[label]
+        result = _engine_run(cell, "sps")
+        assert result.oracle_queries == 0, label
+        reconstructed = result.details.get("reconstructed")
+        if equivalent is None:
+            assert result.status is AttackStatus.FAILED, label
+            assert reconstructed is None, label
+            return
+        verdict = check_equivalence(
+            _original(cell.circuit), circuit_from_details(reconstructed)
+        )
+        if equivalent:
+            assert result.status is AttackStatus.SUCCESS, label
+            assert verdict.proved, label
+        else:
+            # SPS's own status is not pinned here: it claims SUCCESS.
+            assert verdict.refuted, label
+
+
+class TestDoubleDipCap:
+    def test_capped_run_times_out_after_one_query_per_iteration(self):
+        # Double DIP needs 172 distinguishing inputs on this cell; a cap
+        # of 40 iterations must stop it with exactly 40 oracle queries.
+        result = _engine_run(
+            _CELLS["rand14/sfll_hd1"], "double-dip", max_iterations=40
+        )
+        assert result.status is AttackStatus.TIMEOUT
+        assert result.iterations == 40
+        assert result.oracle_queries == 40
+        assert result.key is None

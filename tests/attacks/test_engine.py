@@ -190,7 +190,7 @@ class TestPortfolio:
         original, locked = _benchmark("ttlock")
         result = run_portfolio(
             ["fall", "sat", "appsat"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=1,
+            AttackConfig(time_limit=_TIME_LIMIT, jobs=1),
         )
         assert result.status is AttackStatus.SUCCESS
         portfolio = result.details["portfolio"]
@@ -206,7 +206,7 @@ class TestPortfolio:
         results = [
             run_portfolio(
                 ["fall", "appsat"], locked.circuit, IOOracle(original),
-                AttackConfig(time_limit=_TIME_LIMIT), jobs=2,
+                AttackConfig(time_limit=_TIME_LIMIT, jobs=2),
             )
             for _ in range(2)
         ]
@@ -223,7 +223,7 @@ class TestPortfolio:
         original, locked = _benchmark("sarlock")
         result = run_portfolio(
             ["sat", "appsat"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=2,
+            AttackConfig(time_limit=_TIME_LIMIT, jobs=2),
         )
         assert result.details["portfolio"]["winner"] == "appsat"
         sat_entry = result.details["portfolio"]["attacks"]["sat"]
@@ -242,7 +242,7 @@ class TestPortfolio:
         def race(jobs):
             return run_portfolio(
                 ["fall", "appsat"], locked.circuit, IOOracle(original),
-                AttackConfig(time_limit=_TIME_LIMIT), jobs=jobs,
+                AttackConfig(time_limit=_TIME_LIMIT, jobs=jobs),
             )
 
         expected = race(1)
@@ -273,7 +273,7 @@ class TestPortfolio:
         # portfolio should return a FAILED result rather than raising.
         result = run_portfolio(
             ["fall", "sps"], locked.circuit, IOOracle(original),
-            AttackConfig(time_limit=_TIME_LIMIT), jobs=1,
+            AttackConfig(time_limit=_TIME_LIMIT, jobs=1),
         )
         assert result.status is AttackStatus.FAILED
         assert result.details["portfolio"]["conclusive"] is False

@@ -42,6 +42,14 @@ class TestPaperExample:
         assert result.status is AttackStatus.SUCCESS
         assert result.key == PAPER_CUBE
 
+    def test_unoptimized_sfll_netlists_also_fall(self):
+        locked = lock_sfll_hd(
+            paper_example_circuit(), h=1, cube=PAPER_CUBE, optimize_netlist=False
+        )
+        result = fall_attack(locked.circuit, h=1)
+        assert result.status is AttackStatus.SUCCESS
+        assert result.key == PAPER_CUBE
+
     @pytest.mark.parametrize("cube", [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)])
     def test_other_cubes(self, cube):
         locked = lock_ttlock(paper_example_circuit(), cube=cube)

@@ -1,8 +1,10 @@
-"""Tests for cardinality encodings (all three methods, cross-checked)."""
+"""Tests for the sequential-counter cardinality encodings.
+
+Every model count is checked against the binomial reference ``math.comb``.
+"""
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.errors import EncodingError
 from repro.sat.cardinality import (
-    CARDINALITY_METHODS,
     encode_at_least,
     encode_at_most,
     encode_exactly,
@@ -34,109 +35,98 @@ def _count_projected_models(cnf: Cnf, input_vars: list[int]) -> int:
     return count
 
 
-@pytest.mark.parametrize("method", CARDINALITY_METHODS)
 class TestExactly:
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (3, 0), (3, 2), (4, 2), (5, 3), (6, 1)])
-    def test_model_count_is_binomial(self, method, n, k):
+    def test_model_count_is_binomial(self, n, k):
         cnf = Cnf()
         xs = cnf.new_vars(n)
-        encode_exactly(cnf, xs, k, method=method)
+        encode_exactly(cnf, xs, k)
         assert _count_projected_models(cnf, xs) == comb(n, k)
 
-    def test_exact_zero_forces_all_false(self, method):
+    def test_exact_zero_forces_all_false(self):
         cnf = Cnf()
         xs = cnf.new_vars(4)
-        encode_exactly(cnf, xs, 0, method=method)
+        encode_exactly(cnf, xs, 0)
         solver = Solver()
         solver.add_cnf(cnf)
         assert solver.solve() is SolveStatus.SAT
         assert not any(solver.model_value(x) for x in xs)
 
-    def test_exact_n_forces_all_true(self, method):
+    def test_exact_n_forces_all_true(self):
         cnf = Cnf()
         xs = cnf.new_vars(4)
-        encode_exactly(cnf, xs, 4, method=method)
+        encode_exactly(cnf, xs, 4)
         solver = Solver()
         solver.add_cnf(cnf)
         assert solver.solve() is SolveStatus.SAT
         assert all(solver.model_value(x) for x in xs)
 
-    def test_negated_literals_supported(self, method):
+    def test_negated_literals_supported(self):
         cnf = Cnf()
         xs = cnf.new_vars(3)
-        encode_exactly(cnf, [-x for x in xs], 2, method=method)
+        encode_exactly(cnf, [-x for x in xs], 2)
         # exactly two of the vars FALSE <=> exactly one TRUE
         assert _count_projected_models(cnf, xs) == comb(3, 1)
 
-    def test_out_of_range_bound_rejected(self, method):
+    def test_out_of_range_bound_rejected(self):
         cnf = Cnf()
         xs = cnf.new_vars(3)
         with pytest.raises(EncodingError):
-            encode_exactly(cnf, xs, 4, method=method)
+            encode_exactly(cnf, xs, 4)
         with pytest.raises(EncodingError):
-            encode_exactly(cnf, xs, -1, method=method)
+            encode_exactly(cnf, xs, -1)
 
 
-@pytest.mark.parametrize("method", CARDINALITY_METHODS)
 class TestAtMost:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 0), (5, 4)])
-    def test_model_count(self, method, n, k):
+    def test_model_count(self, n, k):
         cnf = Cnf()
         xs = cnf.new_vars(n)
-        encode_at_most(cnf, xs, k, method=method)
+        encode_at_most(cnf, xs, k)
         expected = sum(comb(n, i) for i in range(k + 1))
         assert _count_projected_models(cnf, xs) == expected
 
-    def test_trivial_bound_adds_nothing(self, method):
+    def test_trivial_bound_adds_nothing(self):
         cnf = Cnf()
         xs = cnf.new_vars(3)
-        encode_at_most(cnf, xs, 3, method=method)
+        encode_at_most(cnf, xs, 3)
         assert _count_projected_models(cnf, xs) == 8
 
-    def test_violating_assignment_unsat(self, method):
+    def test_violating_assignment_unsat(self):
         cnf = Cnf()
         xs = cnf.new_vars(4)
-        encode_at_most(cnf, xs, 2, method=method)
+        encode_at_most(cnf, xs, 2)
         solver = Solver()
         solver.add_cnf(cnf)
         assert solver.solve(assumptions=xs[:3]) is SolveStatus.UNSAT
 
-    def test_negative_bound_rejected(self, method):
+    def test_negative_bound_rejected(self):
         cnf = Cnf()
         xs = cnf.new_vars(2)
         with pytest.raises(EncodingError):
-            encode_at_most(cnf, xs, -1, method=method)
+            encode_at_most(cnf, xs, -1)
 
 
-@pytest.mark.parametrize("method", CARDINALITY_METHODS)
 class TestAtLeast:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 3), (5, 5)])
-    def test_model_count(self, method, n, k):
+    def test_model_count(self, n, k):
         cnf = Cnf()
         xs = cnf.new_vars(n)
-        encode_at_least(cnf, xs, k, method=method)
+        encode_at_least(cnf, xs, k)
         expected = sum(comb(n, i) for i in range(k, n + 1))
         assert _count_projected_models(cnf, xs) == expected
 
-    def test_zero_bound_adds_nothing(self, method):
+    def test_zero_bound_adds_nothing(self):
         cnf = Cnf()
         xs = cnf.new_vars(3)
-        encode_at_least(cnf, xs, 0, method=method)
+        encode_at_least(cnf, xs, 0)
         assert cnf.num_clauses == 0
 
-    def test_impossible_bound_rejected(self, method):
+    def test_impossible_bound_rejected(self):
         cnf = Cnf()
         xs = cnf.new_vars(2)
         with pytest.raises(EncodingError):
-            encode_at_least(cnf, xs, 3, method=method)
-
-
-class TestUnknownMethod:
-    def test_rejected(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(2)
-        with pytest.raises(EncodingError):
-            encode_exactly(cnf, xs, 1, method="magic")
+            encode_at_least(cnf, xs, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,23 +134,18 @@ class TestUnknownMethod:
     n=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_methods_agree(n, data):
-    """All three encodings accept exactly the same input-variable models."""
+def test_exactly_matches_binomial(n, data):
+    """Exactly-k accepts C(n, k) input-variable models for any n and k."""
     k = data.draw(st.integers(min_value=0, max_value=n))
-    counts = set()
-    for method in CARDINALITY_METHODS:
-        cnf = Cnf()
-        xs = cnf.new_vars(n)
-        encode_exactly(cnf, xs, k, method=method)
-        counts.add(_count_projected_models(cnf, xs))
-    assert len(counts) == 1
-    assert counts.pop() == comb(n, k)
+    cnf = Cnf()
+    xs = cnf.new_vars(n)
+    encode_exactly(cnf, xs, k)
+    assert _count_projected_models(cnf, xs) == comb(n, k)
 
 
 def test_large_sequential_counter_is_compact():
-    """seq encoding should stay near O(n*k) clauses, unlike pairwise."""
+    """The encoding stays near O(n*k) clauses, far below the binomial one."""
     cnf = Cnf()
     xs = cnf.new_vars(40)
-    encode_at_most(cnf, xs, 5, method="seq")
-    pairwise_size = len(list(combinations(range(40), 6)))
-    assert cnf.num_clauses < pairwise_size / 100
+    encode_at_most(cnf, xs, 5)
+    assert cnf.num_clauses < comb(40, 6) / 100
