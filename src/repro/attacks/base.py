@@ -8,7 +8,7 @@ the shared vocabulary that makes the attack layer uniform:
 
 - :class:`AttackConfig` — one declarative configuration replacing the
   divergent per-attack keyword plumbing (budget, seed, jobs, iteration
-  caps, checkpointing, telemetry sink, per-family options);
+  caps, checkpointing, telemetry sink, FALL's analysis selection);
 - :class:`TelemetryRecorder` — a streaming lifecycle-event sink (stage
   start/finish, iterations, oracle-query counters) whose snapshot is
   recorded into ``AttackResult.details['telemetry']`` under one schema;
@@ -24,9 +24,7 @@ bookkeeping, checkpoint/resume and portfolio racing.
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult
@@ -49,11 +47,10 @@ class AttackConfig:
     unlimited), mirroring the paper's 1000 s per-run limit. ``budget``
     overrides it with an externally constructed :class:`Budget` — the
     portfolio engine uses this to inject cooperatively cancellable
-    budgets. ``options`` carries family-specific knobs (e.g. AppSAT's
-    ``settle_rounds``, SPS's ``patterns``, FALL's ``analyses``) without
-    re-growing per-attack signatures; each family reads the keys it
-    knows and ignores the rest, so one config can drive a whole
-    portfolio.
+    budgets. ``analyses`` restricts FALL to the named functional
+    analyses (the Figure 5 harness times each one separately); every
+    other family ignores it. Each family's remaining tuning is a module
+    constant beside its code, so one config can drive a whole portfolio.
     """
 
     h: int = 0
@@ -63,7 +60,7 @@ class AttackConfig:
     jobs: int | str | None = None
     candidates: tuple[tuple[int, ...], ...] | None = None
     checkpoint_path: str | None = None
-    options: Mapping[str, Any] = field(default_factory=dict)
+    analyses: tuple[str, ...] | None = None
     telemetry: "TelemetryRecorder | None" = None
     budget: Budget | None = None
 
@@ -73,15 +70,14 @@ class AttackConfig:
             return self.budget
         return Budget(self.time_limit)
 
-    def option(self, key: str, default: Any = None) -> Any:
-        return self.options.get(key, default)
-
     def determinism_key(self) -> dict:
         """The config fields a checkpoint must match to resume bit-exactly.
 
         Time and iteration caps are deliberately excluded: they only
         decide *where* a deterministic run stops, not which oracle
         queries it issues, so a resumed run may raise them freely.
+        ``analyses`` is excluded because no checkpointable family reads
+        it.
         """
         return {
             "h": self.h,
@@ -89,22 +85,11 @@ class AttackConfig:
             "candidates": [list(c) for c in self.candidates]
             if self.candidates is not None
             else None,
-            "options": _canonical_options(self.options),
         }
 
     def stripped_for_worker(self) -> "AttackConfig":
         """A picklable copy for process shipping (no live sink/budget)."""
         return replace(self, telemetry=None, budget=None)
-
-
-def _canonical_options(options: Mapping[str, Any]) -> dict:
-    out = {}
-    for key in sorted(options):
-        value = options[key]
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
 
 
 class TelemetryRecorder:

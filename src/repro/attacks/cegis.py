@@ -15,7 +15,7 @@ the key. The families differ in the miter and between iterations:
   rules out two wrong keys and SARLock ends with a key that errs on at
   most one pattern;
 - AppSAT [Shamsi et al., HOST 2017]: the SAT miter plus a random-query
-  validation round every ``settle_rounds`` iterations that accepts an
+  validation round every ``SETTLE_ROUNDS`` iterations that accepts an
   approximately correct key (``details['approximate']``) and feeds the
   sampled disagreements back as I/O constraints.
 
@@ -42,6 +42,13 @@ from repro.sat.encodings import encode_difference_bits
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.timer import Budget, Stopwatch
+
+#: AppSAT validates its candidate key every ``SETTLE_ROUNDS`` iterations
+#: on ``QUERIES_PER_ROUND`` random patterns and accepts it when the
+#: sampled error rate is at most ``ERROR_THRESHOLD``.
+SETTLE_ROUNDS = 4
+QUERIES_PER_ROUND = 64
+ERROR_THRESHOLD = 0.0
 
 
 def check_attack_inputs(locked: Circuit, oracle: IOOracle) -> None:
@@ -257,24 +264,16 @@ def appsat_attack(
     oracle: IOOracle,
     budget: Budget | None = None,
     max_iterations: int | None = None,
-    settle_rounds: int = 4,
-    queries_per_round: int = 64,
-    error_threshold: float = 0.0,
     seed: RngLike = 0,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run AppSAT.
 
-    Every ``settle_rounds`` SAT iterations, the current candidate key is
-    validated on ``queries_per_round`` random patterns; if its sampled
-    error rate is at most ``error_threshold`` for one full round, the
-    key is accepted as approximately correct.
+    Every :data:`SETTLE_ROUNDS` SAT iterations, the current candidate
+    key is validated on :data:`QUERIES_PER_ROUND` random patterns; if
+    its sampled error rate is at most :data:`ERROR_THRESHOLD` for one
+    full round, the key is accepted as approximately correct.
     """
-    if settle_rounds < 1 or queries_per_round < 1:
-        raise AttackError(
-            "settle_rounds and queries_per_round must be at least 1, got "
-            f"{settle_rounds} and {queries_per_round}"
-        )
     rng = make_rng(seed)
     run = _Cegis(
         "appsat", locked, oracle, copies=2, miter=_outputs_differ,
@@ -285,7 +284,7 @@ def appsat_attack(
     output_names = locked.outputs
 
     def validation_round(iteration: int) -> AttackResult | None:
-        if iteration % settle_rounds:
+        if iteration % SETTLE_ROUNDS:
             return None
         # Random sampling against the oracle. The whole round is two
         # packed simulations — one sliced oracle call and one
@@ -297,7 +296,7 @@ def appsat_attack(
         key_assignment = dict(zip(run.key_names, key))
         samples = [
             {name: rng.getrandbits(1) for name in input_names}
-            for _ in range(queries_per_round)
+            for _ in range(QUERIES_PER_ROUND)
         ]
         observed_by_name = dict(
             zip(oracle.output_names, oracle.query_sliced(samples))
@@ -313,7 +312,7 @@ def appsat_attack(
             "validation_round",
             stage="validate",
             iteration=iteration,
-            samples=queries_per_round,
+            samples=QUERIES_PER_ROUND,
             disagreements=errors,
         )
         for j, sample in enumerate(samples):
@@ -322,7 +321,7 @@ def appsat_attack(
                     sample,
                     {name: (observed_by_name[name] >> j) & 1 for name in output_names},
                 )
-        if errors / queries_per_round <= error_threshold:
+        if errors / QUERIES_PER_ROUND <= ERROR_THRESHOLD:
             return run.result(
                 AttackStatus.SUCCESS, key=key, iterations=iteration, approximate=True
             )

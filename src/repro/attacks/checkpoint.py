@@ -47,7 +47,9 @@ CHECKPOINT_SCHEMA = 1
 #: rewritten on each flush, so per-query flushing would make a
 #: 2^k-query attack quadratic in file I/O; throttling bounds the loss on
 #: a hard crash to the last interval's queries — which a resume simply
-#: re-issues live (the replayed prefix stays bit-exact).
+#: re-issues live (the replayed prefix stays bit-exact). An exception
+#: raised through the engine (``KeyboardInterrupt`` included) is not a
+#: hard crash: the engine flushes before it propagates.
 ADAPTIVE_FLUSH_SECONDS = 0.5
 
 
@@ -163,7 +165,7 @@ class CheckpointOracle:
     """An :class:`IOOracle` facade that records and replays transcripts.
 
     Implements the full oracle interface (``query``, ``query_batch``,
-    ``query_sliced``, ``query_bits``, names, ``query_count``) so attacks
+    ``query_sliced``, names, ``query_count``) so attacks
     cannot tell it from the real thing. ``query_count`` counts replayed
     answers too — the resumed run's ``oracle_queries`` metric therefore
     equals the uninterrupted run's, which is what makes the round trip
@@ -173,9 +175,11 @@ class CheckpointOracle:
 
     def __init__(self, oracle: IOOracle, checkpoint: Checkpoint, path: str):
         """Recorded queries are flushed at most once per
-        :data:`ADAPTIVE_FLUSH_SECONDS` — the engine always flushes on
-        interruption and finalization, so only a hard crash can lose
-        the last interval, and resume re-queries that tail live."""
+        :data:`ADAPTIVE_FLUSH_SECONDS`. The engine also flushes when the
+        attack returns a TIMEOUT or raises (``KeyboardInterrupt``
+        included) and when it finalizes a result, so only a hard crash
+        can lose the last interval, and resume re-queries that tail
+        live."""
         self._oracle = oracle
         self._checkpoint = checkpoint
         self._path = path
@@ -278,11 +282,3 @@ class CheckpointOracle:
                 if row[name]:
                     words[position] |= 1 << j
         return tuple(words)
-
-    def query_bits(self, bits: Sequence[int]) -> tuple[int, ...]:
-        if len(bits) != len(self.input_names):
-            raise AttackError(
-                f"expected {len(self.input_names)} input bits, got {len(bits)}"
-            )
-        outputs = self.query(dict(zip(self.input_names, bits)))
-        return tuple(outputs[name] for name in self.output_names)

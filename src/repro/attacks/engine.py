@@ -12,7 +12,8 @@ family functions it provides:
   (stage timings, iteration events, oracle-query / solver counters) is
   recorded into ``AttackResult.details['telemetry']`` under one schema;
 - **checkpoint/resume** — with ``config.checkpoint_path``, the oracle
-  transcript streams to JSON and a rerun resumes bit-exactly (see
+  transcript streams to JSON (flushed on timeout, on an exception from
+  the attack and on completion) and a rerun resumes bit-exactly (see
   :mod:`repro.attacks.checkpoint`);
 - **normalization** — results come back JSON-safe (``sanitized``),
   labelled with the registry name, and with ``key_names`` always
@@ -130,8 +131,15 @@ def run_attack(
         )
 
     run_config = replace(config, telemetry=telemetry)
-    with telemetry.stage("run", attack=attack.name):
-        result = attack.run(locked, run_oracle, run_config)
+    try:
+        with telemetry.stage("run", attack=attack.name):
+            result = attack.run(locked, run_oracle, run_config)
+    except BaseException:
+        # Interrupted (Ctrl-C included): keep the transcript so far, so
+        # a resume replays it instead of re-querying the oracle.
+        if checkpoint_oracle is not None:
+            checkpoint_oracle.flush()
+        raise
     telemetry.set_counter("oracle_queries", result.oracle_queries)
 
     if not result.key_names:

@@ -21,6 +21,9 @@ from repro.locking.comparators import add_cube_detector, add_hamming_distance_eq
 from repro.utils.rng import make_rng
 from repro.utils.timer import Budget
 
+#: Random patterns of the simulation tier that refutes most wrong cubes.
+_SIM_PATTERNS = 512
+
 
 def build_strip_reference(
     input_names: list[str], cube: Mapping[str, int], h: int
@@ -45,7 +48,6 @@ def confirm_cube(
     cube: Mapping[str, int],
     h: int,
     budget: Budget | None = None,
-    sim_patterns: int = 512,
 ) -> bool | None:
     """Is the candidate cone equivalent to ``strip_h(cube)``?
 
@@ -76,9 +78,9 @@ def confirm_cube(
     # compiled outputs-only programs (the cone's program is shared with
     # the prefilter sweeps that ran on the same cone object).
     rng = make_rng(1)
-    values = {name: rng.getrandbits(sim_patterns) for name in inputs}
-    (cone_out,) = sweep_outputs(cone, values, width=sim_patterns)
-    (ref_out,) = sweep_outputs(reference, values, width=sim_patterns)
+    values = {name: rng.getrandbits(_SIM_PATTERNS) for name in inputs}
+    (cone_out,) = sweep_outputs(cone, values, width=_SIM_PATTERNS)
+    (ref_out,) = sweep_outputs(reference, values, width=_SIM_PATTERNS)
     if cone_out != ref_out:
         return False
 

@@ -73,7 +73,6 @@ def fall_attack(
     h: int,
     oracle: IOOracle | None = None,
     budget: Budget | None = None,
-    max_candidates: int | None = None,
     use_prefilter: bool = True,
     analyses: tuple[str, ...] | None = None,
     telemetry: TelemetryRecorder | None = None,
@@ -123,7 +122,7 @@ def fall_attack(
     # Stage 2: support-set matching.
     stage.restart()
     report.candidate_nodes = candidate_strip_nodes(
-        locked, report.comparators, supports=supports, limit=max_candidates
+        locked, report.comparators, supports=supports
     )
     report.stage_seconds["support_match"] = stage.elapsed
     telemetry.stage_done(

@@ -26,13 +26,11 @@ def candidate_strip_nodes(
     locked: Circuit,
     comparators: Iterable[Comparator],
     supports: dict[str, frozenset[str]] | None = None,
-    limit: int | None = None,
 ) -> list[str]:
     """Cand: gates whose support equals Compx (no key inputs).
 
     Returned in topological order (stripper cones tend to sit deep, but
-    deterministic order matters more than heuristics here). ``limit``
-    optionally caps the list for time-budgeted runs.
+    deterministic order matters more than heuristics here).
     """
     compx = comparator_inputs(comparators)
     if not compx:
@@ -40,13 +38,10 @@ def candidate_strip_nodes(
     if supports is None:
         supports = support_table(locked)
     comparator_nodes = {comp.node for comp in comparators}
-    candidates = [
+    return [
         node
         for node in locked.topological_order()
         if locked.gate_type(node).is_gate
         and node not in comparator_nodes
         and supports[node] == compx
     ]
-    if limit is not None:
-        candidates = candidates[:limit]
-    return candidates

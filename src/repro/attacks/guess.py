@@ -36,6 +36,9 @@ from repro.utils.timer import Budget
 
 KeyVector = tuple[int, ...]
 
+#: Most guesses one run returns.
+MAX_GUESSES = 4
+
 
 @dataclass
 class GuessReport:
@@ -49,10 +52,9 @@ class GuessReport:
 def guess_keys(
     locked: Circuit,
     h: int,
-    max_guesses: int = 4,
     budget: Budget | None = None,
 ) -> GuessReport:
-    """Produce up to ``max_guesses`` unverified key guesses.
+    """Produce up to :data:`MAX_GUESSES` unverified key guesses.
 
     Unlike :func:`repro.attacks.fall.fall_attack`, recovered cubes are
     *not* confirmed by equivalence checking, so the output may contain
@@ -102,7 +104,7 @@ def guess_keys(
 
     scratch = FallReport()
     for node in sorted(candidates, key=rank):
-        if len(report.guesses) >= max_guesses or budget.expired:
+        if len(report.guesses) >= MAX_GUESSES or budget.expired:
             break
         cone = extract_cone(locked, node)
         for variant in _polarities(cone):

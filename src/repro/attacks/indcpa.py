@@ -26,6 +26,13 @@ from repro.locking.base import LockedCircuit
 from repro.locking.sfll import lock_sfll_hd
 from repro.utils.rng import RngLike, make_rng
 
+#: Rounds per game, and the (inputs, outputs, gates) of each round's
+#: fresh random circuits.
+GAME_ROUNDS = 8
+GAME_CIRCUIT_SIZE = (10, 3, 70)
+#: Advantage over guessing at which the adversary counts as winning.
+ADVANTAGE_THRESHOLD = 0.25
+
 
 @dataclass
 class GameRound:
@@ -106,19 +113,14 @@ def equivalence_adversary(
     return 0 if mismatches[0] <= mismatches[1] else 1
 
 
-def play_game(
-    rounds: int = 8,
-    h: int = 1,
-    seed: RngLike = 0,
-    circuit_size: tuple[int, int, int] = (10, 3, 70),
-) -> list[GameRound]:
-    """Play the full game with fresh random circuit pairs each round."""
+def play_game(h: int = 1, seed: RngLike = 0) -> list[GameRound]:
+    """Play :data:`GAME_ROUNDS` rounds with fresh random circuit pairs."""
     from repro.circuit.random_circuits import generate_random_circuit
 
     rng = make_rng(seed)
     transcript: list[GameRound] = []
-    num_inputs, num_outputs, num_gates = circuit_size
-    for round_index in range(rounds):
+    num_inputs, num_outputs, num_gates = GAME_CIRCUIT_SIZE
+    for round_index in range(GAME_ROUNDS):
         defender = Defender(h=h, seed=rng.getrandbits(30))
         circuit0 = generate_random_circuit(
             f"g{round_index}a", num_inputs, num_outputs, num_gates,

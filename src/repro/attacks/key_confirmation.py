@@ -20,10 +20,11 @@ what distinguishes the two UNSAT outcomes — impossible in the original
 single-solver SAT attack — and restricting the search to φ is what
 makes the attack cheap even on SAT-attack-resilient circuits.
 
-With φ = true the algorithm devolves into the standard SAT attack.
+With φ = true the algorithm devolves into the standard SAT attack,
+which :func:`repro.attacks.cegis.sat_attack` implements; this module
+always takes a shortlist.
 
-Implementation notes (how the measured Figure 6 behaviour is achieved;
-see EXPERIMENTS.md E6 for the full discussion):
+Implementation notes (how the measured Figure 6 behaviour is achieved):
 
 1. **Probe mining.** The informative input patterns — those in a
    candidate key's error shell — occupy an exponentially small corner
@@ -69,7 +70,10 @@ from repro.utils.timer import Budget, Stopwatch
 
 KeyVector = tuple[int, ...]
 
-_CERTIFY_CONFLICTS = 50_000
+#: Counterexamples mined per key pair before the loop (note 1).
+PROBE_ROUNDS = 4
+#: Conflict budget of each unrestricted certification solve (note 2).
+CERTIFY_CONFLICTS = 50_000
 _CERTIFY_MAX_DIS = 6
 
 
@@ -110,20 +114,14 @@ def encode_key_shortlist(
 def key_confirmation(
     locked: Circuit,
     oracle: IOOracle,
-    candidates: Sequence[KeyVector] | None,
+    candidates: Sequence[KeyVector],
     budget: Budget | None = None,
     max_iterations: int | None = None,
-    probe_rounds: int = 4,
-    certify_conflicts: int = _CERTIFY_CONFLICTS,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run Algorithm 4 (with probe mining and two-tier termination).
 
-    ``candidates`` is the shortlist defining φ; ``None`` means φ = true
-    (the degenerate SAT-attack mode: no probes, no tier-1, unbounded
-    certification). ``probe_rounds`` bounds the mined counterexamples
-    per key pair (0 disables mining — the textbook algorithm).
-    ``certify_conflicts`` bounds each unrestricted certification solve.
+    ``candidates`` is the shortlist defining φ.
 
     Returns SUCCESS with the confirmed key (``details['verification']``
     tells whether the Lemma 4 certificate was completed), FAILED when no
@@ -137,13 +135,11 @@ def key_confirmation(
     input_names = locked.circuit_inputs
     output_names = locked.outputs
     queries_before = oracle.query_count
-    has_phi = candidates is not None
 
     # P: candidate-key producer over its own variable space.
     p_cnf = Cnf()
     p_key_vars = {name: p_cnf.new_var() for name in key_names}
-    if has_phi:
-        encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
+    encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
     p_solver = Solver()
     p_solver.add_cnf(p_cnf)
     p_cnf.clauses.clear()
@@ -159,26 +155,23 @@ def key_confirmation(
         encode_difference_bits(q_cnf, enc1.lits(output_names), enc2.lits(output_names))
     )
     # Tier-1 guard: when assumed true, K2 must be a shortlist member.
-    phi2_guard = None
-    if has_phi:
-        phi2_guard = q_cnf.new_var()
-        encode_key_shortlist(
-            q_cnf, k2_vars, key_names, candidates, guard=phi2_guard
-        )
+    phi2_guard = q_cnf.new_var()
+    encode_key_shortlist(q_cnf, k2_vars, key_names, candidates, guard=phi2_guard)
     q_solver = Solver(random_phase=0.2)
     q_solver.add_cnf(q_cnf)
     q_cnf.clauses.clear()
 
     probes_used = 0
-    verification = "phi-relative" if has_phi else "exact"
 
-    def result(status: AttackStatus, key=None, iterations=0) -> AttackResult:
+    def result(
+        status: AttackStatus, key=None, iterations=0, verification="phi-relative"
+    ) -> AttackResult:
         return AttackResult(
             attack="key-confirmation",
             status=status,
             key=key,
             key_names=key_names,
-            candidates=tuple(tuple(c) for c in candidates or ()),
+            candidates=tuple(tuple(c) for c in candidates),
             elapsed_seconds=stopwatch.elapsed,
             oracle_queries=oracle.query_count - queries_before,
             iterations=iterations,
@@ -204,17 +197,12 @@ def key_confirmation(
     # Probe mining (module docstring note 1). Mining is independent of
     # the observations, so all probes are collected first and replayed
     # against the oracle as one batched wide simulation.
-    if has_phi and probe_rounds > 0:
-        with telemetry.stage("probe_mining"):
-            probes = list(
-                _mine_probes(
-                    locked, candidates, key_names, probe_rounds, budget
-                )
-            )
-            for pattern, observed in zip(probes, oracle.query_batch(probes)):
-                absorb_observation(pattern, observed)
-                probes_used += 1
-            telemetry.count("probes", probes_used)
+    with telemetry.stage("probe_mining"):
+        probes = list(_mine_probes(locked, candidates, key_names, budget))
+        for pattern, observed in zip(probes, oracle.query_batch(probes)):
+            absorb_observation(pattern, observed)
+            probes_used += 1
+        telemetry.count("probes", probes_used)
 
     iteration = 0
     certification_dis = 0
@@ -239,47 +227,45 @@ def key_confirmation(
         ]
 
         # Tier 1: distinguish the candidate from other φ members.
-        if has_phi:
-            q_status = q_solver.solve(
-                assumptions=k1_assumptions + [phi2_guard], budget=budget
+        q_status = q_solver.solve(
+            assumptions=k1_assumptions + [phi2_guard], budget=budget
+        )
+        if q_status is SolveStatus.UNKNOWN:
+            return result(AttackStatus.TIMEOUT, iterations=iteration)
+        if q_status is SolveStatus.SAT:
+            iteration += 1
+            distinguishing = {
+                name: int(q_solver.model_value(var))
+                for name, var in x_vars.items()
+            }
+            absorb_observation(distinguishing, oracle.query(distinguishing))
+            telemetry.iteration(
+                "tier1",
+                iteration,
+                oracle_queries=oracle.query_count - queries_before,
             )
-            if q_status is SolveStatus.UNKNOWN:
-                return result(AttackStatus.TIMEOUT, iterations=iteration)
-            if q_status is SolveStatus.SAT:
-                iteration += 1
-                distinguishing = {
-                    name: int(q_solver.model_value(var))
-                    for name, var in x_vars.items()
-                }
-                absorb_observation(distinguishing, oracle.query(distinguishing))
-                telemetry.iteration(
-                    "tier1",
-                    iteration,
-                    oracle_queries=oracle.query_count - queries_before,
-                )
-                continue
-            # UNSAT: no φ rival distinguishes itself from the candidate.
+            continue
+        # UNSAT: no φ rival distinguishes itself from the candidate.
 
         # Tier 2: attempt the unrestricted Lemma 4 certificate.
         q_status = q_solver.solve(
             assumptions=k1_assumptions,
             budget=budget,
-            conflict_limit=certify_conflicts if has_phi else None,
+            conflict_limit=CERTIFY_CONFLICTS,
         )
         if q_status is SolveStatus.UNSAT:
-            verification = "exact"
+            return result(
+                AttackStatus.SUCCESS,
+                key=candidate,
+                iterations=iteration,
+                verification="exact",
+            )
+        if q_status is SolveStatus.UNKNOWN:
+            # Bounded certification exhausted: the candidate is the
+            # unique φ member consistent with all observations.
             return result(
                 AttackStatus.SUCCESS, key=candidate, iterations=iteration
             )
-        if q_status is SolveStatus.UNKNOWN:
-            if has_phi:
-                # Bounded certification exhausted: the candidate is the
-                # unique φ member consistent with all observations.
-                verification = "phi-relative"
-                return result(
-                    AttackStatus.SUCCESS, key=candidate, iterations=iteration
-                )
-            return result(AttackStatus.TIMEOUT, iterations=iteration)
         # SAT: a global distinguishing input exists — query it (it may
         # even refute the candidate), but bound how long we chase the
         # exponential tail of point-corruption schemes.
@@ -293,31 +279,28 @@ def key_confirmation(
             iteration,
             oracle_queries=oracle.query_count - queries_before,
         )
-        if has_phi:
-            certification_dis += 1
-            if certification_dis >= _CERTIFY_MAX_DIS:
-                # Re-check the candidate is still alive in P, then accept.
-                p_status = p_solver.solve(budget=budget)
-                if p_status is SolveStatus.SAT:
-                    survivor = tuple(
-                        int(p_solver.model_value(p_key_vars[n]))
-                        for n in key_names
+        certification_dis += 1
+        if certification_dis >= _CERTIFY_MAX_DIS:
+            # Re-check the candidate is still alive in P, then accept.
+            p_status = p_solver.solve(budget=budget)
+            if p_status is SolveStatus.SAT:
+                survivor = tuple(
+                    int(p_solver.model_value(p_key_vars[n]))
+                    for n in key_names
+                )
+                if survivor == candidate:
+                    return result(
+                        AttackStatus.SUCCESS,
+                        key=candidate,
+                        iterations=iteration,
                     )
-                    if survivor == candidate:
-                        verification = "phi-relative"
-                        return result(
-                            AttackStatus.SUCCESS,
-                            key=candidate,
-                            iterations=iteration,
-                        )
-                certification_dis = 0
+            certification_dis = 0
 
 
 def _mine_probes(
     locked: Circuit,
     candidates: Sequence[KeyVector],
     key_names: Sequence[str],
-    rounds: int,
     budget: Budget | None,
 ):
     """Yield inputs on which pairs of keyed circuits provably differ.
@@ -386,7 +369,7 @@ def _mine_probes(
         solver = Solver(random_phase=0.2, seed=len(seen_pairs))
         solver.add_cnf(cnf)
         cnf.clauses.clear()
-        for _ in range(rounds):
+        for _ in range(PROBE_ROUNDS):
             if budget is not None and budget.expired:
                 return
             if solver.solve(budget=budget) is not SolveStatus.SAT:

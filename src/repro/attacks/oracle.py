@@ -102,12 +102,3 @@ class IOOracle:
         if not assignments:
             return tuple(0 for _ in self.output_names)
         return sweep_outputs(self._circuit, assignments)
-
-    def query_bits(self, bits: Sequence[int]) -> tuple[int, ...]:
-        """Positional variant: bits follow ``input_names`` order."""
-        if len(bits) != len(self.input_names):
-            raise AttackError(
-                f"expected {len(self.input_names)} input bits, got {len(bits)}"
-            )
-        outputs = self.query(dict(zip(self.input_names, bits)))
-        return tuple(outputs[name] for name in self.output_names)

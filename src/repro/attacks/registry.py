@@ -85,9 +85,7 @@ class FallAttackFamily(Attack):
             h=config.h,
             oracle=oracle,
             budget=config.make_budget(),
-            max_candidates=config.option("max_candidates"),
-            use_prefilter=config.option("use_prefilter", True),
-            analyses=_tuple_or_none(config.option("analyses")),
+            analyses=config.analyses,
             telemetry=config.telemetry,
         )
 
@@ -126,9 +124,6 @@ class AppSatFamily(Attack):
             oracle,
             budget=config.make_budget(),
             max_iterations=config.max_iterations,
-            settle_rounds=config.option("settle_rounds", 4),
-            queries_per_round=config.option("queries_per_round", 64),
-            error_threshold=config.option("error_threshold", 0.0),
             seed=config.seed,
             telemetry=config.telemetry,
         )
@@ -163,11 +158,7 @@ class SpsFamily(Attack):
         from repro.attacks.sps import sps_attack
 
         return sps_attack(
-            locked,
-            patterns=config.option("patterns", 4096),
-            seed=config.seed,
-            skew_threshold=config.option("skew_threshold", 0.45),
-            telemetry=config.telemetry,
+            locked, seed=config.seed, telemetry=config.telemetry
         )
 
 
@@ -203,7 +194,6 @@ class KeyConfirmationFamily(Attack):
             list(config.candidates),
             budget=config.make_budget(),
             max_iterations=config.max_iterations,
-            probe_rounds=config.option("probe_rounds", 4),
             telemetry=config.telemetry,
         )
 
@@ -230,12 +220,7 @@ class GuessFamily(Attack):
         budget = config.make_budget()
         queries_before = oracle.query_count if oracle is not None else 0
         with telemetry.stage("guess"):
-            report = guess_keys(
-                locked,
-                h=config.h,
-                max_guesses=config.option("max_guesses", 4),
-                budget=budget,
-            )
+            report = guess_keys(locked, h=config.h, budget=budget)
         guesses = tuple(report.guesses)
         details = {
             "nodes_examined": report.nodes_examined,
@@ -293,25 +278,23 @@ class IndCpaFamily(Attack):
     requires_oracle = False
 
     def needs_key_inputs(self):
-        # The game locks its own fresh circuits; the input netlist only
-        # scales the game's circuit size.
+        # The game locks its own fresh random circuits; the input
+        # netlist is not used.
         return False
 
     def run(self, locked, oracle, config):
-        from repro.attacks.indcpa import adversary_advantage, play_game
+        from repro.attacks.indcpa import (
+            ADVANTAGE_THRESHOLD,
+            GAME_ROUNDS,
+            adversary_advantage,
+            play_game,
+        )
         from repro.utils.timer import Stopwatch
 
         stopwatch = Stopwatch()
         telemetry = telemetry_or_null(config.telemetry)
-        rounds = config.option("rounds", 8)
-        threshold = config.option("advantage_threshold", 0.25)
-        with telemetry.stage("play_game", rounds=rounds):
-            transcript = play_game(
-                rounds=rounds,
-                h=max(config.h, 1),
-                seed=config.seed,
-                circuit_size=config.option("circuit_size", (10, 3, 70)),
-            )
+        with telemetry.stage("play_game", rounds=GAME_ROUNDS):
+            transcript = play_game(h=max(config.h, 1), seed=config.seed)
         advantage = adversary_advantage(transcript)
         wins = sum(1 for game_round in transcript if game_round.won)
         for index, game_round in enumerate(transcript):
@@ -319,7 +302,7 @@ class IndCpaFamily(Attack):
                 "play_game", index, won=game_round.won
             )
         status = (
-            AttackStatus.SUCCESS if advantage >= threshold
+            AttackStatus.SUCCESS if advantage >= ADVANTAGE_THRESHOLD
             else AttackStatus.FAILED
         )
         return AttackResult(
@@ -331,13 +314,7 @@ class IndCpaFamily(Attack):
             details={
                 "advantage": advantage,
                 "wins": wins,
-                "rounds": rounds,
-                "threshold": threshold,
+                "rounds": GAME_ROUNDS,
+                "threshold": ADVANTAGE_THRESHOLD,
             },
         )
-
-
-def _tuple_or_none(value):
-    if value is None:
-        return None
-    return tuple(value)

@@ -37,7 +37,10 @@ from repro.errors import AttackError, CircuitError
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.timer import Stopwatch
 
-_SKEW_THRESHOLD = 0.45
+#: Random patterns per signal-probability estimate, and the skew
+#: (distance from 0.5) a flip-signal candidate must reach.
+PATTERNS = 4096
+SKEW_THRESHOLD = 0.45
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class SkewEstimate:
 
 def estimate_signal_probabilities(
     circuit: Circuit,
-    patterns: int = 4096,
+    patterns: int = PATTERNS,
     seed: RngLike = 0,
 ) -> dict[str, SkewEstimate]:
     """Monte-Carlo signal probabilities for every node (keys included)."""
@@ -74,9 +77,7 @@ def estimate_signal_probabilities(
 
 def sps_attack(
     locked: Circuit,
-    patterns: int = 4096,
     seed: RngLike = 0,
-    skew_threshold: float = _SKEW_THRESHOLD,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run the SPS removal attack.
@@ -89,18 +90,14 @@ def sps_attack(
     telemetry = telemetry_or_null(telemetry)
     if not locked.key_inputs:
         raise AttackError("circuit has no key inputs to attack")
-    with telemetry.stage("probability_estimation", patterns=patterns):
-        probabilities = estimate_signal_probabilities(locked, patterns, seed)
+    with telemetry.stage("probability_estimation", patterns=PATTERNS):
+        probabilities = estimate_signal_probabilities(locked, PATTERNS, seed)
 
     with telemetry.stage("xor_stage"):
-        reconstructed, info = _try_xor_stage(
-            locked, probabilities, skew_threshold
-        )
+        reconstructed, info = _try_xor_stage(locked, probabilities)
     if reconstructed is None:
         with telemetry.stage("constant_forcing"):
-            reconstructed, info = _try_constant_forcing(
-                locked, probabilities, skew_threshold
-            )
+            reconstructed, info = _try_constant_forcing(locked, probabilities)
     if reconstructed is None:
         return AttackResult(
             attack="sps",
@@ -117,9 +114,7 @@ def sps_attack(
 
 
 def _try_xor_stage(
-    locked: Circuit,
-    probabilities: dict[str, SkewEstimate],
-    threshold: float,
+    locked: Circuit, probabilities: dict[str, SkewEstimate]
 ) -> tuple[Circuit | None, dict]:
     """Bypass an output XOR/XNOR stage with one highly skewed side."""
     best: tuple[float, str, str] | None = None
@@ -134,7 +129,7 @@ def _try_xor_stage(
             skew = probabilities[skew_side].skew
             if best is None or skew > best[0]:
                 best = (skew, output, keep_side)
-    if best is None or best[0] < threshold:
+    if best is None or best[0] < SKEW_THRESHOLD:
         return None, {"xor_stage_skew": best[0] if best else None}
     _, output, keep = best
     rebuilt = _copy_without(locked, {output})
@@ -152,9 +147,7 @@ _MAX_FORCING_ATTEMPTS = 20
 
 
 def _try_constant_forcing(
-    locked: Circuit,
-    probabilities: dict[str, SkewEstimate],
-    threshold: float,
+    locked: Circuit, probabilities: dict[str, SkewEstimate]
 ) -> tuple[Circuit | None, dict]:
     """Force skewed key-dependent nodes to their majority values.
 
@@ -168,7 +161,7 @@ def _try_constant_forcing(
     candidates = [
         probabilities[node]
         for node in locked.gates
-        if probabilities[node].skew >= threshold
+        if probabilities[node].skew >= SKEW_THRESHOLD
         and supports[node] & key_set
         and node not in locked.outputs
     ]

@@ -15,28 +15,19 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 
 
-def optimize(circuit: Circuit, rounds: int = 1) -> Circuit:
+def optimize(circuit: Circuit) -> Circuit:
     """Strash the circuit into an AIG and rebuild it.
 
     The result is functionally equivalent (CEC-checked in tests), uses
     only AND/NOT/BUF gates (plus constants), and has lost the original
     internal node names and gate boundaries — exactly the adversary's
     view of a locked netlist after synthesis (paper Figure 3).
-
-    ``rounds`` > 1 re-runs the pipeline; strash is idempotent after the
-    first round but this mirrors how synthesis scripts iterate passes.
     """
-    result = circuit
-    for _ in range(max(1, rounds)):
-        aig, lit_of = aig_from_circuit(result)
-        outputs = {name: lit_of[name] for name in result.outputs}
-        result = aig_to_circuit(
-            aig,
-            outputs,
-            key_inputs=result.key_inputs,
-            name=circuit.name,
-        )
-    return result
+    aig, lit_of = aig_from_circuit(circuit)
+    outputs = {name: lit_of[name] for name in circuit.outputs}
+    return aig_to_circuit(
+        aig, outputs, key_inputs=circuit.key_inputs, name=circuit.name
+    )
 
 
 def sweep(circuit: Circuit) -> Circuit:

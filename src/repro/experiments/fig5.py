@@ -30,12 +30,12 @@ PANELS: dict[str, tuple[str, ...]] = {
     "m/3": ("SlidingWindow", "SAT-Attack"),
 }
 
-# Panel line -> (registry attack, per-family options).
-_ATTACK_OF: dict[str, tuple[str, dict]] = {
-    "SAT-Attack": ("sat", {}),
-    "AnalyzeUnateness": ("fall", {"analyses": ("unateness",)}),
-    "SlidingWindow": ("fall", {"analyses": ("sliding_window",)}),
-    "Distance2H": ("fall", {"analyses": ("distance2h",)}),
+# Panel line -> (registry attack, FALL analyses it is restricted to).
+_ATTACK_OF: dict[str, tuple[str, tuple[str, ...] | None]] = {
+    "SAT-Attack": ("sat", None),
+    "AnalyzeUnateness": ("fall", ("unateness",)),
+    "SlidingWindow": ("fall", ("sliding_window",)),
+    "Distance2H": ("fall", ("distance2h",)),
 }
 
 
@@ -55,13 +55,13 @@ def run_panel(label: str, scale: Scale) -> PanelResult:
     for profile in profiles:
         benchmark = build_benchmark(profile, label)
         for attack_name in PANELS[label]:
-            attack, options = _ATTACK_OF[attack_name]
+            attack, analyses = _ATTACK_OF[attack_name]
             record = run_benchmark_attack(
                 benchmark,
                 attack,
                 scale.time_limit,
                 with_oracle=None if attack == "sat" else True,
-                options=options,
+                analyses=analyses,
                 attack_label=attack_name,
             )
             records.append(record)

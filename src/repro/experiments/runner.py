@@ -23,7 +23,6 @@ identical modulo wall-clock timing fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack
@@ -133,10 +132,8 @@ def run_benchmark_attack(
     attack: str,
     time_limit: float,
     with_oracle: bool | None = None,
-    seed: int = 0,
-    max_iterations: int | None = None,
     candidates: tuple[tuple[int, ...], ...] | None = None,
-    options: dict[str, Any] | None = None,
+    analyses: tuple[str, ...] | None = None,
     attack_label: str | None = None,
 ) -> RunRecord:
     """Run one registered attack on one benchmark and classify it.
@@ -144,6 +141,7 @@ def run_benchmark_attack(
     ``with_oracle=None`` grants the oracle exactly when the family
     requires one; ``True``/``False`` force it (FALL runs oracle-less for
     the §VI-B headline, with an oracle for shortlist disambiguation).
+    ``analyses`` restricts FALL's functional analyses (Figure 5).
     """
     family = get_attack(attack)
     grant_oracle = (
@@ -153,10 +151,8 @@ def run_benchmark_attack(
     config = AttackConfig(
         h=benchmark.h,
         time_limit=time_limit,
-        max_iterations=max_iterations,
-        seed=seed,
         candidates=candidates,
-        options=options or {},
+        analyses=analyses,
     )
     result = run_attack(attack, benchmark.locked.circuit, oracle, config)
     solved, correct = _classify(benchmark, result)

@@ -2,8 +2,8 @@
 
 This subpackage replaces the Lingeling solver used by the paper's
 prototype with a self-contained CDCL implementation, plus the CNF
-plumbing (DIMACS I/O, Tseitin-style gate encodings, cardinality
-constraints) that the FALL analyses and the SAT attack are built on.
+plumbing (Tseitin-style gate encodings, cardinality constraints) that
+the FALL analyses and the SAT attack are built on.
 """
 
 from repro.sat.cnf import Cnf

@@ -56,40 +56,10 @@ def encode_xnor(cnf: Cnf, a: int, b: int) -> int:
     return -encode_xor(cnf, a, b)
 
 
-def encode_xor_many(cnf: Cnf, lits: Sequence[int]) -> int:
-    """Fresh ``out`` with ``out <-> XOR(lits)`` via a linear chain."""
-    if not lits:
-        raise EncodingError("XOR of zero literals (use a constant instead)")
-    acc = lits[0]
-    for lit in lits[1:]:
-        acc = encode_xor(cnf, acc, lit)
-    return acc
-
-
-def encode_ite(cnf: Cnf, cond: int, then_lit: int, else_lit: int) -> int:
-    """Fresh ``out`` with ``out <-> (cond ? then_lit : else_lit)``."""
-    out = cnf.new_var()
-    cnf.add_clause([-cond, -then_lit, out])
-    cnf.add_clause([-cond, then_lit, -out])
-    cnf.add_clause([cond, -else_lit, out])
-    cnf.add_clause([cond, else_lit, -out])
-    return out
-
-
 def assert_equal(cnf: Cnf, a: int, b: int) -> None:
     """Force ``a == b`` (two binary clauses, no fresh variable)."""
     cnf.add_clause([-a, b])
     cnf.add_clause([a, -b])
-
-
-def assert_vector_equals_const(
-    cnf: Cnf, lits: Sequence[int], bits: Sequence[int]
-) -> None:
-    """Pin each literal to the corresponding constant bit."""
-    if len(lits) != len(bits):
-        raise EncodingError(f"width mismatch: {len(lits)} lits vs {len(bits)} bits")
-    for lit, bit in zip(lits, bits):
-        cnf.add_clause([lit if bit else -lit])
 
 
 def encode_equal_vectors(cnf: Cnf, xs: Sequence[int], ys: Sequence[int]) -> int:

@@ -34,7 +34,7 @@ from heapq import heapify, heappop, heappush
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
-from repro.sat.literals import check_literal, from_internal, to_internal
+from repro.sat.literals import check_literal, to_internal
 from repro.utils.timer import Budget
 
 _UNASSIGNED = 0
@@ -714,29 +714,8 @@ class Solver:
             raise SolverError(f"unknown variable {var}")
         return self._model[var]
 
-    def model_lits(self) -> list[int]:
-        """The most recent model as a list of signed literals."""
-        if self._model is None:
-            raise SolverError("no model available (last solve was not SAT)")
-        return [
-            from_internal((v << 1) | (0 if self._model[v] else 1))
-            for v in range(1, self._num_vars + 1)
-        ]
-
     def model_dict(self) -> dict[int, bool]:
         if self._model is None:
             raise SolverError("no model available (last solve was not SAT)")
         return {v: self._model[v] for v in range(1, self._num_vars + 1)}
 
-
-def solve_cnf(
-    cnf: Cnf,
-    assumptions: Iterable[int] = (),
-    budget: Budget | None = None,
-) -> tuple[SolveStatus, dict[int, bool] | None]:
-    """One-shot convenience: solve a :class:`Cnf`, return status + model."""
-    solver = Solver()
-    solver.add_cnf(cnf)
-    status = solver.solve(assumptions=assumptions, budget=budget)
-    model = solver.model_dict() if status is SolveStatus.SAT else None
-    return status, model

@@ -96,7 +96,7 @@ def test_loaded_clauses_are_released(name, monkeypatch):
     else:
         attack = {
             "sat": sat_attack,
-            "appsat": lambda c, o: appsat_attack(c, o, settle_rounds=1),
+            "appsat": appsat_attack,
             "double-dip": double_dip_attack,
         }[name]
         result = attack(locked.circuit, oracle)

@@ -53,6 +53,19 @@ def _benchmark(name):
     raise AssertionError(name)
 
 
+class _InterruptingOracle(IOOracle):
+    """An oracle whose user presses Ctrl-C after ``after`` queries."""
+
+    def __init__(self, circuit, after):
+        super().__init__(circuit)
+        self._after = after
+
+    def query(self, assignment):
+        if self.query_count >= self._after:
+            raise KeyboardInterrupt
+        return super().query(assignment)
+
+
 class TestCheckpointResume:
     # Double DIP sees no 2-DIPs on TTLock (every wrong key is a single
     # point error), so it checkpoints against the SFLL-HD1 cell where
@@ -113,6 +126,33 @@ class TestCheckpointResume:
         assert live.query_count == (
             reference.oracle_queries - partial.oracle_queries
         )
+
+    def test_interrupted_run_keeps_its_transcript(self, tmp_path):
+        """A KeyboardInterrupt mid-attack still leaves a resumable
+        transcript, even when the throttled flush never fired."""
+        original = generate_random_circuit("ck", 12, 2, 70, seed=10)
+        locked = lock_sarlock(original, key_width=12, seed=10)
+        path = str(tmp_path / "sat.ckpt.json")
+        with pytest.raises(KeyboardInterrupt):
+            run_attack(
+                "sat", locked.circuit, _InterruptingOracle(original, 20),
+                AttackConfig(time_limit=_TIME_LIMIT, checkpoint_path=path),
+            )
+        checkpoint = load_checkpoint(path)
+        assert checkpoint is not None and not checkpoint.completed
+        assert len(checkpoint.queries) == 20
+
+        live = IOOracle(original)
+        resumed = run_attack(
+            "sat", locked.circuit, live,
+            AttackConfig(
+                time_limit=_TIME_LIMIT, max_iterations=25,
+                checkpoint_path=path,
+            ),
+        )
+        assert resumed.status is AttackStatus.TIMEOUT
+        assert resumed.details["checkpoint"]["replayed_queries"] == 20
+        assert live.query_count == resumed.oracle_queries - 20 > 0
 
     def test_completed_checkpoint_answers_without_the_oracle(self, tmp_path):
         original, locked = _benchmark("ttlock")

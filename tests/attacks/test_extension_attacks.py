@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import cegis
-from repro.attacks.base import AttackConfig
 from repro.attacks.cegis import appsat_attack, double_dip_attack
-from repro.attacks.engine import run_attack
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.attacks.sps import estimate_signal_probabilities, sps_attack
@@ -27,7 +24,6 @@ from repro.locking import (
     lock_random_xor,
     lock_sarlock,
     lock_sfll_hd,
-    lock_ttlock,
 )
 from repro.utils.timer import Budget
 
@@ -138,36 +134,12 @@ class TestAppSat:
         original = generate_random_circuit("ap2", 10, 2, 60, seed=12)
         locked = lock_sarlock(original, key_width=10, seed=12)
         result = appsat_attack(
-            locked.circuit,
-            IOOracle(original),
-            budget=Budget(60),
-            settle_rounds=2,
-            queries_per_round=32,
+            locked.circuit, IOOracle(original), budget=Budget(60)
         )
         assert result.status is AttackStatus.SUCCESS
         errors = _count_key_errors(original, locked, result.key)
         # Approximate correctness: at most a couple of corrupted patterns.
         assert errors <= 4
-
-    @pytest.mark.parametrize(
-        "options",
-        [{"settle_rounds": 0}, {"settle_rounds": -1}, {"queries_per_round": 0}],
-        ids=["settle_rounds=0", "settle_rounds=-1", "queries_per_round=0"],
-    )
-    def test_invalid_options_rejected_before_encoding(self, options, monkeypatch):
-        def no_encoding(*args, **kwargs):
-            raise AssertionError("encoded before validating the options")
-
-        monkeypatch.setattr(cegis, "encode_circuit", no_encoding)
-        original = paper_example_circuit()
-        locked = lock_ttlock(original)
-        with pytest.raises(AttackError, match=next(iter(options))):
-            run_attack(
-                "appsat",
-                locked.circuit,
-                IOOracle(original),
-                AttackConfig(options=options),
-            )
 
 
 def _flip_node(circuit) -> str:

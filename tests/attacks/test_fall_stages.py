@@ -133,11 +133,6 @@ class TestSupportMatch:
         for node in candidate_strip_nodes(locked.circuit, comparators):
             assert support(locked.circuit, node) == compx
 
-    def test_limit_caps_candidates(self):
-        locked = sfll_hd1_example()
-        comparators = find_comparators(locked.circuit)
-        assert len(candidate_strip_nodes(locked.circuit, comparators, limit=1)) == 1
-
     def test_no_comparators_no_candidates(self):
         assert candidate_strip_nodes(paper_example_circuit(), []) == []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import IOOracle, key_confirmation
+from repro.attacks import guess
 from repro.attacks.guess import guess_keys
 from repro.attacks.indcpa import (
     Defender,
@@ -23,7 +24,7 @@ from repro.locking import lock_sfll_hd, lock_ttlock
 class TestIndCpaGame:
     def test_adversary_always_wins(self):
         # §VI-D: "the adversary always wins this game for SFLL-HDh".
-        transcript = play_game(rounds=6, h=1, seed=3)
+        transcript = play_game(h=1, seed=3)
         assert all(r.won for r in transcript)
         assert adversary_advantage(transcript) == pytest.approx(0.5)
 
@@ -62,10 +63,11 @@ class TestGuessKeys:
         report = guess_keys(locked.circuit, h=1)
         assert locked.reveal_correct_key() in report.guesses
 
-    def test_respects_max_guesses(self):
+    def test_respects_max_guesses(self, monkeypatch):
+        monkeypatch.setattr(guess, "MAX_GUESSES", 1)
         original = paper_example_circuit()
         locked = lock_ttlock(original, cube=(1, 0, 0, 1))
-        report = guess_keys(locked.circuit, h=0, max_guesses=1)
+        report = guess_keys(locked.circuit, h=0)
         assert len(report.guesses) <= 1
 
     def test_keyless_circuit_rejected(self):

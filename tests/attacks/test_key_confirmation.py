@@ -86,16 +86,6 @@ class TestShortlistConfirmation:
         assert check_equivalence(original, unlocked).proved
 
 
-class TestDegenerateSatAttackMode:
-    def test_phi_true_recovers_key(self):
-        # With φ = true the algorithm is the SAT attack (paper §V).
-        original = paper_example_circuit()
-        locked = lock_ttlock(original, cube=PAPER_CUBE)
-        result = key_confirmation(locked.circuit, IOOracle(original), None)
-        assert result.status is AttackStatus.SUCCESS
-        assert result.key == PAPER_CUBE
-
-
 class TestBudgetsAndErrors:
     def test_expired_budget(self):
         original = paper_example_circuit()
@@ -108,11 +98,17 @@ class TestBudgetsAndErrors:
     def test_iteration_cap(self):
         original = generate_random_circuit("it", 12, 2, 60, seed=9)
         locked = lock_sarlock(original, key_width=12, seed=9)
+        correct = locked.reveal_correct_key()
         result = key_confirmation(
-            locked.circuit, IOOracle(original), None, max_iterations=2
+            locked.circuit,
+            IOOracle(original),
+            [complement_bits(correct), correct],
+            max_iterations=2,
         )
-        # φ = true on SARLock: the cap must bite before convergence.
+        # Uncapped, this shortlist needs six iterations on SARLock: the
+        # cap must bite before convergence.
         assert result.status is AttackStatus.TIMEOUT
+        assert result.iterations == 2
 
     def test_empty_shortlist_rejected(self):
         original = paper_example_circuit()

@@ -29,19 +29,10 @@ class TestOracle:
         assert oracle.query({"a": 1, "b": 1, "c": 0, "d": 0}) == {"y": 1}
         assert oracle.query({"a": 0, "b": 0, "c": 0, "d": 0}) == {"y": 0}
 
-    def test_query_bits_positional(self):
-        oracle = IOOracle(paper_example_circuit())
-        assert oracle.query_bits((1, 1, 0, 0)) == (1,)
-
     def test_missing_input_rejected(self):
         oracle = IOOracle(paper_example_circuit())
         with pytest.raises(AttackError):
             oracle.query({"a": 1})
-
-    def test_wrong_arity_rejected(self):
-        oracle = IOOracle(paper_example_circuit())
-        with pytest.raises(AttackError):
-            oracle.query_bits((1, 0))
 
     def test_locked_circuit_rejected(self):
         locked = lock_ttlock(paper_example_circuit())

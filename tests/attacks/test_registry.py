@@ -60,8 +60,6 @@ def _config(locked, h, **overrides):
         time_limit=30.0,
         seed=0,
         candidates=shortlist,
-        # Keep the IND-CPA game small so the whole matrix stays fast.
-        options={"rounds": 4},
     )
     defaults.update(overrides)
     return AttackConfig(**defaults)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.circuit.aig import FALSE_LIT, TRUE_LIT, Aig, aig_from_circuit, aig_to_circuit
 from repro.circuit.analysis import dangling_nodes
+from repro.circuit.bench_io import write_bench
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
@@ -152,8 +153,9 @@ class TestOptimize:
 
     def test_multiple_rounds_stable(self):
         once = optimize(c17())
-        twice = optimize(c17(), rounds=2)
+        twice = optimize(once)
         assert check_equivalence(once, twice).proved
+        assert write_bench(twice) == write_bench(once)
 
     def test_no_dangling_gates_after_optimize(self):
         circuit = generate_random_circuit("rnd", 10, 3, 80, seed=9)

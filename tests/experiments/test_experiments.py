@@ -148,7 +148,7 @@ class TestRunners:
             "fall",
             time_limit=30,
             with_oracle=True,
-            options={"analyses": ("distance2h",)},
+            analyses=("distance2h",),
             attack_label="Distance2H",
         )
         assert record.attack == "Distance2H"

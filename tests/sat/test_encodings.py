@@ -10,16 +10,13 @@ from repro.errors import EncodingError
 from repro.sat.cnf import Cnf
 from repro.sat.encodings import (
     assert_equal,
-    assert_vector_equals_const,
     encode_and,
     encode_difference_bits,
     encode_equal_vectors,
     encode_hamming_distance_equals,
-    encode_ite,
     encode_or,
     encode_xnor,
     encode_xor,
-    encode_xor_many,
 )
 from repro.sat.solver import Solver, SolveStatus
 
@@ -97,32 +94,6 @@ class TestXor:
         out = encode_xnor(cnf, a, b)
         assert _truth_table(cnf, [a, b], out) == [True, False, False, True]
 
-    def test_xor_many_parity(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(4)
-        out = encode_xor_many(cnf, xs)
-        table = _truth_table(cnf, xs, out)
-        for pattern in range(16):
-            assert table[pattern] == (bin(pattern).count("1") % 2 == 1)
-
-    def test_xor_many_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_xor_many(Cnf(), [])
-
-
-class TestIte:
-    def test_truth_table(self):
-        cnf = Cnf()
-        c, t, e = cnf.new_vars(3)
-        out = encode_ite(cnf, c, t, e)
-        table = _truth_table(cnf, [c, t, e], out)
-        # pattern bit0=c, bit1=t, bit2=e
-        for pattern in range(8):
-            cond = bool(pattern & 1)
-            then = bool(pattern & 2)
-            els = bool(pattern & 4)
-            assert table[pattern] == (then if cond else els)
-
 
 class TestVectorHelpers:
     def test_assert_equal(self):
@@ -133,20 +104,6 @@ class TestVectorHelpers:
         solver.add_cnf(cnf)
         assert solver.solve(assumptions=[a, -b]) is SolveStatus.UNSAT
         assert solver.solve(assumptions=[a, b]) is SolveStatus.SAT
-
-    def test_assert_vector_equals_const(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(3)
-        assert_vector_equals_const(cnf, xs, [1, 0, 1])
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve() is SolveStatus.SAT
-        assert [solver.model_value(x) for x in xs] == [True, False, True]
-
-    def test_assert_vector_width_mismatch(self):
-        cnf = Cnf()
-        with pytest.raises(EncodingError):
-            assert_vector_equals_const(cnf, cnf.new_vars(2), [1])
 
     def test_equal_vectors(self):
         cnf = Cnf()

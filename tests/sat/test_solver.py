@@ -12,7 +12,7 @@ from repro.errors import SolverError
 from repro.sat.cnf import Cnf
 from repro.sat.dpll import dpll_solve
 from repro.sat import solver as solver_module
-from repro.sat.solver import Solver, SolveStatus, _luby, solve_cnf
+from repro.sat.solver import Solver, SolveStatus, _luby
 from repro.utils.timer import Budget
 
 from tests.conftest import cnf_strategy, random_cnf
@@ -96,14 +96,6 @@ class TestBasics:
         assert s.solve() is SolveStatus.UNSAT
         with pytest.raises(SolverError):
             s.model_value(1)
-
-    def test_model_lits_signs(self):
-        s = Solver()
-        s.add_clause([1])
-        s.add_clause([-2])
-        assert s.solve() is SolveStatus.SAT
-        lits = s.model_lits()
-        assert 1 in lits and -2 in lits
 
     def test_unknown_variable_in_model_query(self):
         s = Solver()
@@ -205,9 +197,10 @@ class TestHarderInstances:
     def test_php_sat_variant(self):
         # n pigeons into n holes is satisfiable.
         cnf = _pigeonhole_cnf(holes=5, pigeons=5)
-        status, model = solve_cnf(cnf)
-        assert status is SolveStatus.SAT
-        assert cnf.evaluate(model)
+        solver = Solver()
+        solver.add_cnf(cnf)
+        assert solver.solve() is SolveStatus.SAT
+        assert cnf.evaluate(solver.model_dict())
 
     def test_random_3sat_batch(self):
         rng = random.Random(7)
