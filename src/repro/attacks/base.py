@@ -253,12 +253,9 @@ class Attack(abc.ABC):
         """``None`` if runnable, else the reason it is not."""
         if self.requires_oracle and oracle is None:
             return f"{self.name} requires an I/O oracle"
-        if not locked.key_inputs and self.needs_key_inputs():
+        if not locked.key_inputs:
             return "circuit has no key inputs to attack"
         return None
-
-    def needs_key_inputs(self) -> bool:
-        return True
 
     @abc.abstractmethod
     def run(

@@ -21,13 +21,14 @@ family functions it provides:
 
 :func:`run_portfolio` races several registered attacks on one benchmark
 across the persistent worker pool (:mod:`repro.circuit.sharding`)
-shared with the suite runner. The first conclusive (SUCCESS)
-finisher sets a cross-process cancellation event; the other racers
-observe it through their cooperative budgets and stop at their next
-budget check. The reported winner is deterministic given seeds: among
-conclusive results, the earliest attack in the requested order wins
-(completion order never decides), and with one worker the race
-degenerates to an in-order sequential run with early exit. A pool that
+shared with the suite runner. Only an exact SUCCESS is conclusive: a
+key the attack could not check (``details['approximate']``) never ends
+a race. A conclusive racer cancels the racers *after* it in the
+requested order, through per-racer cross-process events that their
+cooperative budgets poll; racers before it run on. The winner is
+therefore the earliest conclusive racer in requested order — what a
+one-worker race, an in-order sequential run with early exit, reports —
+at any number of workers, whatever the completion order. A pool that
 breaks (a worker killed) is torn down and the race finishes
 sequentially.
 """
@@ -173,7 +174,7 @@ def run_attack(
 # Portfolio racing
 # ----------------------------------------------------------------------
 class _RaceBudget(Budget):
-    """A budget that also expires when the race's cancel event fires.
+    """A budget that also expires when its racer's cancel event fires.
 
     Attacks already poll ``budget.expired`` cooperatively (the solver
     checks every few hundred conflicts), so cancellation rides the
@@ -227,7 +228,11 @@ class _RaceBudget(Budget):
 
 
 def _conclusive(result: AttackResult | None) -> bool:
-    return result is not None and result.status is AttackStatus.SUCCESS
+    return (
+        result is not None
+        and result.status is AttackStatus.SUCCESS
+        and not result.approximate
+    )
 
 
 def _portfolio_task(payload: tuple) -> AttackResult | None:
@@ -256,23 +261,22 @@ def run_portfolio(
     oracle: IOOracle | None = None,
     config: AttackConfig | None = None,
 ) -> AttackResult:
-    """Race several registered attacks; first conclusive result wins.
+    """Race several registered attacks; the earliest conclusive one wins.
 
     Returns the winner's :class:`AttackResult` with a
     ``details['portfolio']`` summary of every racer (status, timing,
     query count, whether it was cancelled). When no racer concludes,
-    the result with the strongest status (by ``SUCCESS >
-    MULTIPLE_CANDIDATES > TIMEOUT > FAILED > NOT_APPLICABLE``, ties to
-    requested order) is returned so callers always get the best
+    the result with the strongest status (by ``SUCCESS > approximate
+    SUCCESS > MULTIPLE_CANDIDATES > TIMEOUT > FAILED > NOT_APPLICABLE``,
+    ties to requested order) is returned so callers always get the best
     available outcome.
 
     ``config.jobs`` (``None`` = every usable core) sets the number of
     pool workers. With one worker the attacks run sequentially in the
-    requested order and the race stops at the first conclusive result —
-    the fully deterministic mode; with more workers
-    the same winner is reported whenever the racers' own outcomes are
-    deterministic, because winner selection prefers requested order
-    over completion order.
+    requested order and the race stops at the first conclusive result.
+    With more workers a conclusive racer cancels only the racers after
+    it, so the same winner is reported whenever the racers' own
+    outcomes are deterministic.
     """
     names = list(names)
     if not names:
@@ -328,28 +332,33 @@ def _race_in_processes(names, locked, oracle, config, workers):
     results: dict[str, AttackResult | None] = {name: None for name in names}
     cancelled: set[str] = set()
     try:
-        cancel = manager.Event()
+        # One cancel event per racer: a conclusive racer sets the events
+        # of the racers after it in requested order, never its own or
+        # an earlier racer's, so completion order cannot pick the winner.
+        cancels = [manager.Event() for _ in names]
         pool = pool_executor(workers)
         futures = {
             pool.submit(
                 _portfolio_task,
                 (name, locked_spec, oracle_spec, shipped_config, cancel),
-            ): name
-            for name in names
+            ): index
+            for index, (name, cancel) in enumerate(zip(names, cancels))
         }
         pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                name = futures[future]
+                index = futures[future]
+                name = names[index]
                 try:
                     results[name] = future.result()
                 except BrokenProcessPool:
                     raise
                 except Exception:
                     results[name] = None
-                if _conclusive(results[name]) and not cancel.is_set():
-                    cancel.set()
+                if _conclusive(results[name]):
+                    for later in cancels[index + 1:]:
+                        later.set()
         for name, result in results.items():
             if (
                 result is not None
@@ -371,9 +380,12 @@ _STATUS_RANK = {
 
 
 def _pick_winner(names, results, cancelled) -> AttackResult:
+    # An approximate SUCCESS ranks below an exact one and above
+    # every other status.
     ranked = sorted(
         (name for name in names if results[name] is not None),
         key=lambda name: (_STATUS_RANK[results[name].status],
+                          results[name].approximate,
                           names.index(name)),
     )
     if not ranked:

@@ -3,16 +3,18 @@
 Support-set matching typically shortlists not just the stripper output
 but every popcount sum bit of the Hamming-distance comparator (they all
 have full support over Compx). Running the SAT-based functional analyses
-on each of those wastes most of the attack budget, so we first reject
-candidates with bit-parallel random simulation:
+on each of those wastes most of the attack budget, so the pipeline
+first rejects candidates with bit-parallel random simulation:
 
 - **density**: ``strip_h`` is 1 on exactly C(m, h) of the 2^m input
-  patterns — a vanishing fraction for the h values SFLL uses. A node
-  whose sampled density is far from both C(m,h)/2^m and its complement
-  cannot be (the complement of) a stripping function.
-- **monotonicity** (h = 0 only): a cube is unate in every variable, so a
-  single packed simulation of both cofactors per variable refutes most
-  non-cube candidates without touching the solver.
+  patterns (:func:`strip_density`) — a vanishing fraction for the h
+  values SFLL uses. The pipeline samples every candidate's density in
+  one shared sweep, ranks candidates by it and skips a polarity whose
+  density is far from both C(m,h)/2^m and its complement.
+- **monotonicity** (h = 0 only, :func:`passes_unateness_sim`): a cube
+  is unate in every variable, so a single packed simulation of both
+  cofactors per variable refutes most non-cube candidates without
+  touching the solver.
 
 These are conservative filters (they only *reject*): false negatives are
 made statistically negligible by the pattern count, and the subsequent
@@ -28,40 +30,12 @@ from repro.circuit.sharding import sweep_outputs
 from repro.errors import AttackError
 from repro.utils.rng import RngLike, make_rng
 
-_DENSITY_MARGIN = 2.0  # accept densities up to this multiple of expected
-_MIN_EXPECTED = 0.02   # but never reject below this absolute density
-
 
 def strip_density(m: int, h: int) -> float:
     """Fraction of inputs on which strip_h is 1: C(m, h) / 2^m."""
     if not 0 <= h <= m:
         return 0.0
     return comb(m, h) / (1 << m)
-
-
-def candidate_polarities(
-    cone: Circuit,
-    h: int,
-    patterns: int = 512,
-    seed: RngLike = 0,
-) -> tuple[bool, bool]:
-    """(try_plain, try_complement) after the density test.
-
-    The netlist may realize F or ¬F, so the pipeline analyses both
-    polarities; this test cheaply rules out polarities whose sampled
-    density is inconsistent with ``strip_h``.
-    """
-    if len(cone.outputs) != 1:
-        raise AttackError("candidate_polarities expects a single-output cone")
-    rng = make_rng(seed)
-    inputs = list(cone.inputs)
-    values = {name: rng.getrandbits(patterns) for name in inputs}
-    (word,) = sweep_outputs(cone, values, width=patterns)
-    density = word.bit_count() / patterns
-    threshold = max(
-        _MIN_EXPECTED, _DENSITY_MARGIN * strip_density(len(inputs), h)
-    )
-    return density <= threshold, (1.0 - density) <= threshold
 
 
 def passes_unateness_sim(

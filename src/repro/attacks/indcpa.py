@@ -13,7 +13,9 @@ security and sketches an indistinguishability game adapted from IND-CPA:
 SFLL-HDh as the original circuit is largely unchanged by locking ... the
 adversary can easily win the game with an algorithm for circuit
 equivalence." This module implements the game and that winning
-adversary, so the claim is checkable rather than rhetorical.
+adversary, so the claim is checkable rather than rhetorical. It is not
+a registered attack: the game locks its own circuits and has no input
+netlist to attack.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from repro.utils.rng import RngLike, make_rng
 #: fresh random circuits.
 GAME_ROUNDS = 8
 GAME_CIRCUIT_SIZE = (10, 3, 70)
-#: Advantage over guessing at which the adversary counts as winning.
-ADVANTAGE_THRESHOLD = 0.25
 
 
 @dataclass

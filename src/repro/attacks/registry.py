@@ -1,4 +1,4 @@
-"""The declarative attack registry: all eight families, one interface.
+"""The declarative attack registry: all seven families, one interface.
 
 Every attack family in the repo registers an :class:`~repro.attacks.
 base.Attack` adapter here, keyed by its CLI name:
@@ -11,8 +11,11 @@ base.Attack` adapter here, keyed by its CLI name:
 ``sps``               Signal Probability Skew removal [Yasin et al. 2016]
 ``key-confirmation``  Algorithm 4 key confirmation (paper §V)
 ``guess``             SURF-style structural key guessing (paper §V motiv.)
-``indcpa``            the §VI-D IND-CPA distinguishing game
 ====================  =====================================================
+
+Every family attacks the netlist it is given and needs key inputs to do
+so. The §VI-D IND-CPA game (:mod:`repro.attacks.indcpa`) is not one of
+them: it locks its own circuits and never reads an input netlist.
 
 Consumers — the CLI, the experiment suite runner, the portfolio racer,
 benchmarks and tests — resolve attacks by name through :func:`get_attack`
@@ -265,56 +268,3 @@ class GuessFamily(Attack):
                 extra={"verification": confirmation.details.get("verification")},
             )
         return result(confirmation.status)
-
-
-@register_attack
-class IndCpaFamily(Attack):
-    name = "indcpa"
-    description = (
-        "IND-CPA-style distinguishing game (paper §VI-D); SUCCESS means "
-        "the equivalence adversary distinguishes with non-negligible "
-        "advantage"
-    )
-    requires_oracle = False
-
-    def needs_key_inputs(self):
-        # The game locks its own fresh random circuits; the input
-        # netlist is not used.
-        return False
-
-    def run(self, locked, oracle, config):
-        from repro.attacks.indcpa import (
-            ADVANTAGE_THRESHOLD,
-            GAME_ROUNDS,
-            adversary_advantage,
-            play_game,
-        )
-        from repro.utils.timer import Stopwatch
-
-        stopwatch = Stopwatch()
-        telemetry = telemetry_or_null(config.telemetry)
-        with telemetry.stage("play_game", rounds=GAME_ROUNDS):
-            transcript = play_game(h=max(config.h, 1), seed=config.seed)
-        advantage = adversary_advantage(transcript)
-        wins = sum(1 for game_round in transcript if game_round.won)
-        for index, game_round in enumerate(transcript):
-            telemetry.iteration(
-                "play_game", index, won=game_round.won
-            )
-        status = (
-            AttackStatus.SUCCESS if advantage >= ADVANTAGE_THRESHOLD
-            else AttackStatus.FAILED
-        )
-        return AttackResult(
-            attack="indcpa",
-            status=status,
-            key_names=locked.key_inputs,
-            elapsed_seconds=stopwatch.elapsed,
-            iterations=len(transcript),
-            details={
-                "advantage": advantage,
-                "wins": wins,
-                "rounds": GAME_ROUNDS,
-                "threshold": ADVANTAGE_THRESHOLD,
-            },
-        )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 from dataclasses import dataclass, field
 
 #: Version tag embedded in serialized results so future schema changes
@@ -45,17 +44,21 @@ class AttackResult:
     def succeeded(self) -> bool:
         return self.status is AttackStatus.SUCCESS
 
-    def key_as_assignment(self) -> dict[str, int]:
-        """The recovered key mapped onto key-input names."""
-        if self.key is None:
-            raise ValueError("attack did not recover a key")
-        if len(self.key_names) != len(self.key):
-            raise ValueError("result is missing key input names")
-        return dict(zip(self.key_names, self.key))
+    @property
+    def approximate(self) -> bool:
+        """Whether this is a SUCCESS the attack could not check.
+
+        AppSAT's early exit, Double DIP and SPS mark such results with
+        ``details['approximate']``: the answer may be wrong on some
+        inputs.
+        """
+        return self.succeeded and bool(self.details.get("approximate"))
 
     def summary(self) -> str:
         """One-line human-readable summary."""
         parts = [f"{self.attack}: {self.status.value}"]
+        if self.approximate:
+            parts.append("(approximate)")
         if self.key is not None:
             parts.append(f"key={''.join(map(str, self.key))}")
         if len(self.candidates) > 1:
@@ -84,7 +87,13 @@ class AttackResult:
         return dataclasses.replace(self, details=jsonify_details(self.details))
 
     def to_json_dict(self) -> dict:
-        """The canonical JSON-safe dict form of this result."""
+        """The canonical JSON-safe dict form of this result.
+
+        Round-trip guarantee: ``AttackResult.from_json_dict(json.loads(
+        json.dumps(r.to_json_dict()))) == r.sanitized()`` for every
+        result, and ``== r`` whenever ``r`` came out of the engine layer
+        (which sanitizes details).
+        """
         return {
             "schema": RESULT_SCHEMA,
             "attack": self.attack,
@@ -97,15 +106,6 @@ class AttackResult:
             "iterations": self.iterations,
             "details": jsonify_details(self.details),
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialize to JSON text; see :meth:`from_json` for the inverse.
-
-        Round-trip guarantee: ``AttackResult.from_json(r.to_json()) ==
-        r.sanitized()`` for every result, and ``== r`` whenever ``r``
-        came out of the engine layer (which sanitizes details).
-        """
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AttackResult":
@@ -131,10 +131,6 @@ class AttackResult:
             details=data.get("details", {}),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "AttackResult":
-        return cls.from_json_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # Canonical JSON conversion for details payloads
@@ -155,8 +151,8 @@ def jsonify_details(value):
     - anything else JSON cannot express -> ``repr`` text.
 
     The output is a fixed point: jsonifying it again returns an equal
-    structure, which is what makes the to_json/from_json round trip a
-    guarantee rather than a convention.
+    structure, which is what makes the ``to_json_dict`` /
+    ``from_json_dict`` round trip a guarantee rather than a convention.
     """
     from repro.circuit.circuit import Circuit
 

@@ -84,7 +84,9 @@ def sps_attack(
 
     On success the reconstructed key-free netlist is returned in
     ``details['reconstructed']``; no key is recovered (``key=None``),
-    which is the defining property of removal-style attacks.
+    which is the defining property of removal-style attacks. Without an
+    oracle the reconstruction goes unchecked, so a SUCCESS is marked
+    ``details['approximate']``.
     """
     stopwatch = Stopwatch()
     telemetry = telemetry_or_null(telemetry)
@@ -109,7 +111,7 @@ def sps_attack(
         attack="sps",
         status=AttackStatus.SUCCESS,
         elapsed_seconds=stopwatch.elapsed,
-        details={"reconstructed": reconstructed, **info},
+        details={"reconstructed": reconstructed, "approximate": True, **info},
     )
 
 

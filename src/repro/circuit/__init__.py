@@ -4,8 +4,8 @@ The netlist substrate everything else is built on: a combinational DAG
 (:class:`~repro.circuit.circuit.Circuit`), ISCAS ``.bench`` I/O,
 bit-parallel simulation, Tseitin CNF encoding, SAT-based equivalence
 checking, an AIG with structural hashing (our stand-in for ABC's
-``strash``), synthetic benchmark generation and a small library of known
-circuits (ISCAS c17 and the paper's §II-B worked example).
+``strash``), synthetic benchmark generation and the paper's §II-B
+worked example.
 """
 
 from repro.circuit.gates import GateType
@@ -25,7 +25,6 @@ from repro.circuit.sharding import (
     sweep_truth_table,
 )
 from repro.circuit.simulate import (
-    cone_truth_table,
     simulate,
     simulate_interpreted,
     simulate_pattern,
@@ -33,15 +32,11 @@ from repro.circuit.simulate import (
 )
 from repro.circuit.bench_io import parse_bench, write_bench
 from repro.circuit.tseitin import CircuitEncoding, encode_circuit
-from repro.circuit.equivalence import (
-    EquivalenceResult,
-    check_equivalence,
-    check_outputs_equal,
-)
+from repro.circuit.equivalence import EquivalenceResult, check_equivalence
 from repro.circuit.aig import Aig
 from repro.circuit.opt import optimize, sweep
 from repro.circuit.random_circuits import generate_random_circuit
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 
 __all__ = [
     "GateType",
@@ -60,7 +55,6 @@ __all__ = [
     "simulate",
     "simulate_interpreted",
     "simulate_pattern",
-    "cone_truth_table",
     "truth_table",
     "parse_bench",
     "write_bench",
@@ -68,11 +62,9 @@ __all__ = [
     "encode_circuit",
     "EquivalenceResult",
     "check_equivalence",
-    "check_outputs_equal",
     "Aig",
     "optimize",
     "sweep",
     "generate_random_circuit",
-    "c17",
     "paper_example_circuit",
 ]

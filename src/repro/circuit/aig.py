@@ -65,18 +65,11 @@ class Aig:
         self._strash[key] = index
         return index << 1
 
-    @staticmethod
-    def not_(a: int) -> int:
-        return a ^ 1
-
     def or_(self, a: int, b: int) -> int:
         return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor_(self, a: int, b: int) -> int:
         return self.or_(self.and_(a, b ^ 1), self.and_(a ^ 1, b))
-
-    def xnor_(self, a: int, b: int) -> int:
-        return self.xor_(a, b) ^ 1
 
     def and_many(self, lits: Sequence[int]) -> int:
         """Balanced AND reduction (keeps depth logarithmic)."""
@@ -111,10 +104,6 @@ class Aig:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def num_ands(self) -> int:
-        return sum(1 for n in self._nodes if n is not None)
-
     @property
     def num_inputs(self) -> int:
         return len(self._input_names)

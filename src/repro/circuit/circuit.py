@@ -251,10 +251,6 @@ class Circuit:
         )
 
     @property
-    def num_nodes(self) -> int:
-        return len(self._type)
-
-    @property
     def num_gates(self) -> int:
         return self._memo(
             "num_gates",

@@ -373,7 +373,6 @@ class CompiledCircuit:
         self,
         input_values: Mapping[str, int],
         width: int,
-        targets: Sequence[str] | None = None,
     ) -> dict[str, int]:
         """Set-bit counts per node of one packed ``width``-wide pass.
 
@@ -381,7 +380,7 @@ class CompiledCircuit:
         """
         if width < 1:
             raise CircuitError(f"width must be >= 1, got {width}")
-        program = self._program(targets)
+        program = self._program(None)
         values = program.fn(
             self._gather_inputs(program, input_values), (1 << width) - 1
         )

@@ -1,41 +1,15 @@
-"""Known circuits: ISCAS c17 and the paper's worked example.
+"""The paper's worked example circuit.
 
-- :func:`c17` is the genuine ISCAS'85 c17 netlist (6 NAND gates), kept
-  as a real-benchmark anchor for the synthetic suite.
-- :func:`paper_example_circuit` is the running example of the paper's
-  §II-B (Figure 2a): ``y = (a ∧ b) ∨ (b ∧ c) ∨ (c ∧ a) ∨ d``. The FALL
-  walk-through in §III/§IV locks this circuit with TTLock and SFLL-HD1
-  and attacks it; our tests replay that walk-through end to end.
+:func:`paper_example_circuit` is the running example of the paper's
+§II-B (Figure 2a): ``y = (a ∧ b) ∨ (b ∧ c) ∨ (c ∧ a) ∨ d``. The FALL
+walk-through in §III/§IV locks this circuit with TTLock and SFLL-HD1
+and attacks it; our tests replay that walk-through end to end.
 """
 
 from __future__ import annotations
 
-from repro.circuit.bench_io import parse_bench
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
-
-_C17_BENCH = """
-# c17 (ISCAS'85)
-INPUT(G1)
-INPUT(G2)
-INPUT(G3)
-INPUT(G6)
-INPUT(G7)
-OUTPUT(G22)
-OUTPUT(G23)
-G10 = NAND(G1, G3)
-G11 = NAND(G3, G6)
-G16 = NAND(G2, G11)
-G19 = NAND(G11, G7)
-G22 = NAND(G10, G16)
-G23 = NAND(G16, G19)
-"""
-
-
-def c17() -> Circuit:
-    """The ISCAS'85 c17 benchmark (5 inputs, 2 outputs, 6 NAND gates)."""
-    return parse_bench(_C17_BENCH, name="c17")
-
 
 def paper_example_circuit() -> Circuit:
     """Figure 2a of the paper: ``y = ab + bc + ca + d``.

@@ -196,10 +196,9 @@ def sweep_popcounts(
     circuit: Circuit,
     input_values: Mapping[str, int],
     width: int,
-    targets: Sequence[str] | None = None,
 ) -> dict[str, int]:
     """:meth:`CompiledCircuit.node_popcounts` on the cached engine."""
-    return compile_circuit(circuit).node_popcounts(input_values, width, targets)
+    return compile_circuit(circuit).node_popcounts(input_values, width)
 
 
 def sweep_truth_table(

@@ -108,14 +108,6 @@ def simulate_pattern(
     return simulate(circuit, assignment, width=1)
 
 
-def output_pattern(
-    circuit: Circuit, assignment: Mapping[str, int]
-) -> tuple[int, ...]:
-    """Outputs (ordered) for a single 0/1 input assignment."""
-    require_binary_inputs(assignment)
-    return compile_circuit(circuit).eval_outputs(assignment, width=1)
-
-
 def exhaustive_input_values(
     input_names: Sequence[str],
 ) -> tuple[dict[str, int], int]:
@@ -139,7 +131,8 @@ def truth_table(circuit: Circuit, node: str | None = None) -> int:
     ``circuit.inputs`` order) is bit ``i`` of ``j``. When the circuit has
     more than 24 inputs the enumeration falls back to the node's support
     cone — bit ``i`` of ``j`` then indexes the cone's inputs (in
-    ``circuit.inputs`` order; see :func:`cone_truth_table`) — so the
+    ``circuit.inputs`` order; see :func:`~repro.circuit.sharding.
+    sweep_truth_table`) — so the
     24-input feasibility limit applies to the cone, not the circuit.
     """
     if node is None:
@@ -154,16 +147,3 @@ def truth_table(circuit: Circuit, node: str | None = None) -> int:
         return table
     table, _ = sweep_truth_table(circuit, node)
     return table
-
-
-def cone_truth_table(
-    circuit: Circuit, node: str
-) -> tuple[int, tuple[str, ...]]:
-    """Exhaustive table of ``node`` over its own support only.
-
-    Returns ``(table, support_inputs)``: bit ``j`` of ``table`` is the
-    node's value when support input ``i`` is bit ``i`` of ``j``. Always
-    enumerates just the cone, so it stays feasible on arbitrarily wide
-    circuits as long as the cone has at most 24 inputs.
-    """
-    return sweep_truth_table(circuit, node)

@@ -26,12 +26,11 @@ class CircuitEncoding:
     cnf: Cnf
     var_of: dict[str, int] = field(default_factory=dict)
 
-    def lit(self, node: str, positive: bool = True) -> int:
-        """The literal asserting ``node`` is 1 (or 0 if not positive)."""
+    def lit(self, node: str) -> int:
+        """The literal asserting ``node`` is 1."""
         if node not in self.var_of:
             raise EncodingError(f"node {node!r} was not encoded")
-        var = self.var_of[node]
-        return var if positive else -var
+        return self.var_of[node]
 
     def lits(self, nodes: Sequence[str]) -> list[int]:
         return [self.lit(n) for n in nodes]

@@ -11,14 +11,6 @@ class ReproError(Exception):
     """Base class for all exceptions raised by the repro package."""
 
 
-class BudgetExceededError(ReproError):
-    """Raised when a cooperative time/conflict budget expires.
-
-    Attack drivers catch this and record a timeout, mirroring the paper's
-    1000-second per-run limit semantics.
-    """
-
-
 class CircuitError(ReproError):
     """Structural problem with a circuit (bad fanin, cycle, unknown node)."""
 

@@ -18,7 +18,7 @@ from repro.experiments.profiles import (
     TABLE1_PROFILES,
     scale_from_env,
 )
-from repro.experiments.suite import LockedBenchmark, build_benchmark, build_suite
+from repro.experiments.suite import LockedBenchmark, build_benchmark
 from repro.experiments.runner import (
     RunRecord,
     SuiteTask,
@@ -35,7 +35,6 @@ __all__ = [
     "scale_from_env",
     "LockedBenchmark",
     "build_benchmark",
-    "build_suite",
     "RunRecord",
     "SuiteTask",
     "run_benchmark_attack",

@@ -45,10 +45,9 @@ def render_cactus(
     time_limit: float,
     total: int,
     title: str,
-    width: int = 60,
-    height: int = 12,
 ) -> str:
     """ASCII rendition of a Figure 5 panel: x = time, y = #solved."""
+    width, height = 60, 12
     out = io.StringIO()
     out.write(f"== {title} (limit {time_limit:g}s, {total} instances) ==\n")
     grid = [[" "] * width for _ in range(height)]

@@ -91,9 +91,6 @@ def _classify(benchmark: LockedBenchmark, result: AttackResult) -> tuple:
             return correct, correct
         if "reconstructed" in result.details:
             return _verify_reconstruction(benchmark, result.details), False
-        # Keyless, reconstruction-less successes (the IND-CPA game)
-        # stand on their own verdict.
-        return True, False
     if result.status is AttackStatus.MULTIPLE_CANDIDATES:
         solved = any(
             _verify_key(benchmark, candidate) for candidate in result.candidates

@@ -63,16 +63,3 @@ def build_benchmark(
         original=original,
         locked=locked,
     )
-
-
-def build_suite(
-    profiles: list[CircuitProfile],
-    h_labels: tuple[str, ...] = ("hd0", "m/8", "m/4", "m/3"),
-    lock_seed: int = 0,
-) -> list[LockedBenchmark]:
-    """The full evaluation grid (paper: 20 circuits x 4 settings = 80)."""
-    return [
-        build_benchmark(profile, label, lock_seed)
-        for profile in profiles
-        for label in h_labels
-    ]

@@ -5,13 +5,15 @@ earlier baselines the paper discusses (random XOR/XNOR locking in the
 EPIC lineage [16], SARLock [30], Anti-SAT [26, 27]). Every scheme
 returns a :class:`~repro.locking.base.LockedCircuit` carrying the locked
 netlist (key inputs marked), the ordered key-input names and —
-for experiment bookkeeping only — the correct key.
+for experiment bookkeeping only — the correct key. The multi-cube
+SFLL-flex variant, which marks where FALL's functional analyses stop,
+is built only by the tests that pin that boundary
+(``tests/locking/sfll_flex.py``).
 """
 
 from repro.locking.base import LockedCircuit, apply_key
 from repro.locking.ttlock import lock_ttlock
 from repro.locking.sfll import lock_sfll_hd
-from repro.locking.sfll_flex import lock_sfll_flex
 from repro.locking.rll import lock_random_xor
 from repro.locking.sarlock import lock_sarlock
 from repro.locking.antisat import lock_antisat
@@ -21,7 +23,6 @@ __all__ = [
     "apply_key",
     "lock_ttlock",
     "lock_sfll_hd",
-    "lock_sfll_flex",
     "lock_random_xor",
     "lock_sarlock",
     "lock_antisat",

@@ -42,18 +42,18 @@ def add_key_inputs(circuit: Circuit, width: int) -> list[str]:
 
 
 def resolve_lock_site(
-    circuit: Circuit,
-    key_width: int | None,
-    target_output: str | None,
-    max_key_width: int = 64,
+    circuit: Circuit, key_width: int | None
 ) -> tuple[str, tuple[str, ...]]:
-    """Pick the target output and protected inputs for a locking call."""
-    target = target_output or choose_target_output(circuit)
+    """Pick the target output and protected inputs for a locking call.
+
+    The target is the widest-support output; ``key_width`` defaults to
+    ``min(#inputs, 64)``, the paper's cap.
+    """
     width = key_width
     if width is None:
-        width = min(len(circuit.circuit_inputs), max_key_width)
+        width = min(len(circuit.circuit_inputs), 64)
     protected = choose_protected_inputs(circuit, width)
-    return target, protected
+    return choose_target_output(circuit), protected
 
 
 def resolve_cube(

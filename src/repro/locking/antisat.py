@@ -31,7 +31,6 @@ def lock_antisat(
     circuit: Circuit,
     key_width: int | None = None,
     base_key: Sequence[int] | None = None,
-    target_output: str | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
@@ -41,7 +40,7 @@ def lock_antisat(
     ``2 * key_width`` key inputs (K1 followed by K2). The canonical
     correct key sets ``K1 = K2 = base_key``.
     """
-    target, protected = resolve_lock_site(circuit, key_width, target_output)
+    target, protected = resolve_lock_site(circuit, key_width)
     width = len(protected)
     base = resolve_cube(base_key, width, seed)
 

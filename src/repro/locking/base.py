@@ -2,12 +2,12 @@
 
 A :class:`LockedCircuit` is what the adversary receives (the locked
 netlist with key inputs distinguished — the paper's threat model, §II-A)
-plus defender-side bookkeeping (the correct key, the protected cube) that
-experiments use to validate attack results.
+plus defender-side bookkeeping (the correct key) that experiments use
+to validate attack results.
 
-Attack code must never read the bookkeeping fields; they are exposed only
-through ``reveal_*`` methods, and a test greps the attack sources to
-enforce the separation.
+Attack code must never read the bookkeeping field; it is exposed only
+through :meth:`LockedCircuit.reveal_correct_key`, and a test greps the
+attack sources to enforce the separation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class LockedCircuit:
     h: int | None = None
     target_output: str | None = None
     _correct_key: tuple[int, ...] = field(default=(), repr=False)
-    _protected_cube: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if tuple(self.circuit.key_inputs) != tuple(self.key_names):
@@ -58,12 +57,6 @@ class LockedCircuit:
         if not self._correct_key:
             raise LockingError("no correct key recorded for this circuit")
         return self._correct_key
-
-    def reveal_protected_cube(self) -> tuple[int, ...]:
-        """Defender-side accessor — never called from attack code."""
-        if not self._protected_cube:
-            raise LockingError("no protected cube recorded for this circuit")
-        return self._protected_cube
 
     def key_assignment(self, key_bits: Sequence[int]) -> dict[str, int]:
         """Map a key bit-vector onto the named key inputs."""

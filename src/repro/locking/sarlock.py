@@ -34,12 +34,11 @@ def lock_sarlock(
     circuit: Circuit,
     key_width: int | None = None,
     correct_key: Sequence[int] | None = None,
-    target_output: str | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Lock ``circuit`` with SARLock."""
-    target, protected = resolve_lock_site(circuit, key_width, target_output)
+    target, protected = resolve_lock_site(circuit, key_width)
     key_bits = resolve_cube(correct_key, len(protected), seed)
 
     work, hidden = displace_target(circuit, target)

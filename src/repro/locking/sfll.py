@@ -34,7 +34,6 @@ def lock_sfll_hd(
     h: int,
     key_width: int | None = None,
     cube: Sequence[int] | None = None,
-    target_output: str | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
@@ -43,7 +42,7 @@ def lock_sfll_hd(
     ``h = 0`` gives a circuit functionally identical to TTLock (but built
     from the Hamming-distance comparator, like real SFLL generators).
     """
-    target, protected = resolve_lock_site(circuit, key_width, target_output)
+    target, protected = resolve_lock_site(circuit, key_width)
     if not 0 <= h <= len(protected):
         raise LockingError(
             f"h={h} is out of range for key width {len(protected)}"
@@ -75,5 +74,4 @@ def lock_sfll_hd(
         h=h,
         target_output=target,
         _correct_key=cube_bits,
-        _protected_cube=cube_bits,
     )

@@ -32,7 +32,6 @@ def lock_ttlock(
     circuit: Circuit,
     key_width: int | None = None,
     cube: Sequence[int] | None = None,
-    target_output: str | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
@@ -40,11 +39,11 @@ def lock_ttlock(
 
     ``key_width`` defaults to ``min(#inputs, 64)`` (the paper's cap);
     ``cube`` (the protected cube = the correct key) defaults to a seeded
-    random vector; ``target_output`` defaults to the widest-support
-    output. With ``optimize_netlist`` the locked netlist is strashed, as
+    random vector; the widest-support output is locked. With
+    ``optimize_netlist`` the locked netlist is strashed, as
     in the paper's methodology (§VI-A), to remove structural bias.
     """
-    target, protected = resolve_lock_site(circuit, key_width, target_output)
+    target, protected = resolve_lock_site(circuit, key_width)
     cube_bits = resolve_cube(cube, len(protected), seed)
 
     work, hidden = displace_target(circuit, target)
@@ -70,5 +69,4 @@ def lock_ttlock(
         h=0,
         target_output=target,
         _correct_key=cube_bits,
-        _protected_cube=cube_bits,
     )

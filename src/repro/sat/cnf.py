@@ -39,12 +39,6 @@ class Cnf:
         self.num_vars += 1
         return self.num_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh variables."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.new_var() for _ in range(count)]
-
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append one clause; literals may reference new variables."""
         clause = tuple(lits)
@@ -59,10 +53,6 @@ class Cnf:
         self.num_vars = top
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
@@ -73,7 +63,7 @@ class Cnf:
         return duplicate
 
     # ------------------------------------------------------------------
-    # Evaluation (used by tests and the DPLL reference solver)
+    # Evaluation (used by the tests to check solver models)
     # ------------------------------------------------------------------
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         """Truth value of the formula under a *total* assignment."""

@@ -27,23 +27,8 @@ def var_of(lit: int) -> int:
     return lit if lit > 0 else -lit
 
 
-def is_positive(lit: int) -> bool:
-    return lit > 0
-
-
-def neg(lit: int) -> int:
-    """Negation of an external literal."""
-    return -lit
-
-
 def to_internal(lit: int) -> int:
     """External signed literal -> internal even/odd index."""
     if lit > 0:
         return lit << 1
     return ((-lit) << 1) | 1
-
-
-def from_internal(ilit: int) -> int:
-    """Internal even/odd index -> external signed literal."""
-    var = ilit >> 1
-    return -var if (ilit & 1) else var

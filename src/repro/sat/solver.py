@@ -196,9 +196,6 @@ class Solver:
         heappush(self._heap, key)
         return self._num_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        return [self.new_var() for _ in range(count)]
-
     def _ensure_var(self, var: int) -> None:
         while self._num_vars < var:
             self.new_var()

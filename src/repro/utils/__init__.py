@@ -1,16 +1,10 @@
 """Shared utilities: budgets/timers, bit manipulation, deterministic RNG."""
 
 from repro.utils.timer import Budget, Stopwatch
-from repro.utils.bitops import popcount, bit_get, bit_set, bits_to_int, int_to_bits
 from repro.utils.rng import make_rng
 
 __all__ = [
     "Budget",
     "Stopwatch",
-    "popcount",
-    "bit_get",
-    "bit_set",
-    "bits_to_int",
-    "int_to_bits",
     "make_rng",
 ]

@@ -1,67 +1,8 @@
-"""Bit-vector helpers shared by simulation, locking and the attacks.
-
-Key values and input patterns travel through the codebase in two shapes:
-as tuples of 0/1 ints (ordered per a name list) and as packed Python ints.
-These helpers convert between the two and implement the small arithmetic
-the paper's lemmas need (Hamming distance, popcount).
-"""
+"""Bit-vector helpers shared by the locking schemes and the attacks."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in a non-negative integer."""
-    if value < 0:
-        raise ValueError("popcount requires a non-negative integer")
-    return value.bit_count()
-
-
-def bit_get(value: int, index: int) -> int:
-    """The bit of ``value`` at ``index`` (LSB = index 0)."""
-    return (value >> index) & 1
-
-
-def bit_set(value: int, index: int, bit: int) -> int:
-    """``value`` with the bit at ``index`` forced to ``bit``."""
-    if bit:
-        return value | (1 << index)
-    return value & ~(1 << index)
-
-
-def bits_to_int(bits: Iterable[int]) -> int:
-    """Pack an iterable of 0/1 values, first element = LSB.
-
-    >>> bits_to_int([1, 0, 0, 1])
-    9
-    """
-    value = 0
-    for index, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit at index {index} is {bit!r}, expected 0 or 1")
-        value |= bit << index
-    return value
-
-
-def int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    """Unpack ``value`` into ``width`` bits, LSB first.
-
-    >>> int_to_bits(9, 4)
-    (1, 0, 0, 1)
-    """
-    if value < 0:
-        raise ValueError("int_to_bits requires a non-negative integer")
-    if value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return tuple((value >> i) & 1 for i in range(width))
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """HD(a, b) for equal-length 0/1 sequences (paper §II-D)."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x ^ y for x, y in zip(a, b))
+from collections.abc import Sequence
 
 
 def complement_bits(bits: Sequence[int]) -> tuple[int, ...]:

@@ -25,15 +25,3 @@ def make_rng(seed_or_rng: RngLike = None) -> random.Random:
     if seed_or_rng is None:
         return random.Random(0)
     return random.Random(seed_or_rng)
-
-
-def random_bits(rng: random.Random, width: int) -> tuple[int, ...]:
-    """A uniform random 0/1 tuple of the given width."""
-    return tuple(rng.getrandbits(1) for _ in range(width))
-
-
-def random_word(rng: random.Random, width: int) -> int:
-    """A uniform random integer in [0, 2**width)."""
-    if width <= 0:
-        return 0
-    return rng.getrandbits(width)

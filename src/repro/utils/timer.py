@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import BudgetExceededError
-
 
 class Stopwatch:
     """Measures elapsed wall-clock time.
@@ -64,14 +62,6 @@ class Budget:
     @property
     def expired(self) -> bool:
         return self.remaining <= 0.0
-
-    def check(self) -> None:
-        """Raise :class:`BudgetExceededError` if the budget has expired."""
-        if self.expired:
-            raise BudgetExceededError(
-                f"budget of {self.seconds:.3f}s exhausted "
-                f"(elapsed {self.elapsed:.3f}s)"
-            )
 
     def sub(self, seconds: float | None = None) -> "Budget":
         """A child budget capped by both ``seconds`` and this budget."""

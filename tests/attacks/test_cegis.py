@@ -17,12 +17,13 @@ from repro.attacks.engine import run_attack
 from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import lock_random_xor, lock_ttlock
 from repro.sat.solver import Solver
 from repro.utils.timer import Budget
+from tests.circuits import c17
 
 
 @pytest.mark.parametrize(

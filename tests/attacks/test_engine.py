@@ -24,6 +24,7 @@ from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit import sharding
+from repro.circuit.equivalence import check_equivalence
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import (
@@ -258,14 +259,15 @@ class TestPortfolio:
         assert results[0].key == results[1].key
 
     def test_parallel_race_cancels_the_slow_racer(self):
-        """The ~2^k-query SAT attack on SARLock must be cancelled once
-        AppSAT concludes (cooperative cancellation through the budget)."""
-        original, locked = _benchmark("sarlock")
+        """The ~2^k-query SAT attack on TTLock must be cancelled once
+        FALL, ahead of it in the requested order, concludes
+        (cooperative cancellation through the budget)."""
+        original, locked = _benchmark("ttlock")
         result = run_portfolio(
-            ["sat", "appsat"], locked.circuit, IOOracle(original),
+            ["fall", "sat"], locked.circuit, IOOracle(original),
             AttackConfig(time_limit=_TIME_LIMIT, jobs=2),
         )
-        assert result.details["portfolio"]["winner"] == "appsat"
+        assert result.details["portfolio"]["winner"] == "fall"
         sat_entry = result.details["portfolio"]["attacks"]["sat"]
         # Either the cancel landed mid-CEGIS (the expected path) or SAT
         # finished its 2^k grind first; both end the race conclusively,
@@ -273,6 +275,29 @@ class TestPortfolio:
         assert sat_entry["status"] in ("timeout", "success")
         if sat_entry["status"] == "timeout":
             assert sat_entry["cancelled"]
+
+    def test_winner_is_the_same_at_any_jobs(self):
+        """SARLock: AppSAT and Double DIP finish long before the SAT
+        attack with unchecked keys. Those neither win nor cancel the
+        SAT attack, which comes first in the requested order, so two
+        workers report the winner one worker does, with a proven key."""
+        original, locked = _benchmark("sarlock")
+        names = ["fall", "sat", "appsat", "double-dip"]
+        results = [
+            run_portfolio(
+                names, locked.circuit, IOOracle(original),
+                AttackConfig(time_limit=_TIME_LIMIT, jobs=jobs),
+            )
+            for jobs in (1, 2)
+        ]
+        for result in results:
+            portfolio = result.details["portfolio"]
+            assert portfolio["winner"] == "sat"
+            assert portfolio["conclusive"]
+            assert not portfolio["attacks"]["sat"]["cancelled"]
+            unlocked = locked.unlocked_with(result.key)
+            assert check_equivalence(original, unlocked).proved
+        assert results[0].key == results[1].key
 
     def test_broken_pool_falls_back_to_a_sequential_race(self):
         """A pool that lost a worker must not fail this race or later

@@ -15,11 +15,7 @@ from repro.attacks.fall.comparators import (
 )
 from repro.attacks.fall.distance2h import distance_2h
 from repro.attacks.fall.equivalence import build_strip_reference, confirm_cube
-from repro.attacks.fall.prefilter import (
-    candidate_polarities,
-    passes_unateness_sim,
-    strip_density,
-)
+from repro.attacks.fall.prefilter import passes_unateness_sim, strip_density
 from repro.attacks.fall.sliding_window import sliding_window
 from repro.attacks.fall.support_match import (
     candidate_strip_nodes,
@@ -302,22 +298,6 @@ class TestPrefilter:
         assert strip_density(4, 0) == 1 / 16
         assert strip_density(4, 1) == 4 / 16
         assert strip_density(4, 5) == 0.0
-
-    def test_polarity_detection_plain(self):
-        cone = strip_cone(PAPER_CUBE, 0)
-        try_plain, try_complement = candidate_polarities(cone, 0)
-        assert try_plain
-        assert not try_complement
-
-    def test_polarity_detection_complement(self):
-        cone = strip_cone(PAPER_CUBE, 0)
-        neg = cone.copy()
-        negated = neg.fresh_name("neg")
-        neg.add_gate(negated, GateType.NOT, [neg.outputs[0]])
-        neg.replace_output(neg.outputs[0], negated)
-        try_plain, try_complement = candidate_polarities(neg, 0)
-        assert not try_plain
-        assert try_complement
 
     def test_unateness_sim_accepts_cube(self):
         assert passes_unateness_sim(cube_cone(PAPER_CUBE))

@@ -10,10 +10,11 @@ from repro.attacks.results import AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
 from repro.locking import lock_random_xor, lock_sarlock, lock_sfll_hd, lock_ttlock
+from tests.circuits import c17
 
 
 class TestOracle:
@@ -104,20 +105,6 @@ class TestSatAttack:
 
 
 class TestAttackResultPlumbing:
-    def test_key_as_assignment(self):
-        original = paper_example_circuit()
-        locked = lock_ttlock(original, cube=(1, 0, 0, 1))
-        result = sat_attack(locked.circuit, IOOracle(original))
-        assignment = result.key_as_assignment()
-        assert assignment == dict(zip(locked.key_names, (1, 0, 0, 1)))
-
-    def test_key_as_assignment_requires_key(self):
-        from repro.attacks.results import AttackResult
-
-        result = AttackResult(attack="x", status=AttackStatus.FAILED)
-        with pytest.raises(ValueError):
-            result.key_as_assignment()
-
     def test_summary_format(self):
         original = paper_example_circuit()
         locked = lock_ttlock(original, cube=(1, 0, 0, 1))

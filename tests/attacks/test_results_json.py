@@ -1,6 +1,7 @@
 """AttackResult JSON serialization: the round-trip guarantee.
 
-``AttackResult.from_json(r.to_json()) == r.sanitized()`` must hold for
+``AttackResult.from_json_dict(json.loads(json.dumps(r.to_json_dict())))
+== r.sanitized()`` must hold for
 *any* result — including the messy in-process shapes attacks
 historically produced (``FallReport`` dataclasses, reconstructed
 ``Circuit`` netlists, raw ``SolverStats`` dicts, tuples) — and
@@ -27,9 +28,8 @@ from repro.sat.solver import SolverStats
 
 
 def _round_trip(result: AttackResult) -> AttackResult:
-    text = result.to_json()
-    json.loads(text)  # really is JSON
-    return AttackResult.from_json(text)
+    text = json.dumps(result.to_json_dict())
+    return AttackResult.from_json_dict(json.loads(text))
 
 
 class TestRoundTrip:

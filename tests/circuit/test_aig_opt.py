@@ -12,10 +12,11 @@ from repro.circuit.bench_io import write_bench
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.opt import optimize, sweep
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import exhaustive_input_values, simulate
+from tests.circuits import c17
 
 
 class TestAigPrimitives:
@@ -30,7 +31,7 @@ class TestAigPrimitives:
         aig = Aig()
         a = aig.add_input("a")
         assert aig.and_(a, a) == a
-        assert aig.and_(a, aig.not_(a)) == FALSE_LIT
+        assert aig.and_(a, a ^ 1) == FALSE_LIT
 
     def test_structural_hashing_dedupes(self):
         aig = Aig()
@@ -39,7 +40,7 @@ class TestAigPrimitives:
         first = aig.and_(a, b)
         second = aig.and_(b, a)  # commuted
         assert first == second
-        assert aig.num_ands == 1
+        assert sum(1 for node in aig._nodes if node is not None) == 1
 
     def test_or_xor_via_demorgan(self):
         aig = Aig()
@@ -47,7 +48,7 @@ class TestAigPrimitives:
         b = aig.add_input("b")
         or_lit = aig.or_(a, b)
         xor_lit = aig.xor_(a, b)
-        xnor_lit = aig.xnor_(a, b)
+        xnor_lit = aig.xor_(a, b) ^ 1
         values = {"a": 0b1010, "b": 0b1100}
         results = aig.evaluate(values, [or_lit, xor_lit, xnor_lit], mask=0b1111)
         assert results == [0b1110, 0b0110, 0b1001]

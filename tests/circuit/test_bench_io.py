@@ -7,8 +7,8 @@ import pytest
 from repro.circuit.bench_io import parse_bench, read_bench, save_bench, write_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17
 from repro.errors import ParseError
+from tests.circuits import c17
 
 
 class TestParse:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate_pattern
 from repro.circuit.tseitin import (
@@ -29,6 +29,7 @@ from repro.errors import EncodingError
 from repro.locking import lock_sfll_hd
 from repro.sat.cnf import Cnf
 from repro.sat.solver import Solver, SolveStatus
+from tests.circuits import c17
 
 
 def check_against_simulation(circuit: Circuit, pattern: int) -> None:

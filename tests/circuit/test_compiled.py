@@ -19,10 +19,10 @@ from repro.circuit.compiled import (
     pack_patterns,
 )
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
+from repro.circuit.sharding import sweep_truth_table
 from repro.circuit.simulate import (
-    cone_truth_table,
     exhaustive_input_values,
     simulate,
     simulate_interpreted,
@@ -30,6 +30,7 @@ from repro.circuit.simulate import (
 )
 from repro.errors import CircuitError
 from repro.utils.rng import make_rng
+from tests.circuits import c17
 
 
 class TestEquivalenceWithInterpreter:
@@ -264,7 +265,7 @@ class TestConeTruthTable:
         circuit.add_output("rest")
         table = truth_table(circuit, "small")
         assert table == 0b1000  # AND over (x3, x20) in support order
-        cone_table, support = cone_truth_table(circuit, "small")
+        cone_table, support = sweep_truth_table(circuit, "small")
         assert support == ("x3", "x20")
         assert cone_table == 0b1000
 
@@ -286,7 +287,7 @@ class TestConeTruthTable:
     def test_cone_table_matches_scalar_simulation(self):
         circuit = generate_random_circuit("ctt", 10, 2, 35, seed=5)
         node = circuit.outputs[0]
-        table, support = cone_truth_table(circuit, node)
+        table, support = sweep_truth_table(circuit, node)
         from repro.circuit.simulate import simulate_pattern
 
         for pattern in range(1 << len(support)):

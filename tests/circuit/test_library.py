@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuit.library import PAPER_EXAMPLE_CUBE, c17, paper_example_circuit
+from repro.circuit.library import PAPER_EXAMPLE_CUBE, paper_example_circuit
 from repro.circuit.simulate import simulate_pattern
+from tests.circuits import c17
 
 
 class TestC17Vectors:

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.circuit import Circuit
+from repro.circuit.compiled import compile_circuit
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import (
     exhaustive_input_values,
-    output_pattern,
     simulate,
     simulate_pattern,
     truth_table,
 )
 from repro.errors import CircuitError
+from tests.circuits import c17
 
 
 def majority_or_d(a: int, b: int, c: int, d: int) -> int:
@@ -45,7 +46,7 @@ class TestSimulatePattern:
     def test_output_pattern(self):
         circuit = c17()
         assignment = {"G1": 1, "G2": 0, "G3": 1, "G6": 1, "G7": 0}
-        out = output_pattern(circuit, assignment)
+        out = compile_circuit(circuit).eval_outputs(assignment, width=1)
         assert len(out) == 2
         assert all(v in (0, 1) for v in out)
 

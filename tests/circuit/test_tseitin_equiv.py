@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.equivalence import check_equivalence, check_outputs_equal
+from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
-from repro.circuit.library import c17, paper_example_circuit
+from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import exhaustive_input_values, simulate
 from repro.circuit.tseitin import encode_circuit
 from repro.errors import CircuitError, EncodingError
+from repro.locking.base import LockedCircuit
 from repro.sat.cnf import Cnf
 from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget
+from tests.circuits import c17
 
 
 def tseitin_truth_table(circuit: Circuit, node: str) -> int:
@@ -161,8 +163,9 @@ class TestEquivalence:
         plain.add_input("a")
         plain.add_gate("y", GateType.BUF, ["a"])
         plain.add_output("y")
-        assert check_equivalence(locked, plain, fixed_left={"k": 0}).proved
-        assert check_equivalence(locked, plain, fixed_left={"k": 1}).refuted
+        locked = LockedCircuit(circuit=locked, scheme="xor", key_names=("k",))
+        assert check_equivalence(locked.unlocked_with((0,)), plain).proved
+        assert check_equivalence(locked.unlocked_with((1,)), plain).refuted
 
     def test_input_mismatch_rejected(self):
         left = paper_example_circuit()
@@ -183,15 +186,6 @@ class TestEquivalence:
         b = b.renamed({}, name="a")
         result = check_equivalence(a, b, budget=Budget(0.0))
         assert result.equivalent is None
-
-    def test_check_outputs_equal_same_node(self):
-        circuit = paper_example_circuit()
-        assert check_outputs_equal(circuit, "y", "y").proved
-
-    def test_check_outputs_equal_distinct(self):
-        circuit = paper_example_circuit()
-        result = check_outputs_equal(circuit, "ab", "bc")
-        assert result.refuted
 
 
 @settings(max_examples=15, deadline=None)

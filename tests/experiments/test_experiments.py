@@ -20,7 +20,7 @@ from repro.experiments.report import (
     write_csv,
 )
 from repro.experiments.runner import run_benchmark_attack
-from repro.experiments.suite import build_benchmark, build_suite
+from repro.experiments.suite import build_benchmark
 from repro.attacks.results import AttackStatus
 
 
@@ -117,10 +117,6 @@ class TestSuite:
             benchmark.locked.reveal_correct_key()
         )
         assert check_equivalence(benchmark.original, unlocked).proved
-
-    def test_build_suite_grid(self):
-        suite = build_suite(SMALL.profiles(), h_labels=("hd0", "m/8"))
-        assert len(suite) == 4  # 2 circuits x 2 settings
 
     def test_originals_are_cached(self):
         profile = SMALL.profiles()[0]

@@ -39,7 +39,6 @@ def lock_sfll_flex(
     num_cubes: int = 2,
     cube_width: int | None = None,
     cubes: Sequence[Sequence[int]] | None = None,
-    target_output: str | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
@@ -51,7 +50,7 @@ def lock_sfll_flex(
     """
     if num_cubes < 1:
         raise LockingError("need at least one protected cube")
-    target, protected = resolve_lock_site(circuit, cube_width, target_output)
+    target, protected = resolve_lock_site(circuit, cube_width)
     width = len(protected)
     cube_list = _resolve_cubes(cubes, num_cubes, width, seed)
 
@@ -88,7 +87,6 @@ def lock_sfll_flex(
         protected_inputs=protected,
         target_output=target,
         _correct_key=correct_key,
-        _protected_cube=tuple(cube_list[0]),
     )
 
 

@@ -11,7 +11,7 @@ from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate_pattern
 from repro.errors import LockingError
-from repro.locking.sfll_flex import lock_sfll_flex
+from tests.locking.sfll_flex import lock_sfll_flex
 from repro.utils.timer import Budget
 
 

@@ -39,13 +39,13 @@ class TestExactly:
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (3, 0), (3, 2), (4, 2), (5, 3), (6, 1)])
     def test_model_count_is_binomial(self, n, k):
         cnf = Cnf()
-        xs = cnf.new_vars(n)
+        xs = [cnf.new_var() for _ in range(n)]
         encode_exactly(cnf, xs, k)
         assert _count_projected_models(cnf, xs) == comb(n, k)
 
     def test_exact_zero_forces_all_false(self):
         cnf = Cnf()
-        xs = cnf.new_vars(4)
+        xs = [cnf.new_var() for _ in range(4)]
         encode_exactly(cnf, xs, 0)
         solver = Solver()
         solver.add_cnf(cnf)
@@ -54,7 +54,7 @@ class TestExactly:
 
     def test_exact_n_forces_all_true(self):
         cnf = Cnf()
-        xs = cnf.new_vars(4)
+        xs = [cnf.new_var() for _ in range(4)]
         encode_exactly(cnf, xs, 4)
         solver = Solver()
         solver.add_cnf(cnf)
@@ -63,14 +63,14 @@ class TestExactly:
 
     def test_negated_literals_supported(self):
         cnf = Cnf()
-        xs = cnf.new_vars(3)
+        xs = [cnf.new_var() for _ in range(3)]
         encode_exactly(cnf, [-x for x in xs], 2)
         # exactly two of the vars FALSE <=> exactly one TRUE
         assert _count_projected_models(cnf, xs) == comb(3, 1)
 
     def test_out_of_range_bound_rejected(self):
         cnf = Cnf()
-        xs = cnf.new_vars(3)
+        xs = [cnf.new_var() for _ in range(3)]
         with pytest.raises(EncodingError):
             encode_exactly(cnf, xs, 4)
         with pytest.raises(EncodingError):
@@ -81,20 +81,20 @@ class TestAtMost:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 0), (5, 4)])
     def test_model_count(self, n, k):
         cnf = Cnf()
-        xs = cnf.new_vars(n)
+        xs = [cnf.new_var() for _ in range(n)]
         encode_at_most(cnf, xs, k)
         expected = sum(comb(n, i) for i in range(k + 1))
         assert _count_projected_models(cnf, xs) == expected
 
     def test_trivial_bound_adds_nothing(self):
         cnf = Cnf()
-        xs = cnf.new_vars(3)
+        xs = [cnf.new_var() for _ in range(3)]
         encode_at_most(cnf, xs, 3)
         assert _count_projected_models(cnf, xs) == 8
 
     def test_violating_assignment_unsat(self):
         cnf = Cnf()
-        xs = cnf.new_vars(4)
+        xs = [cnf.new_var() for _ in range(4)]
         encode_at_most(cnf, xs, 2)
         solver = Solver()
         solver.add_cnf(cnf)
@@ -102,7 +102,7 @@ class TestAtMost:
 
     def test_negative_bound_rejected(self):
         cnf = Cnf()
-        xs = cnf.new_vars(2)
+        xs = [cnf.new_var() for _ in range(2)]
         with pytest.raises(EncodingError):
             encode_at_most(cnf, xs, -1)
 
@@ -111,20 +111,20 @@ class TestAtLeast:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 3), (5, 5)])
     def test_model_count(self, n, k):
         cnf = Cnf()
-        xs = cnf.new_vars(n)
+        xs = [cnf.new_var() for _ in range(n)]
         encode_at_least(cnf, xs, k)
         expected = sum(comb(n, i) for i in range(k, n + 1))
         assert _count_projected_models(cnf, xs) == expected
 
     def test_zero_bound_adds_nothing(self):
         cnf = Cnf()
-        xs = cnf.new_vars(3)
+        xs = [cnf.new_var() for _ in range(3)]
         encode_at_least(cnf, xs, 0)
         assert cnf.num_clauses == 0
 
     def test_impossible_bound_rejected(self):
         cnf = Cnf()
-        xs = cnf.new_vars(2)
+        xs = [cnf.new_var() for _ in range(2)]
         with pytest.raises(EncodingError):
             encode_at_least(cnf, xs, 3)
 
@@ -138,7 +138,7 @@ def test_exactly_matches_binomial(n, data):
     """Exactly-k accepts C(n, k) input-variable models for any n and k."""
     k = data.draw(st.integers(min_value=0, max_value=n))
     cnf = Cnf()
-    xs = cnf.new_vars(n)
+    xs = [cnf.new_var() for _ in range(n)]
     encode_exactly(cnf, xs, k)
     assert _count_projected_models(cnf, xs) == comb(n, k)
 
@@ -146,6 +146,6 @@ def test_exactly_matches_binomial(n, data):
 def test_large_sequential_counter_is_compact():
     """The encoding stays near O(n*k) clauses, far below the binomial one."""
     cnf = Cnf()
-    xs = cnf.new_vars(40)
+    xs = [cnf.new_var() for _ in range(40)]
     encode_at_most(cnf, xs, 5)
     assert cnf.num_clauses < comb(40, 6) / 100

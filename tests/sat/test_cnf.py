@@ -15,14 +15,6 @@ class TestConstruction:
         assert cnf.new_var() == 2
         assert cnf.num_vars == 2
 
-    def test_new_vars_bulk(self):
-        cnf = Cnf()
-        assert cnf.new_vars(3) == [1, 2, 3]
-
-    def test_new_vars_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Cnf().new_vars(-1)
-
     def test_negative_initial_vars_rejected(self):
         with pytest.raises(ValueError):
             Cnf(-2)
@@ -40,11 +32,6 @@ class TestConstruction:
     def test_bool_literal_rejected(self):
         with pytest.raises(SolverError):
             Cnf().add_clause([True])
-
-    def test_add_clauses_bulk(self):
-        cnf = Cnf()
-        cnf.add_clauses([[1], [2, -1]])
-        assert cnf.num_clauses == 2
 
     def test_copy_is_independent(self):
         cnf = Cnf()

@@ -7,17 +7,10 @@ from hypothesis import given, settings
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
-from repro.sat.dpll import count_models, dpll_solve
-from repro.sat.literals import (
-    check_literal,
-    from_internal,
-    is_positive,
-    neg,
-    to_internal,
-    var_of,
-)
+from repro.sat.literals import check_literal, to_internal, var_of
 
 from tests.conftest import cnf_strategy
+from tests.sat.dpll import count_models, dpll_solve
 
 
 class TestDpll:
@@ -46,13 +39,15 @@ class TestDpll:
     def test_backtracking_needed(self):
         # (a | b) & (!a | b) & (a | !b) forces a = b = true.
         cnf = Cnf()
-        cnf.add_clauses([[1, 2], [-1, 2], [1, -2]])
+        for clause in ([1, 2], [-1, 2], [1, -2]):
+            cnf.add_clause(clause)
         model = dpll_solve(cnf)
         assert model[1] and model[2]
 
     def test_returned_model_satisfies(self):
         cnf = Cnf()
-        cnf.add_clauses([[1, -2, 3], [-1, 2], [-3, -1], [2, 3]])
+        for clause in ([1, -2, 3], [-1, 2], [-3, -1], [2, 3]):
+            cnf.add_clause(clause)
         model = dpll_solve(cnf)
         assert model is not None
         assert cnf.evaluate(model)
@@ -71,7 +66,7 @@ class TestCountModels:
     def test_projected_counting(self):
         # y <-> (a AND b): over {a, b} all 4 assignments extend.
         cnf = Cnf()
-        a, b, y = cnf.new_vars(3)
+        a, b, y = cnf.new_var(), cnf.new_var(), cnf.new_var()
         cnf.add_clause([-y, a])
         cnf.add_clause([-y, b])
         cnf.add_clause([y, -a, -b])
@@ -93,15 +88,11 @@ class TestLiterals:
         assert var_of(5) == 5
         assert var_of(-5) == 5
 
-    def test_polarity(self):
-        assert is_positive(2)
-        assert not is_positive(-2)
-        assert neg(4) == -4
-        assert neg(-4) == 4
-
     @pytest.mark.parametrize("lit", [1, -1, 7, -7, 100, -100])
     def test_internal_roundtrip(self, lit):
-        assert from_internal(to_internal(lit)) == lit
+        ilit = to_internal(lit)
+        var = ilit >> 1
+        assert (-var if ilit & 1 else var) == lit
 
     def test_internal_negation_is_xor(self):
         assert to_internal(-3) == to_internal(3) ^ 1

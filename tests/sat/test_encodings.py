@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError
 from repro.sat.cnf import Cnf
 from repro.sat.encodings import (
-    assert_equal,
-    encode_and,
     encode_difference_bits,
-    encode_equal_vectors,
     encode_hamming_distance_equals,
-    encode_or,
-    encode_xnor,
     encode_xor,
 )
 from repro.sat.solver import Solver, SolveStatus
@@ -38,92 +33,19 @@ def _truth_table(cnf: Cnf, inputs: list[int], out: int) -> list[bool]:
     return table
 
 
-class TestAnd:
-    def test_two_input(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_and(cnf, [a, b])
-        assert _truth_table(cnf, [a, b], out) == [False, False, False, True]
-
-    def test_three_input(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(3)
-        out = encode_and(cnf, xs)
-        table = _truth_table(cnf, xs, out)
-        assert table == [False] * 7 + [True]
-
-    def test_single_literal_passthrough(self):
-        cnf = Cnf()
-        a = cnf.new_var()
-        assert encode_and(cnf, [a]) == a
-        assert cnf.num_clauses == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_and(Cnf(), [])
-
-    def test_negated_inputs(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_and(cnf, [-a, -b])  # NOR
-        assert _truth_table(cnf, [a, b], out) == [True, False, False, False]
-
-
-class TestOr:
-    def test_two_input(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_or(cnf, [a, b])
-        assert _truth_table(cnf, [a, b], out) == [False, True, True, True]
-
-    def test_empty_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_or(Cnf(), [])
-
-
 class TestXor:
     def test_xor(self):
         cnf = Cnf()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         out = encode_xor(cnf, a, b)
         assert _truth_table(cnf, [a, b], out) == [False, True, True, False]
 
-    def test_xnor(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        out = encode_xnor(cnf, a, b)
-        assert _truth_table(cnf, [a, b], out) == [True, False, False, True]
-
 
 class TestVectorHelpers:
-    def test_assert_equal(self):
-        cnf = Cnf()
-        a, b = cnf.new_vars(2)
-        assert_equal(cnf, a, b)
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve(assumptions=[a, -b]) is SolveStatus.UNSAT
-        assert solver.solve(assumptions=[a, b]) is SolveStatus.SAT
-
-    def test_equal_vectors(self):
-        cnf = Cnf()
-        xs = cnf.new_vars(2)
-        ys = cnf.new_vars(2)
-        out = encode_equal_vectors(cnf, xs, ys)
-        solver = Solver()
-        solver.add_cnf(cnf)
-        assert solver.solve(assumptions=[xs[0], -xs[1], ys[0], -ys[1], out]) is SolveStatus.SAT
-        assert solver.solve(assumptions=[xs[0], -ys[0], out]) is SolveStatus.UNSAT
-
-    def test_equal_vectors_width_mismatch(self):
-        cnf = Cnf()
-        with pytest.raises(EncodingError):
-            encode_equal_vectors(cnf, cnf.new_vars(2), cnf.new_vars(3))
-
     def test_difference_bits(self):
         cnf = Cnf()
-        xs = cnf.new_vars(2)
-        ys = cnf.new_vars(2)
+        xs = [cnf.new_var() for _ in range(2)]
+        ys = [cnf.new_var() for _ in range(2)]
         diffs = encode_difference_bits(cnf, xs, ys)
         solver = Solver()
         solver.add_cnf(cnf)
@@ -139,8 +61,8 @@ class TestHammingDistance:
     @pytest.mark.parametrize("width,distance", [(3, 0), (3, 2), (4, 2), (5, 4)])
     def test_distance_is_enforced(self, width, distance):
         cnf = Cnf()
-        xs = cnf.new_vars(width)
-        ys = cnf.new_vars(width)
+        xs = [cnf.new_var() for _ in range(width)]
+        ys = [cnf.new_var() for _ in range(width)]
         encode_hamming_distance_equals(cnf, xs, ys, distance)
         solver = Solver()
         solver.add_cnf(cnf)
@@ -163,8 +85,8 @@ class TestHammingDistance:
 
     def test_impossible_distance_rejected(self):
         cnf = Cnf()
-        xs = cnf.new_vars(2)
-        ys = cnf.new_vars(2)
+        xs = [cnf.new_var() for _ in range(2)]
+        ys = [cnf.new_var() for _ in range(2)]
         with pytest.raises(EncodingError):
             encode_hamming_distance_equals(cnf, xs, ys, 3)
 
@@ -180,8 +102,8 @@ def test_hd_constraint_matches_popcount(width, x_pattern, y_pattern):
     y_pattern &= (1 << width) - 1
     true_distance = bin(x_pattern ^ y_pattern).count("1")
     cnf = Cnf()
-    xs = cnf.new_vars(width)
-    ys = cnf.new_vars(width)
+    xs = [cnf.new_var() for _ in range(width)]
+    ys = [cnf.new_var() for _ in range(width)]
     encode_hamming_distance_equals(cnf, xs, ys, true_distance)
     assumptions = [v if (x_pattern >> i) & 1 else -v for i, v in enumerate(xs)]
     assumptions += [v if (y_pattern >> i) & 1 else -v for i, v in enumerate(ys)]

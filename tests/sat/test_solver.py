@@ -10,12 +10,12 @@ from hypothesis import given, settings
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
-from repro.sat.dpll import dpll_solve
 from repro.sat import solver as solver_module
 from repro.sat.solver import Solver, SolveStatus, _luby
 from repro.utils.timer import Budget
 
 from tests.conftest import cnf_strategy, random_cnf
+from tests.sat.dpll import dpll_solve
 
 
 def check_model(cnf: Cnf, solver: Solver) -> None:
@@ -149,7 +149,7 @@ class TestAssumptions:
     def test_many_incremental_rounds(self):
         # Mimics the SAT-attack usage pattern: grow the formula, re-solve.
         s = Solver()
-        vars_ = s.new_vars(20)
+        vars_ = [s.new_var() for _ in range(20)]
         s.add_clause(vars_)
         for v in vars_[:-1]:
             assert s.solve() is SolveStatus.SAT
@@ -573,7 +573,7 @@ class TestAddCnf:
     def test_load_clear_append_load(self):
         # The owners' pattern: load, clear the buffer, append, load again.
         cnf = Cnf()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         cnf.add_clause([a, b])
         solver = Solver()
         solver.add_cnf(cnf)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
-from repro.sat.dpll import dpll_solve
 from repro.sat.solver import Solver, SolveStatus
 
 from tests.conftest import random_cnf
+from tests.sat.dpll import dpll_solve
 
 
 class TestIncrementalFuzz:
@@ -75,7 +75,7 @@ class TestIncrementalFuzz:
     def test_hundreds_of_assumption_solves(self):
         # The key-confirmation pattern: one instance, many assumption sets.
         solver = Solver()
-        vars_ = solver.new_vars(12)
+        vars_ = [solver.new_var() for _ in range(12)]
         # xor-chain structure: v1 ^ v2 ^ ... ^ v12 = 1 via pairwise aux.
         rng = random.Random(5)
         cnf = random_cnf(rng, 12, 30)
@@ -139,7 +139,7 @@ class TestApiGuards:
 
     def test_new_vars_bulk(self):
         solver = Solver()
-        assert solver.new_vars(3) == [1, 2, 3]
+        assert [solver.new_var() for _ in range(3)] == [1, 2, 3]
         assert solver.num_vars == 3
 
     def test_model_dict_requires_sat(self):

@@ -13,6 +13,7 @@ from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
 from repro.cli import main_attack, main_experiments, main_lock
+from repro.locking import lock_ttlock
 
 
 @pytest.fixture
@@ -153,8 +154,36 @@ class TestAttackCommand:
         code = main_attack(["--list-attacks"])
         assert code == 0
         out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(attack_names()) == 7
         for name in attack_names():
             assert name in out
+
+    def test_indcpa_is_not_an_attack(self, bench_file, tmp_path, capsys):
+        """The §VI-D game never reads its input netlist, so it is not
+        offered as an attack on one."""
+        locked_path = tmp_path / "locked.bench"
+        main_lock([str(bench_file), str(locked_path), "--scheme", "rll",
+                   "--keys", "3"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(locked_path), "--attack", "indcpa"])
+        assert excinfo.value.code == 2
+        assert "unknown attack 'indcpa'" in capsys.readouterr().err
+
+    def test_double_dip_key_is_marked_approximate(
+        self, bench_file, tmp_path, capsys
+    ):
+        """Double DIP returns key 0000 on paper/ttlock after no queries;
+        the key is wrong, and the printed summary says it is unchecked."""
+        locked_path = tmp_path / "locked.bench"
+        locked = lock_ttlock(paper_example_circuit(), cube=(1, 0, 0, 1))
+        save_bench(locked.circuit, locked_path)
+        code = main_attack(
+            [str(locked_path), "--attack", "double-dip",
+             "--oracle", str(bench_file)]
+        )
+        assert code == 0
+        assert "double-dip: success (approximate)" in capsys.readouterr().out
 
     def test_missing_netlist_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,17 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import BudgetExceededError
-from repro.utils.bitops import (
-    bit_get,
-    bit_set,
-    bits_to_int,
-    complement_bits,
-    hamming_distance,
-    int_to_bits,
-    popcount,
-)
-from repro.utils.rng import make_rng, random_bits, random_word
+from repro.utils.bitops import complement_bits
+from repro.utils.rng import make_rng
 from repro.utils.timer import Budget, Stopwatch
 
 
@@ -41,13 +32,11 @@ class TestBudget:
         budget = Budget.unlimited()
         assert not budget.expired
         assert budget.remaining == float("inf")
-        budget.check()  # must not raise
 
     def test_zero_budget_expires_immediately(self):
         budget = Budget(0.0)
         assert budget.expired
-        with pytest.raises(BudgetExceededError):
-            budget.check()
+        assert budget.remaining == 0.0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -78,43 +67,6 @@ class TestBudget:
 
 
 class TestBitOps:
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-
-    def test_popcount_negative_rejected(self):
-        with pytest.raises(ValueError):
-            popcount(-1)
-
-    def test_bit_get_set(self):
-        assert bit_get(0b100, 2) == 1
-        assert bit_get(0b100, 1) == 0
-        assert bit_set(0, 3, 1) == 0b1000
-        assert bit_set(0b1111, 0, 0) == 0b1110
-
-    def test_bits_roundtrip(self):
-        bits = (1, 0, 1, 1, 0)
-        assert int_to_bits(bits_to_int(bits), 5) == bits
-
-    def test_bits_to_int_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_int([0, 2])
-
-    def test_int_to_bits_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            int_to_bits(16, 4)
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 4)
-
-    def test_hamming_distance(self):
-        assert hamming_distance((1, 0, 0, 1), (1, 0, 0, 1)) == 0
-        assert hamming_distance((1, 0, 0, 1), (0, 1, 1, 0)) == 4
-        assert hamming_distance((1, 1), (1, 0)) == 1
-
-    def test_hamming_distance_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance((1,), (1, 0))
-
     def test_complement(self):
         assert complement_bits((1, 0, 1)) == (0, 1, 0)
 
@@ -131,32 +83,12 @@ class TestRng:
         rng = make_rng(1)
         assert make_rng(rng) is rng
 
-    def test_random_bits_width(self):
-        bits = random_bits(make_rng(0), 10)
-        assert len(bits) == 10
-        assert set(bits) <= {0, 1}
-
-    def test_random_word_range(self):
-        word = random_word(make_rng(0), 8)
-        assert 0 <= word < 256
-        assert random_word(make_rng(0), 0) == 0
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-def test_popcount_matches_bin(value):
-    assert popcount(value) == bin(value).count("1")
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=24))
-def test_bits_int_roundtrip_property(bits):
-    packed = bits_to_int(bits)
-    assert list(int_to_bits(packed, len(bits))) == bits
-
 
 @given(
     st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=16),
 )
 def test_hd_complement_property(bits):
     bits = tuple(bits)
-    assert hamming_distance(bits, complement_bits(bits)) == len(bits)
-    assert hamming_distance(bits, bits) == 0
+    complement = complement_bits(bits)
+    assert all(a != b for a, b in zip(bits, complement))
+    assert complement_bits(complement) == bits
