@@ -14,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import Circuit
+from repro.circuit.compiled import compile_circuit
 from repro.circuit.gates import GateType
 from repro.errors import EncodingError
 from repro.sat.cnf import Cnf
@@ -111,9 +112,8 @@ def encode_under_assignment(
     cnf: Cnf,
     fixed: Mapping[str, int],
     shared_vars: Mapping[str, int] | None = None,
-    targets: Sequence[str] | None = None,
 ) -> CofactorEncoding:
-    """Encode a circuit with some inputs pinned to constants.
+    """Encode the output cones of a circuit with some inputs pinned.
 
     ``fixed`` pins inputs to 0/1; ``shared_vars`` supplies variables of
     ``cnf`` for other inputs (typically the key inputs); remaining inputs
@@ -127,34 +127,35 @@ def encode_under_assignment(
     calls that repeat the pattern (the SAT attack's key instances under
     one distinguishing input) only renumber the template onto ``cnf``.
     """
-    if targets is None:
-        targets = circuit.outputs
-    targets = tuple(targets)
     shared_vars = shared_vars or {}
-    program = circuit._memo(
-        ("cofactor", targets), lambda: _CofactorProgram(circuit, targets)
-    )
+    program = circuit._memo("cofactor", lambda: _CofactorProgram(circuit))
     return program.template(fixed, shared_vars).instantiate(cnf, shared_vars)
 
 
 _SHARED = "shared"
 _FRESH = "fresh"
+_FIXED = "fixed"
 
 
 class _CofactorProgram:
-    """The cone of ``targets`` in topological order."""
+    """The cone of the outputs in topological order, split per input
+    shape (which inputs are fixed, shared or fresh) into its static
+    nodes, whose fanin cone holds only fixed inputs and constants, and
+    the dynamic rest."""
 
-    __slots__ = ("nodes", "inputs", "_last")
+    __slots__ = ("nodes", "inputs", "compiled", "_splits", "_last")
 
-    def __init__(self, circuit: Circuit, targets: tuple[str, ...]):
+    def __init__(self, circuit: Circuit):
         self.nodes = [
             (node, circuit.gate_type(node), circuit.fanins(node))
-            for node in circuit.topological_order(targets=list(targets))
+            for node in circuit.topological_order(targets=list(circuit.outputs))
         ]
         self.inputs = [
             node for node, gate_type, _ in self.nodes
             if gate_type is GateType.INPUT
         ]
+        self.compiled = compile_circuit(circuit)
+        self._splits: dict[tuple, _Split] = {}
         self._last: tuple[tuple, _CofactorTemplate] | None = None
 
     def template(
@@ -170,9 +171,44 @@ class _CofactorProgram:
         last = self._last
         if last is not None and last[0] == pattern:
             return last[1]
-        template = _CofactorTemplate(self, pattern)
+        shape = tuple([
+            _FIXED if type(state) is int else state for state in pattern
+        ])
+        split = self._splits.get(shape)
+        if split is None:
+            split = self._splits[shape] = _Split(self, shape)
+        template = _CofactorTemplate(self, split, fixed)
         self._last = (pattern, template)
         return template
+
+
+class _Split:
+    """The static and dynamic nodes of the cone under one input shape.
+
+    A dynamic input is listed with its state (``_SHARED`` or
+    ``_FRESH``) in place of its gate type.
+    """
+
+    __slots__ = ("static", "dynamic", "shared_names")
+
+    def __init__(self, program: _CofactorProgram, shape: tuple):
+        states = dict(zip(program.inputs, shape))
+        self.static: list[str] = []
+        self.dynamic: list[tuple] = []
+        dynamic: set[str] = set()
+        for node, gate_type, fanins in program.nodes:
+            if gate_type is GateType.INPUT and states[node] is not _FIXED:
+                dynamic.add(node)
+                self.dynamic.append((node, states[node], fanins))
+            elif not dynamic.isdisjoint(fanins):
+                dynamic.add(node)
+                self.dynamic.append((node, gate_type, fanins))
+            else:
+                self.static.append(node)
+        self.shared_names = [
+            name for name, state in zip(program.inputs, shape)
+            if state is _SHARED
+        ]
 
 
 class _CofactorTemplate:
@@ -181,37 +217,38 @@ class _CofactorTemplate:
     Slots ``1..len(shared_names)`` stand for the shared inputs in
     topological order, the following ``num_fresh`` slots for the fresh
     variables in allocation order; a negative slot is a negated literal.
+
+    The static nodes take their values from one compiled simulation of
+    the fixed inputs; only the dynamic nodes are folded, in topological
+    order. ``consts`` and ``lits`` are those of the plain walk over the
+    whole cone, entries in topological order.
     """
 
     __slots__ = ("shared_names", "num_fresh", "clauses", "consts",
                  "lit_names", "lit_slots")
 
-    def __init__(self, program: _CofactorProgram, pattern: tuple):
-        self.shared_names = [
-            name for name, state in zip(program.inputs, pattern)
-            if state is _SHARED
-        ]
+    def __init__(
+        self,
+        program: _CofactorProgram,
+        split: _Split,
+        fixed: Mapping[str, int],
+    ):
+        self.shared_names = split.shared_names
         slots = Cnf(len(self.shared_names))
         consts: dict[str, int] = {}
+        if split.static:
+            consts.update(zip(
+                split.static, program.compiled.node_values(split.static, fixed)
+            ))
         lits: dict[str, int] = {}
-        states = iter(pattern)
         next_shared = 0
-        for node, gate_type, fanins in program.nodes:
-            if gate_type is GateType.INPUT:
-                state = next(states)
-                if state is _SHARED:
-                    next_shared += 1
-                    lits[node] = next_shared
-                elif state is _FRESH:
-                    lits[node] = slots.new_var()
-                else:
-                    consts[node] = state
+        for node, gate_type, fanins in split.dynamic:
+            if gate_type is _SHARED:
+                next_shared += 1
+                lits[node] = next_shared
                 continue
-            if gate_type is GateType.CONST0:
-                consts[node] = 0
-                continue
-            if gate_type is GateType.CONST1:
-                consts[node] = 1
+            if gate_type is _FRESH:
+                lits[node] = slots.new_var()
                 continue
             fanin_consts: list[int] = []
             fanin_lits: list[int] = []
@@ -225,6 +262,12 @@ class _CofactorTemplate:
                 consts[node] = int(value)
             else:
                 lits[node] = value
+        if len(consts) > len(split.static):
+            # Some dynamic nodes folded to constants: back into order.
+            consts = {
+                node: consts[node] for node, _, _ in program.nodes
+                if node in consts
+            }
         self.num_fresh = slots.num_vars - len(self.shared_names)
         self.clauses = slots.clauses
         self.consts = consts

@@ -1,15 +1,21 @@
 """Command-line entry points.
 
-Three commands (also exposed as console scripts via pyproject):
+Three commands, each a function that takes the argument list and
+returns the exit status. No console scripts are installed; the names
+in parentheses are the ones their usage messages print.
+``python -m repro.cli ARGS`` runs ``main_experiments``; the other two
+are called from Python, e.g. ``raise SystemExit(main_attack([...]))``.
 
-- ``fall-lock``: lock a ``.bench`` netlist with TTLock/SFLL-HDh (or a
-  baseline scheme) and write the locked ``.bench`` plus the key.
-- ``fall-attack``: run any registered attack family (``--attack``), or
-  race several (``--portfolio``), on a locked ``.bench`` netlist,
-  optionally with an oracle netlist and JSON checkpointing.
-- ``fall-experiments``: regenerate the paper's tables and figures at
-  the scale the ``REPRO_*`` environment variables select (the only
-  place the library reads the environment).
+- ``main_lock`` (``fall-lock``): lock a ``.bench`` netlist with
+  TTLock/SFLL-HDh (or a baseline scheme) and write the locked
+  ``.bench`` plus the key.
+- ``main_attack`` (``fall-attack``): run any registered attack family
+  (``--attack``), or race several (``--portfolio``), on a locked
+  ``.bench`` netlist, optionally with an oracle netlist and JSON
+  checkpointing.
+- ``main_experiments`` (``fall-experiments``): regenerate the paper's
+  tables and figures at the scale the ``REPRO_*`` environment
+  variables select (the only place the library reads the environment).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ limit. :data:`DEFAULT_SCALE` shrinks key widths, gate counts and the
 circuit count so the whole evaluation runs on a laptop in minutes;
 :data:`PAPER_SCALE` keeps the published profiles and limit. Every
 artifact module takes a :class:`Scale` argument. Only the
-``fall-experiments`` command reads the ``REPRO_*`` environment
+``repro.cli.main_experiments`` command reads the ``REPRO_*`` environment
 variables, through :func:`scale_from_env`.
 """
 

@@ -61,8 +61,6 @@ def lock_antisat(
         circuit=locked,
         scheme="antisat",
         key_names=tuple(keys),
-        protected_inputs=protected,
-        target_output=target,
         _correct_key=base + base,
     )
 

@@ -26,17 +26,14 @@ class LockedCircuit:
 
     ``circuit`` has its key inputs marked (``circuit.key_inputs`` equals
     ``key_names``). ``h`` is the SFLL Hamming-distance parameter (0 for
-    TTLock, ``None`` for schemes without one). ``protected_inputs`` names
-    the circuit inputs covered by the protected cube, aligned with
-    ``key_names`` and with the hidden cube bits.
+    TTLock, ``None`` for schemes without one). The correct key is kept
+    for the defender side only (``reveal_correct_key``).
     """
 
     circuit: Circuit
     scheme: str
     key_names: tuple[str, ...]
-    protected_inputs: tuple[str, ...] = ()
     h: int | None = None
-    target_output: str | None = None
     _correct_key: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self):

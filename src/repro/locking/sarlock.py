@@ -61,7 +61,5 @@ def lock_sarlock(
         circuit=locked,
         scheme="sarlock",
         key_names=tuple(keys),
-        protected_inputs=protected,
-        target_output=target,
         _correct_key=key_bits,
     )

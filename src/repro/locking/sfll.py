@@ -70,8 +70,6 @@ def lock_sfll_hd(
         circuit=locked,
         scheme=f"sfll_hd{h}",
         key_names=tuple(keys),
-        protected_inputs=protected,
         h=h,
-        target_output=target,
         _correct_key=cube_bits,
     )

@@ -65,8 +65,6 @@ def lock_ttlock(
         circuit=locked,
         scheme="ttlock",
         key_names=tuple(keys),
-        protected_inputs=protected,
         h=0,
-        target_output=target,
         _correct_key=cube_bits,
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 
 from repro.errors import SolverError
@@ -45,7 +45,7 @@ _VAR_DECAY = 0.95
 _RESCALE_LIMIT = 1e100
 _LUBY_UNIT = 128
 _BUDGET_CHECK_INTERVAL = 128
-# add_clause dedupes clauses up to this length with a list, longer ones
+# Loading dedupes clauses up to this length with a list, longer ones
 # with a set.
 _LIST_DEDUPE_MAX = 16
 
@@ -156,7 +156,10 @@ class Solver:
         # Every unassigned variable's current key is in the heap, at most
         # once: ``_in_heap[v]`` says whether ``_heap_key[v]`` is. Keys of
         # assigned variables and keys outdated by a bump may linger; they
-        # are dropped when popped.
+        # are dropped when popped. ``_rebuild_heap`` (after an activity
+        # rescale, and after a model instead of unassigning the trail one
+        # variable at a time) puts every variable's current key back,
+        # once each, and drops the rest.
         self._heap: list[int] = []
         self._heap_key: list[int] = [0]  # per variable, for its activity
         self._in_heap: list[bool] = [False]
@@ -181,24 +184,32 @@ class Solver:
     # Problem construction
     # ------------------------------------------------------------------
     def new_var(self) -> int:
-        self._num_vars += 1
-        self._values += (_UNASSIGNED, _UNASSIGNED)
-        self._watches.append([])
-        self._watches.append([])
-        self._activity.append(0.0)
-        self._reason.append(None)
-        self._level.append(-1)
-        self._phase.append(False)
-        self._seen.append(0)
-        key = (_KEY_TOP << _VAR_BITS) | self._num_vars  # activity 0.0
-        self._heap_key.append(key)
-        self._in_heap.append(True)
-        heappush(self._heap, key)
+        self._ensure_var(self._num_vars + 1)
         return self._num_vars
 
     def _ensure_var(self, var: int) -> None:
-        while self._num_vars < var:
-            self.new_var()
+        """Register every variable up to ``var``: unassigned, activity 0,
+        its key in the heap."""
+        first = self._num_vars + 1
+        if var < first:
+            return
+        count = var + 1 - first
+        self._num_vars = var
+        self._values += [_UNASSIGNED] * (2 * count)
+        self._watches += [[] for _ in range(2 * count)]
+        self._activity += [0.0] * count
+        self._reason += [None] * count
+        self._level += [-1] * count
+        self._phase += [False] * count
+        self._seen += [0] * count
+        self._in_heap += [True] * count
+        keys = range(  # activity 0.0
+            (_KEY_TOP << _VAR_BITS) | first, ((_KEY_TOP << _VAR_BITS) | var) + 1
+        )
+        self._heap_key += keys
+        heap = self._heap
+        for key in keys:
+            heappush(heap, key)
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause (only legal at decision level 0, i.e. between solves)."""
@@ -206,47 +217,17 @@ class Solver:
             raise SolverError("add_clause called while search is in progress")
         if not self._ok:
             return
-        internal: list[int] = []
+        clause = tuple(lits)
         top = 0
-        for lit in lits:
+        for lit in clause:
             if type(lit) is not int or not lit:
                 check_literal(lit)  # raises on zero, bools and non-ints
-            if lit > 0:
-                if lit > top:
-                    top = lit
-                internal.append(lit << 1)
-            else:
-                if -lit > top:
-                    top = -lit
-                internal.append((-lit << 1) | 1)
+            if lit > top:
+                top = lit
+            elif -lit > top:
+                top = -lit
         self._ensure_var(top)
-        # Dedupe, drop root-false literals, detect tautology/satisfied.
-        # Short clauses (nearly all of them) are checked against the
-        # clause itself, which is cheaper than building a set.
-        values = self._values
-        clause: list[int] = []
-        seen = clause if len(internal) <= _LIST_DEDUPE_MAX else set()
-        for ilit in internal:
-            value = values[ilit]
-            if value == _TRUE:
-                return  # satisfied at root level
-            if value == _FALSE:
-                continue  # permanently false literal
-            if ilit ^ 1 in seen:
-                return  # tautology
-            if ilit not in seen:
-                clause.append(ilit)
-                if seen is not clause:
-                    seen.add(ilit)
-        if not clause:
-            self._ok = False
-            return
-        if len(clause) == 1:
-            self._enqueue(clause[0], None)
-            if self._propagate() is not None:
-                self._ok = False
-            return
-        self._attach(clause)
+        self._load((clause,))
 
     def add_cnf(self, cnf: Cnf) -> None:
         """Load every clause of ``cnf`` (variables are shared 1:1).
@@ -254,12 +235,52 @@ class Solver:
         ``cnf`` is left as it is. An owner that keeps growing the formula
         between solves clears ``cnf.clauses`` after each call, so the
         next call loads only what was added since; ``cnf.num_vars`` keeps
-        counting, so new variables keep their numbers.
+        counting, so new variables keep their numbers. The clauses are
+        loaded as ``add_clause`` would, one by one, but without checking
+        each literal again: a ``Cnf`` holds only non-zero ints up to its
+        ``num_vars``.
         """
+        if self._trail_lim:
+            raise SolverError("add_cnf called while search is in progress")
         self._ensure_var(cnf.num_vars)
-        add_clause = self.add_clause
-        for clause in cnf.clauses:
-            add_clause(clause)
+        if self._ok:
+            self._load(cnf.clauses)
+
+    def _load(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses of valid literals over known variables at the root.
+
+        Each clause is deduplicated and loses its root-false literals; a
+        tautology or a clause with a root-true literal is dropped. The
+        first empty clause, or unit clause whose propagation conflicts,
+        makes the formula unsatisfiable and ends the load. Short clauses
+        (nearly all of them) are deduplicated against the clause itself,
+        which is cheaper than building a set.
+        """
+        values = self._values
+        attach = self._attach
+        for lits in clauses:
+            clause: list[int] = []
+            seen = clause if len(lits) <= _LIST_DEDUPE_MAX else set()
+            for lit in lits:
+                ilit = lit << 1 if lit > 0 else (-lit << 1) | 1
+                value = values[ilit]
+                if value == _TRUE or ilit ^ 1 in seen:
+                    break  # satisfied at root level, or a tautology
+                if value == _FALSE or ilit in seen:
+                    continue  # permanently false, or repeated
+                clause.append(ilit)
+                if seen is not clause:
+                    seen.add(ilit)
+            else:
+                if len(clause) > 1:
+                    attach(clause)
+                    continue
+                if clause:
+                    self._enqueue(clause[0], None)
+                    if self._propagate() is None:
+                        continue
+                self._ok = False
+                return
 
     @property
     def num_vars(self) -> int:
@@ -308,8 +329,12 @@ class Solver:
         current_level = len(self._trail_lim)
         qhead = start = self._qhead
         conflict: list[int] | None = None
-        while qhead < len(trail):
-            false_lit = trail[qhead] ^ 1
+        # A list iterator sees the literals appended while it runs; it
+        # starts at qhead (its pickling state is its position).
+        pending = iter(trail)
+        pending.__setstate__(qhead)
+        for false_lit in pending:
+            false_lit ^= 1
             qhead += 1
             watchlist = watches[false_lit]
             moved = False
@@ -377,25 +402,24 @@ class Solver:
 
     def _rescale_activities(self) -> None:
         """Scale every activity down and rebuild the heap around the new
-        keys: one entry per variable. The rebuild is in place because
-        ``_analyze`` holds a reference to the heap."""
+        keys (see _KEY_TOP)."""
         inverse = 1.0 / _RESCALE_LIMIT
         activity = self._activity
+        heap_key = self._heap_key
+        f64 = self._f64
+        f64_bits = self._f64_bits
         for v in range(1, self._num_vars + 1):
-            activity[v] *= inverse
-            self._set_heap_key(v)
+            f64[0] = activity[v] = activity[v] * inverse
+            heap_key[v] = ((_KEY_TOP - f64_bits[0]) << _VAR_BITS) | v
         self._var_inc *= inverse
+        self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Make the heap hold every variable's current key, once each."""
         heap = self._heap
         heap[:] = self._heap_key[1:]
         heapify(heap)
         self._in_heap[1:] = [True] * self._num_vars
-
-    def _set_heap_key(self, var: int) -> None:
-        """Store the heap key of ``var``'s current activity (see _KEY_TOP);
-        the new key is not in the heap yet."""
-        self._f64[0] = self._activity[var]
-        self._heap_key[var] = ((_KEY_TOP - self._f64_bits[0]) << _VAR_BITS) | var
-        self._in_heap[var] = False
 
     def _decay_activities(self) -> None:
         self._var_inc /= _VAR_DECAY
@@ -413,29 +437,38 @@ class Solver:
         reason = self._reason
         trail = self._trail
         activity = self._activity
+        heap_key = self._heap_key
+        in_heap = self._in_heap
+        f64 = self._f64
+        f64_bits = self._f64_bits
+        var_inc = self._var_inc
         current_level = len(self._trail_lim)
 
         learnt: list[int] = [0]
         to_clear: list[int] = []
         counter = 0
-        p = -1
         index = len(trail) - 1
         clause = conflict
         while True:
+            # The literal ``p`` a reason clause implied is skipped as seen.
             for q in clause:
-                if q == p:
-                    continue
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
                     to_clear.append(var)
                     # VSIDS bump. ``var`` is assigned, so its new key
-                    # enters the heap when ``_cancel_until`` unassigns it.
-                    activity[var] += self._var_inc
-                    if activity[var] > _RESCALE_LIMIT:
+                    # enters the heap when it is unassigned.
+                    bumped = activity[var] + var_inc
+                    activity[var] = bumped
+                    if bumped > _RESCALE_LIMIT:
                         self._rescale_activities()
+                        var_inc = self._var_inc
                     else:
-                        self._set_heap_key(var)
+                        f64[0] = bumped
+                        heap_key[var] = (
+                            (_KEY_TOP - f64_bits[0]) << _VAR_BITS
+                        ) | var
+                        in_heap[var] = False
                     if level[var] >= current_level:
                         counter += 1
                     else:
@@ -449,7 +482,7 @@ class Solver:
                 break
             clause = reason[p >> 1]
             if type(clause) is int:
-                clause = (clause,)  # [p, r] minus p, which is skipped
+                clause = (clause,)  # [p, r]; p would be skipped
         learnt[0] = p ^ 1
 
         # Basic clause minimization: drop literals whose reason is fully
@@ -515,6 +548,34 @@ class Solver:
         del trail[boundary:]
         del trail_lim[target_level:]
         self._qhead = boundary
+
+    def _reset_to_root(self) -> None:
+        """``_cancel_until(0)`` in bulk, right after ``_store_model``.
+
+        Every variable is assigned, so each one above the root would be
+        unassigned, save its model value as its phase and have its
+        current key pushed. Instead the values are rebuilt from the root
+        trail, the phases copied from the model and the heap rebuilt
+        from every current key. The next decision is the same: it pops
+        the smallest current key of an unassigned variable, and every
+        other key in the heap (a root variable's, or an outdated one)
+        is discarded when popped. The phases of root variables, which
+        ``_cancel_until`` leaves alone, are never read.
+        """
+        trail_lim = self._trail_lim
+        if not trail_lim:
+            return
+        trail = self._trail
+        del trail[trail_lim[0]:]
+        trail_lim.clear()
+        self._qhead = len(trail)
+        values = self._values
+        values[:] = [_UNASSIGNED] * len(values)  # in place: ``solve`` holds it
+        for ilit in trail:
+            values[ilit] = _TRUE
+            values[ilit ^ 1] = _FALSE
+        self._phase[:] = self._model
+        self._rebuild_heap()
 
     def _pick_branch_var(self) -> int:
         """The unassigned variable of highest activity, ties going to the
@@ -684,7 +745,7 @@ class Solver:
                 # but only of assigned variables or outdated ones, which a
                 # pop would discard: the search is the same as draining it.
                 self._store_model()
-                self._cancel_until(0)
+                self._reset_to_root()
                 return SolveStatus.SAT
             var = self._pick_branch_var()
             self.stats.decisions += 1

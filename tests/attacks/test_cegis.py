@@ -20,7 +20,7 @@ from repro.attacks.results import AttackStatus
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
-from repro.locking import lock_random_xor, lock_ttlock
+from repro.locking import lock_random_xor, lock_sarlock, lock_ttlock
 from repro.sat.solver import Solver
 from repro.utils.timer import Budget
 from tests.circuits import c17
@@ -107,3 +107,51 @@ def test_loaded_clauses_are_released(name, monkeypatch):
     for solver, cnf in loaded.values():
         assert cnf.clauses == []
         assert cnf.num_vars == solver.num_vars
+
+
+def _search_fingerprint(result) -> tuple:
+    """``(status, iterations, oracle_queries)`` and the conflicts,
+    decisions and propagations of the main and the key solver."""
+    return (
+        result.status.value, result.iterations, result.oracle_queries,
+        *(
+            result.details[solver][counter]
+            for solver in ("solver", "key_solver")
+            for counter in ("conflicts", "decisions", "propagations")
+        ),
+    )
+
+
+def _rand10_sarlock_sat():
+    original = generate_random_circuit("corpus10", 10, 3, 70, seed=31)
+    locked = lock_sarlock(original, key_width=8, seed=9)
+    return sat_attack(locked.circuit, IOOracle(original), max_iterations=40)
+
+
+def _paper_ttlock(attack):
+    def run():
+        original = paper_example_circuit()
+        locked = lock_ttlock(original, cube=(1, 0, 0, 1))
+        return attack(locked.circuit, IOOracle(original))
+    return run
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (_rand10_sarlock_sat,
+         ("timeout", 40, 40, 64, 855, 53315, 0, 0, 40)),
+        (_paper_ttlock(double_dip_attack),
+         ("success", 0, 0, 35, 36, 3673, 0, 4, 4)),
+        (_paper_ttlock(sat_attack),
+         ("success", 3, 3, 15, 43, 1107, 0, 0, 13)),
+    ],
+    ids=["sat-rand10-sarlock", "double-dip-paper-ttlock", "sat-paper-ttlock"],
+)
+def test_search_fingerprint(run, expected):
+    # The exact search of corpus cells (tests/attacks/test_e2e_corpus.py).
+    # A change to the cofactor encoder or the solver that renumbers a
+    # variable, reorders a clause or moves a decision moves these
+    # counts; one that only makes the loop faster leaves them as they
+    # are. A deliberate change to the search re-records them.
+    assert _search_fingerprint(run()) == expected

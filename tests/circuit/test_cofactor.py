@@ -205,16 +205,14 @@ def test_cofactor_matches_simulation_property(seed, pattern):
 
 
 def reference_encode_under_assignment(
-    circuit, cnf, fixed, shared_vars=None, targets=None
+    circuit, cnf, fixed, shared_vars=None
 ) -> CofactorEncoding:
     """The plain node-by-node walk the templated encoder must reproduce."""
-    if targets is None:
-        targets = list(circuit.outputs)
     encoding = CofactorEncoding(cnf=cnf)
     consts = encoding.consts
     lits = encoding.lits
     shared_vars = shared_vars or {}
-    for node in circuit.topological_order(targets=list(targets)):
+    for node in circuit.topological_order(targets=list(circuit.outputs)):
         gate_type = circuit.gate_type(node)
         if gate_type is GateType.INPUT:
             if node in fixed:
@@ -307,9 +305,6 @@ class TestMatchesNodeWalk:
                 # A new assignment; the next two calls repeat it with
                 # other shared variables, as the attack loops do.
                 fixed, shared_names = _random_split(rng, circuit.inputs)
-                targets = None
-                if rng.random() < 0.5:
-                    targets = rng.sample(list(circuit.nodes), 3)
             if step % 3 == 2:
                 shared_names = rng.sample(
                     list(circuit.inputs), len(circuit.inputs) // 2
@@ -319,12 +314,10 @@ class TestMatchesNodeWalk:
                 for name in shared_names
             }
             new = encode_under_assignment(
-                circuit, new_cnf, fixed=fixed, shared_vars=shared,
-                targets=targets,
+                circuit, new_cnf, fixed=fixed, shared_vars=shared
             )
             ref = reference_encode_under_assignment(
-                circuit, ref_cnf, fixed=fixed, shared_vars=shared,
-                targets=targets,
+                circuit, ref_cnf, fixed=fixed, shared_vars=shared
             )
             _assert_same(new, ref)
 

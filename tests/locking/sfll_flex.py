@@ -84,8 +84,6 @@ def lock_sfll_flex(
         circuit=locked,
         scheme=f"sfll_flex{num_cubes}x{width}",
         key_names=tuple(keys),
-        protected_inputs=protected,
-        target_output=target,
         _correct_key=correct_key,
     )
 
