@@ -170,9 +170,15 @@ def fall_attack(
     for candidate_index, node in enumerate(ordered_candidates):
         if budget.expired:
             break
-        telemetry.iteration(
-            "functional_analysis", candidate_index, node=node
-        )
+        if use_prefilter:
+            try_plain = density[node] <= density_threshold
+            try_complement = (1.0 - density[node]) <= density_threshold
+            if not (try_plain or try_complement):
+                # Both polarities fail the density test: no cone needed.
+                report.prefilter_rejections += 2
+                continue
+        else:
+            try_plain = try_complement = True
         # Geometric budget slicing: the best-ranked candidate may use up
         # to half the remaining budget, the next half of what is left,
         # and so on — density ranking puts the true stripper first, so
@@ -180,21 +186,22 @@ def fall_attack(
         slice_seconds = max(2.0, budget.remaining / 2.0)
         candidate_budget = budget.sub(slice_seconds)
         cone = extract_cone(locked, node)
-        if use_prefilter:
-            try_plain = density[node] <= density_threshold
-            try_complement = (1.0 - density[node]) <= density_threshold
-        else:
-            try_plain = try_complement = True
-        for polarity, variant in enumerate(_cone_polarities(cone)):
+        analysed = False
+        for polarity, wanted in enumerate((try_plain, try_complement)):
             if candidate_budget.expired:
                 break
-            wanted = try_plain if polarity == 0 else try_complement
             if not wanted:
                 report.prefilter_rejections += 1
                 continue
+            variant = cone if polarity == 0 else _complement(cone)
             if use_prefilter and h == 0 and not passes_unateness_sim(variant):
                 report.prefilter_rejections += 1
                 continue
+            if not analysed:
+                telemetry.iteration(
+                    "functional_analysis", candidate_index, node=node
+                )
+                analysed = True
             cube = _analyze_candidate(
                 variant, h, candidate_budget, report, analyses=analyses
             )
@@ -209,6 +216,7 @@ def fall_attack(
         "functional_analysis",
         stage.elapsed,
         analyses=report.analyses_attempted,
+        prefilter_rejections=report.prefilter_rejections,
         confirmed=len(confirmed),
     )
     report.scan_complete = not budget.expired
@@ -260,15 +268,14 @@ def fall_attack(
     return result(AttackStatus.FAILED)
 
 
-def _cone_polarities(cone: Circuit):
-    """The cone and its complement (the netlist may realize ¬F)."""
-    yield cone
+def _complement(cone: Circuit) -> Circuit:
+    """The cone with its output negated (the netlist may realize ¬F)."""
     complement = cone.copy(name=f"{cone.name}~neg")
     output = complement.outputs[0]
     negated = complement.fresh_name("fall_neg")
     complement.add_gate(negated, GateType.NOT, [output])
     complement.replace_output(output, negated)
-    yield complement
+    return complement
 
 
 ANALYSIS_NAMES = ("unateness", "distance2h", "sliding_window")

@@ -80,14 +80,14 @@ def _build_support_table(circuit: Circuit) -> dict[str, frozenset[str]]:
     return table
 
 
-def extract_cone(circuit: Circuit, node: str, name: str | None = None) -> Circuit:
+def extract_cone(circuit: Circuit, node: str) -> Circuit:
     """The fanin cone of ``node`` as a standalone single-output circuit.
 
     Inputs of the cone are the primary inputs appearing in the cone; key
     markings are preserved. Node names carry over unchanged.
     """
     order = circuit.topological_order(targets=[node])
-    cone = Circuit(name or f"{circuit.name}~cone[{node}]")
+    cone = Circuit(f"{circuit.name}~cone[{node}]")
     for current in order:
         gate_type = circuit.gate_type(current)
         if gate_type is GateType.INPUT:

@@ -317,7 +317,7 @@ class Circuit:
         duplicate._fresh_counter = self._fresh_counter
         return duplicate
 
-    def renamed(self, mapping: dict[str, str], name: str | None = None) -> "Circuit":
+    def renamed(self, mapping: dict[str, str]) -> "Circuit":
         """A copy with nodes renamed per ``mapping`` (missing = keep)."""
 
         def rename(node: str) -> str:
@@ -326,7 +326,7 @@ class Circuit:
         new_names = [rename(n) for n in self._type]
         if len(set(new_names)) != len(new_names):
             raise CircuitError("renaming would merge distinct nodes")
-        duplicate = Circuit(name or self.name)
+        duplicate = Circuit(self.name)
         for node, gate_type in self._type.items():
             duplicate._type[rename(node)] = gate_type
             duplicate._fanins[rename(node)] = tuple(

@@ -49,8 +49,9 @@ def encode_circuit(
     """Encode (the target cones of) a circuit into CNF.
 
     ``shared_vars`` pre-assigns CNF variables to nodes (typically inputs)
-    so several instances can share them. ``targets`` restricts encoding to
-    the fanin cones of the given nodes (default: the declared outputs).
+    so several instances can share them; each must already be a literal
+    of ``cnf``. ``targets`` restricts encoding to the fanin cones of the
+    given nodes (default: the declared outputs).
     """
     if cnf is None:
         cnf = Cnf()
@@ -60,26 +61,74 @@ def encode_circuit(
             raise EncodingError("circuit has no outputs and no targets given")
     encoding = CircuitEncoding(cnf=cnf)
     var_of = encoding.var_of
+    top = cnf.num_vars
     if shared_vars:
+        for name, lit in shared_vars.items():
+            _check_shared(name, lit, top)
         var_of.update(shared_vars)
 
+    # One walk over the cone, reading the netlist's tables directly and
+    # appending clauses without Cnf.add_clause's per-literal check: every
+    # literal is a shared one checked above or a variable allocated here.
+    gate_types = circuit._type
+    fanins_of = circuit._fanins
+    clauses = cnf.clauses
+    append = clauses.append
     for node in circuit.topological_order(targets=list(targets)):
         if node in var_of:
             continue  # shared variable supplied by the caller
-        gate_type = circuit.gate_type(node)
-        var = cnf.new_var()
-        var_of[node] = var
+        top += 1
+        out = var_of[node] = top
+        gate_type = gate_types[node]
         if gate_type is GateType.INPUT:
             continue  # free variable
-        if gate_type is GateType.CONST0:
-            cnf.add_clause([-var])
-            continue
-        if gate_type is GateType.CONST1:
-            cnf.add_clause([var])
-            continue
-        fanin_lits = [var_of[f] for f in circuit.fanins(node)]
-        _encode_gate(cnf, gate_type, var, fanin_lits)
+        lits = [var_of[f] for f in fanins_of[node]]
+        if gate_type is GateType.AND:
+            for lit in lits:
+                append((-out, lit))
+            append((out, *[-lit for lit in lits]))
+        elif gate_type is GateType.NAND:
+            for lit in lits:
+                append((out, lit))
+            append((-out, *[-lit for lit in lits]))
+        elif gate_type is GateType.OR:
+            for lit in lits:
+                append((out, -lit))
+            append((-out, *lits))
+        elif gate_type is GateType.NOR:
+            for lit in lits:
+                append((-out, -lit))
+            append((out, *lits))
+        elif gate_type is GateType.CONST0:
+            append((-out,))
+        elif gate_type is GateType.CONST1:
+            append((out,))
+        else:
+            # BUF, NOT, XOR, XNOR: a chain of 2-input XORs folds the
+            # fanins into one literal, which the output equals (or
+            # negates).
+            acc = lits[0]
+            for lit in lits[1:]:
+                top += 1
+                _xor2(clauses, top, acc, lit)
+                acc = top
+            if gate_type is GateType.NOT or gate_type is GateType.XNOR:
+                acc = -acc
+            append((-out, acc))
+            append((out, -acc))
+    cnf.num_vars = top
     return encoding
+
+
+def _check_shared(name: str, lit: int, num_vars: int) -> None:
+    """Raise unless ``lit`` is a literal over ``num_vars`` variables."""
+    if isinstance(lit, bool) or not isinstance(lit, int) or not (
+        0 < abs(lit) <= num_vars
+    ):
+        raise EncodingError(
+            f"shared variable {lit!r} of {name!r} is not a literal "
+            f"of the cnf ({num_vars} variables)"
+        )
 
 
 @dataclass
@@ -282,13 +331,7 @@ class _CofactorTemplate:
         table = [0]
         for name in self.shared_names:
             lit = shared_vars[name]
-            if isinstance(lit, bool) or not isinstance(lit, int) or not (
-                0 < abs(lit) <= base
-            ):
-                raise EncodingError(
-                    f"shared variable {lit!r} of {name!r} is not a literal "
-                    f"of the cnf ({base} variables)"
-                )
+            _check_shared(name, lit, base)
             table.append(lit)
         table.extend(range(base + 1, base + 1 + self.num_fresh))
         # lut[s] is the literal of slot s, and lut[-s] its negation.
@@ -337,7 +380,7 @@ def _fold_gate(
     acc = fanin_lits[0]
     for lit in fanin_lits[1:]:
         fresh = cnf.new_var()
-        _xor2(cnf, fresh, acc, lit)
+        _xor2(cnf.clauses, fresh, acc, lit)
         acc = fresh
     return -acc if parity else acc
 
@@ -372,54 +415,8 @@ def _negate(value: bool | int) -> bool | int:
     return -value
 
 
-def _encode_gate(cnf: Cnf, gate_type: GateType, out: int, fanins: list[int]) -> None:
-    if gate_type is GateType.BUF:
-        cnf.add_clause([-out, fanins[0]])
-        cnf.add_clause([out, -fanins[0]])
-    elif gate_type is GateType.NOT:
-        cnf.add_clause([-out, -fanins[0]])
-        cnf.add_clause([out, fanins[0]])
-    elif gate_type is GateType.AND:
-        for lit in fanins:
-            cnf.add_clause([-out, lit])
-        cnf.add_clause([out] + [-lit for lit in fanins])
-    elif gate_type is GateType.NAND:
-        for lit in fanins:
-            cnf.add_clause([out, lit])
-        cnf.add_clause([-out] + [-lit for lit in fanins])
-    elif gate_type is GateType.OR:
-        for lit in fanins:
-            cnf.add_clause([out, -lit])
-        cnf.add_clause([-out] + list(fanins))
-    elif gate_type is GateType.NOR:
-        for lit in fanins:
-            cnf.add_clause([-out, -lit])
-        cnf.add_clause([out] + list(fanins))
-    elif gate_type in (GateType.XOR, GateType.XNOR):
-        _encode_parity(cnf, gate_type, out, fanins)
-    else:  # pragma: no cover - exhaustive over gate kinds
-        raise EncodingError(f"cannot encode gate type {gate_type.value}")
-
-
-def _encode_parity(
-    cnf: Cnf, gate_type: GateType, out: int, fanins: list[int]
-) -> None:
-    """XOR/XNOR via a linear chain of 2-input XOR constraints."""
-    acc = fanins[0]
-    for lit in fanins[1:]:
-        fresh = cnf.new_var()
-        _xor2(cnf, fresh, acc, lit)
-        acc = fresh
-    if gate_type is GateType.XOR:
-        cnf.add_clause([-out, acc])
-        cnf.add_clause([out, -acc])
-    else:
-        cnf.add_clause([-out, -acc])
-        cnf.add_clause([out, acc])
-
-
-def _xor2(cnf: Cnf, out: int, a: int, b: int) -> None:
-    cnf.add_clause([-out, a, b])
-    cnf.add_clause([-out, -a, -b])
-    cnf.add_clause([out, -a, b])
-    cnf.add_clause([out, a, -b])
+def _xor2(clauses: list, out: int, a: int, b: int) -> None:
+    """``out = a XOR b``; the caller has allocated ``out``."""
+    clauses.extend(
+        ((-out, a, b), (-out, -a, -b), (out, -a, b), (out, a, -b))
+    )

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import IOOracle, fall_attack
+from repro.attacks.base import TelemetryRecorder
+from repro.attacks.fall import pipeline
 from repro.attacks.fall.pipeline import ANALYSIS_NAMES, FallReport
 from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
@@ -67,6 +69,99 @@ class TestReportBookkeeping:
         for analysis in ("distance2h", "sliding_window"):
             result = fall_attack(locked.circuit, h=1, analyses=(analysis,))
             assert result.status is AttackStatus.SUCCESS, analysis
+
+
+def _sfll_hd0_cell():
+    original = generate_random_circuit("pf2", 16, 3, 90, seed=8)
+    return lock_sfll_hd(original, h=0, key_width=16, seed=9)
+
+
+def _sfll_hd2_cell():
+    original = generate_random_circuit("m16", 20, 4, 150, seed=3)
+    return lock_sfll_hd(original, h=2, key_width=16, seed=7)
+
+
+HD0_KEY = (1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
+
+
+class TestCandidateScan:
+    """The scan's counters and outcome, recorded when every candidate's
+    cone was still extracted; skipping the cones of candidates whose
+    both polarities fail the density test must not move them."""
+
+    @pytest.mark.parametrize(
+        "make_cell, h, status, candidates, rejections, analyses, keys",
+        [
+            (_sfll_hd0_cell, 0, AttackStatus.MULTIPLE_CANDIDATES,
+             117, 218, 12, [HD0_KEY, tuple(1 - bit for bit in HD0_KEY)]),
+            (_sfll_hd2_cell, 2, AttackStatus.SUCCESS,
+             112, 216, 9, [(0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0)]),
+        ],
+        ids=["sfll-hd0", "sfll-hd2"],
+    )
+    def test_scan_matches_recorded_values(
+        self, monkeypatch, make_cell, h, status, candidates, rejections,
+        analyses, keys,
+    ):
+        extracted: list[str] = []
+        reached: set[str] = set()
+        extract_cone = pipeline.extract_cone
+
+        def spy_extract(circuit, node):
+            extracted.append(node)
+            return extract_cone(circuit, node)
+
+        def spy_next_step(original):
+            # The step after the density test: the sampled unateness
+            # check (h = 0) or the functional analyses.
+            def spy(variant, *args, **kwargs):
+                output = variant.outputs[0]
+                if output.startswith("fall_neg"):  # the complement
+                    (output,) = variant.fanins(output)
+                reached.add(output)
+                return original(variant, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(pipeline, "extract_cone", spy_extract)
+        for name in ("passes_unateness_sim", "_analyze_candidate"):
+            monkeypatch.setattr(
+                pipeline, name, spy_next_step(getattr(pipeline, name))
+            )
+        result = fall_attack(make_cell().circuit, h=h)
+        report = result.details["report"]
+        assert result.status is status
+        assert len(report.candidate_nodes) == candidates
+        assert report.prefilter_rejections == rejections
+        assert report.analyses_attempted == analyses
+        assert report.candidate_keys == keys
+        # A cone is extracted once, and only for a candidate with a
+        # polarity that survives the density test.
+        assert len(extracted) == len(set(extracted)) < candidates
+        assert set(extracted) == reached
+
+    def test_telemetry_keeps_stage_ends_past_the_event_cap(self):
+        original = generate_random_circuit("pf", 12, 3, 80, seed=6)
+        locked = lock_sfll_hd(original, h=1, key_width=10, seed=6)
+        telemetry = TelemetryRecorder(max_events=16)
+        result = fall_attack(locked.circuit, h=1, telemetry=telemetry)
+        report = result.details["report"]
+        assert len(report.candidate_nodes) > 16
+        assert telemetry.dropped_events == 0
+        ends = {
+            event["stage"]: event for event in telemetry.events
+            if event["kind"] == "stage_end"
+        }
+        assert "key_derivation" in ends
+        analysis_end = ends["functional_analysis"]
+        assert analysis_end["prefilter_rejections"] == report.prefilter_rejections
+        # One iteration per analysed candidate, indexed by density rank.
+        ranks = [
+            event["iteration"] for event in telemetry.events
+            if event["kind"] == "iteration"
+        ]
+        assert telemetry.counters["iterations"] == len(ranks)
+        assert 0 < len(ranks) <= report.analyses_attempted
+        assert ranks == sorted(set(ranks))
 
 
 @settings(max_examples=5, deadline=None)

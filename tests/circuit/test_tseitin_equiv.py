@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import exhaustive_input_values, simulate
-from repro.circuit.tseitin import encode_circuit
+from repro.circuit.tseitin import CircuitEncoding, encode_circuit
 from repro.errors import CircuitError, EncodingError
 from repro.locking.base import LockedCircuit
 from repro.sat.cnf import Cnf
@@ -117,6 +119,131 @@ class TestTseitin:
             encoding.lit("y")
 
 
+def reference_encode_circuit(
+    circuit, cnf, shared_vars=None, targets=None
+) -> CircuitEncoding:
+    """The node-by-node walk through ``Cnf.add_clause`` that
+    :func:`encode_circuit` must reproduce clause for clause."""
+    if targets is None:
+        targets = list(circuit.outputs)
+    encoding = CircuitEncoding(cnf=cnf)
+    var_of = encoding.var_of
+    var_of.update(shared_vars or {})
+    for node in circuit.topological_order(targets=list(targets)):
+        if node in var_of:
+            continue
+        gate_type = circuit.gate_type(node)
+        out = var_of[node] = cnf.new_var()
+        if gate_type is GateType.INPUT:
+            continue
+        if gate_type is GateType.CONST0:
+            cnf.add_clause([-out])
+            continue
+        if gate_type is GateType.CONST1:
+            cnf.add_clause([out])
+            continue
+        fanins = [var_of[f] for f in circuit.fanins(node)]
+        if gate_type is GateType.BUF:
+            cnf.add_clause([-out, fanins[0]])
+            cnf.add_clause([out, -fanins[0]])
+        elif gate_type is GateType.NOT:
+            cnf.add_clause([-out, -fanins[0]])
+            cnf.add_clause([out, fanins[0]])
+        elif gate_type is GateType.AND:
+            for lit in fanins:
+                cnf.add_clause([-out, lit])
+            cnf.add_clause([out] + [-lit for lit in fanins])
+        elif gate_type is GateType.NAND:
+            for lit in fanins:
+                cnf.add_clause([out, lit])
+            cnf.add_clause([-out] + [-lit for lit in fanins])
+        elif gate_type is GateType.OR:
+            for lit in fanins:
+                cnf.add_clause([out, -lit])
+            cnf.add_clause([-out] + fanins)
+        elif gate_type is GateType.NOR:
+            for lit in fanins:
+                cnf.add_clause([-out, -lit])
+            cnf.add_clause([out] + fanins)
+        else:  # XOR / XNOR: a chain of 2-input XORs
+            acc = fanins[0]
+            for lit in fanins[1:]:
+                fresh = cnf.new_var()
+                cnf.add_clause([-fresh, acc, lit])
+                cnf.add_clause([-fresh, -acc, -lit])
+                cnf.add_clause([fresh, -acc, lit])
+                cnf.add_clause([fresh, acc, -lit])
+                acc = fresh
+            if gate_type is GateType.XNOR:
+                acc = -acc
+            cnf.add_clause([-out, acc])
+            cnf.add_clause([out, -acc])
+    return encoding
+
+
+def _every_gate_kind(seed: int) -> Circuit:
+    """A random circuit plus constants, buffers, inverters, wide and
+    unary parities and repeated fanins, each extra node an output."""
+    rng = random.Random(seed)
+    circuit = generate_random_circuit(
+        f"w{seed}", rng.randint(4, 9), rng.randint(1, 3), rng.randint(20, 60),
+        seed=seed,
+    )
+    nodes = list(circuit.nodes)
+    circuit.add_const("zero", 0)
+    circuit.add_const("one", 1)
+    extras = [
+        ("buf", GateType.BUF, [rng.choice(nodes)]),
+        ("inv", GateType.NOT, ["buf"]),
+        ("xor1", GateType.XOR, [rng.choice(nodes)]),
+        ("xor3", GateType.XOR, rng.sample(nodes, 3)),
+        ("xnor4", GateType.XNOR, [*rng.sample(nodes, 3), "one"]),
+        ("twice", GateType.AND, [nodes[-1], nodes[-1], "inv"]),
+        ("nand", GateType.NAND, ["zero", "xor3", "xnor4"]),
+        ("nor", GateType.NOR, ["twice", rng.choice(nodes)]),
+        ("or", GateType.OR, ["xor1", "nand", "nor"]),
+    ]
+    for name, gate_type, fanins in extras:
+        circuit.add_gate(name, gate_type, fanins)
+        circuit.add_output(name)
+    return circuit
+
+
+class TestMatchesGateWalk:
+    """Differential: the direct walk against the checked node-by-node
+    walk, on CNFs that grow over repeated calls."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_targets_and_shared_nodes(self, seed):
+        rng = random.Random(seed)
+        circuit = _every_gate_kind(seed)
+        new_cnf, ref_cnf = Cnf(5), Cnf(5)
+        for step in range(6):
+            targets = (
+                None if step % 3 == 0
+                else rng.sample(list(circuit.nodes), rng.randint(1, 4))
+            )
+            # Shared inputs and, now and then, shared gates.
+            shared = {
+                name: rng.randint(1, new_cnf.num_vars) * rng.choice((1, -1))
+                for name in circuit.nodes
+                if rng.random() < (0.5 if name in circuit.inputs else 0.1)
+            }
+            new = encode_circuit(circuit, new_cnf, shared, targets)
+            ref = reference_encode_circuit(circuit, ref_cnf, shared, targets)
+            assert new_cnf.num_vars == ref_cnf.num_vars
+            assert new_cnf.clauses == ref_cnf.clauses
+            assert list(new.var_of.items()) == list(ref.var_of.items())
+
+    @pytest.mark.parametrize("lit", [0, 3, -3, True, 1.0, "1"])
+    def test_shared_variable_must_belong_to_the_cnf(self, lit):
+        circuit = paper_example_circuit()
+        cnf = Cnf(2)
+        with pytest.raises(EncodingError):
+            encode_circuit(circuit, cnf, shared_vars={"a": 1, "b": lit})
+        assert (cnf.num_vars, cnf.clauses) == (2, [])
+
+
 class TestEquivalence:
     def test_identical_circuits(self):
         assert check_equivalence(c17(), c17().copy()).proved
@@ -183,7 +310,7 @@ class TestEquivalence:
     def test_budget_exhaustion_returns_unknown(self):
         a = generate_random_circuit("a", 16, 2, 300, seed=5)
         b = generate_random_circuit("b", 16, 2, 300, seed=6)
-        b = b.renamed({}, name="a")
+        b = b.copy(name="a")
         result = check_equivalence(a, b, budget=Budget(0.0))
         assert result.equivalent is None
 
