@@ -95,9 +95,11 @@ class AttackConfig:
 class TelemetryRecorder:
     """Streaming lifecycle events with one uniform snapshot schema.
 
-    Attacks emit through three verbs — :meth:`event`, :meth:`count`,
-    and the :meth:`stage` context manager — and the engine stores
-    :meth:`snapshot` into ``AttackResult.details['telemetry']``::
+    Attacks emit through :meth:`event`, :meth:`count`, :meth:`iteration`
+    and the :meth:`stage` context manager, whose scope's
+    :meth:`_StageScope.record` adds fields to the closing ``stage_end``
+    event, and the engine stores :meth:`snapshot` into
+    ``AttackResult.details['telemetry']``::
 
         {"schema": 1,
          "events": [{"t": 0.01, "kind": "stage_start", "stage": "encode"},
@@ -108,12 +110,13 @@ class TelemetryRecorder:
          "counters": {"iterations": 12, "oracle_queries": 12, ...}}
 
     Timestamps are seconds since the recorder started, so the stream is
-    self-contained and JSON-safe.
+    self-contained and JSON-safe. At most :data:`MAX_TELEMETRY_EVENTS`
+    events are kept.
     """
 
-    def __init__(self, max_events: int = MAX_TELEMETRY_EVENTS):
+    def __init__(self):
         self._stopwatch = Stopwatch()
-        self._max_events = max_events
+        self._event_cap = MAX_TELEMETRY_EVENTS
         self.events: list[dict] = []
         self.counters: dict[str, int] = {}
         self.stages: dict[str, float] = {}
@@ -121,7 +124,7 @@ class TelemetryRecorder:
 
     def event(self, kind: str, stage: str | None = None, **data) -> None:
         """Record one lifecycle event (bounded; overflow is counted)."""
-        if len(self.events) >= self._max_events:
+        if len(self.events) >= self._event_cap:
             self.dropped_events += 1
             return
         entry: dict = {"t": round(self._stopwatch.elapsed, 6), "kind": kind}
@@ -143,11 +146,6 @@ class TelemetryRecorder:
         """Context manager emitting stage_start/stage_end with duration."""
         return _StageScope(self, name, data)
 
-    def stage_done(self, name: str, seconds: float, **data) -> None:
-        """Record an already-timed stage (for code with its own timers)."""
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-        self.event("stage_end", stage=name, seconds=round(seconds, 6), **data)
-
     def set_counter(self, name: str, value: int) -> None:
         self.counters[name] = int(value)
 
@@ -166,12 +164,17 @@ class _StageScope:
         self._recorder = recorder
         self._name = name
         self._data = data
+        self._end_fields: dict = {}
         self._stopwatch: Stopwatch | None = None
 
     def __enter__(self) -> "_StageScope":
         self._stopwatch = Stopwatch()
         self._recorder.event("stage_start", stage=self._name, **self._data)
         return self
+
+    def record(self, **fields) -> None:
+        """Fields to add to this stage's ``stage_end`` event."""
+        self._end_fields.update(fields)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         elapsed = self._stopwatch.elapsed if self._stopwatch else 0.0
@@ -183,45 +186,8 @@ class _StageScope:
             stage=self._name,
             seconds=round(elapsed, 6),
             error=exc_type.__name__ if exc_type is not None else None,
+            **self._end_fields,
         )
-
-
-class NullTelemetry(TelemetryRecorder):
-    """A no-op sink so attack code never branches on ``telemetry is None``."""
-
-    def event(self, kind, stage=None, **data):  # pragma: no cover - trivial
-        pass
-
-    def count(self, name, amount=1):
-        pass
-
-    def set_counter(self, name, value):
-        pass
-
-    def stage_done(self, name, seconds, **data):
-        pass
-
-    def stage(self, name, **data):
-        return _NULL_STAGE
-
-
-class _NullStage:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-_NULL_STAGE = _NullStage()
-
-NULL_TELEMETRY = NullTelemetry()
-
-
-def telemetry_or_null(
-    telemetry: TelemetryRecorder | None,
-) -> TelemetryRecorder:
-    return telemetry if telemetry is not None else NULL_TELEMETRY
 
 
 class Attack(abc.ABC):

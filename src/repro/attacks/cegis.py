@@ -28,9 +28,8 @@ only once, in the solver.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from contextlib import nullcontext
 
-from repro.attacks.base import TelemetryRecorder, telemetry_or_null
+from repro.attacks.base import TelemetryRecorder
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
@@ -94,9 +93,10 @@ def _two_keys_differ(cnf: Cnf, ys: list[list[int]], ks: list[list[int]]) -> None
 class _Cegis:
     """One distinguishing-input loop over ``copies`` keyed netlist copies.
 
-    ``miter(cnf, ys, ks)`` gets each copy's output and key literals.
-    ``staged`` wraps encoding and key extraction in telemetry stages;
-    ``details`` seeds every result's details.
+    ``miter(cnf, ys, ks)`` gets each copy's output and key literals;
+    ``details`` seeds every result's details. Encoding and every key
+    extraction are recorded as the telemetry stages ``encode`` and
+    ``key_extraction``.
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class _Cegis:
         budget: Budget | None,
         max_iterations: int | None,
         telemetry: TelemetryRecorder | None,
-        staged: bool = False,
         details: Mapping[str, object] | None = None,
     ):
         self.stopwatch = Stopwatch()
@@ -120,13 +119,12 @@ class _Cegis:
         self.oracle = oracle
         self.budget = budget
         self.max_iterations = max_iterations
-        self.telemetry = telemetry_or_null(telemetry)
-        self._stage = self.telemetry.stage if staged else lambda name: nullcontext()
+        self.telemetry = telemetry or TelemetryRecorder()
         self.details = dict(details or {})
         self.key_names = locked.key_inputs
         self.queries_before = oracle.query_count
 
-        with self._stage("encode"):
+        with self.telemetry.stage("encode"):
             cnf = self.cnf = Cnf()
             self.x_vars = {name: cnf.new_var() for name in locked.circuit_inputs}
             self.key_sets = [
@@ -164,7 +162,8 @@ class _Cegis:
 
     def extract_key(self) -> tuple[AttackStatus, tuple[int, ...] | None]:
         """A key consistent with every observation (FAILED: none is)."""
-        status = self.key_solver.solve(budget=self.budget)
+        with self.telemetry.stage("key_extraction"):
+            status = self.key_solver.solve(budget=self.budget)
         if status is SolveStatus.UNKNOWN:
             return AttackStatus.TIMEOUT, None
         if status is SolveStatus.UNSAT:
@@ -221,8 +220,7 @@ class _Cegis:
                 outcome = between(iteration)
                 if outcome is not None:
                     return outcome
-        with self._stage("key_extraction"):
-            status, key = self.extract_key()
+        status, key = self.extract_key()
         return self.result(status, key=key, iterations=iteration)
 
 
@@ -240,7 +238,7 @@ def sat_attack(
     return _Cegis(
         "sat-attack", locked, oracle, copies=2, miter=_outputs_differ,
         random_phase=0.2, budget=budget, max_iterations=max_iterations,
-        telemetry=telemetry, staged=True,
+        telemetry=telemetry,
     ).run()
 
 

@@ -89,47 +89,37 @@ def run_attack(
     telemetry = config.telemetry or TelemetryRecorder()
     checkpoint_oracle: CheckpointOracle | None = None
     run_oracle = oracle
-    checkpoint_unsupported = bool(
-        config.checkpoint_path
-        and not (oracle is not None and attack.supports_checkpoint)
-    )
-    if checkpoint_unsupported:
-        # Wall-clock-dependent families (fall, guess, key-confirmation)
-        # and oracle-less runs cannot replay a transcript bit-exactly;
-        # record that the request was ignored instead of failing later
-        # with a misleading replay-divergence error.
-        telemetry.event(
-            "checkpoint_unsupported",
-            attack=attack.name,
-            has_oracle=oracle is not None,
-        )
-    if (
-        config.checkpoint_path
-        and oracle is not None
-        and attack.supports_checkpoint
-    ):
-        checkpoint = open_checkpoint(
-            config.checkpoint_path,
-            attack.name,
-            circuit_fingerprint(locked),
-            config.determinism_key(),
-        )
-        if checkpoint.completed and checkpoint.result is not None:
-            finished = AttackResult.from_json_dict(checkpoint.result)
-            finished.details.setdefault("checkpoint", {})[
-                "already_completed"
-            ] = True
-            return finished
-        checkpoint_oracle = CheckpointOracle(
-            oracle, checkpoint, config.checkpoint_path
-        )
-        run_oracle = checkpoint_oracle
-        telemetry.event(
-            "checkpoint_resume"
-            if checkpoint.queries
-            else "checkpoint_start",
-            recorded_queries=len(checkpoint.queries),
-        )
+    checkpoint_unsupported = False
+    if config.checkpoint_path:
+        if oracle is None or not attack.supports_checkpoint:
+            # Wall-clock-dependent families (fall, guess, key-confirmation)
+            # and oracle-less runs cannot replay a transcript bit-exactly;
+            # record that the request was ignored instead of failing
+            # later with a misleading replay-divergence error.
+            checkpoint_unsupported = True
+        else:
+            checkpoint = open_checkpoint(
+                config.checkpoint_path,
+                attack.name,
+                circuit_fingerprint(locked),
+                config.determinism_key(),
+            )
+            if checkpoint.completed and checkpoint.result is not None:
+                finished = AttackResult.from_json_dict(checkpoint.result)
+                finished.details.setdefault("checkpoint", {})[
+                    "already_completed"
+                ] = True
+                return finished
+            checkpoint_oracle = CheckpointOracle(
+                oracle, checkpoint, config.checkpoint_path
+            )
+            run_oracle = checkpoint_oracle
+            telemetry.event(
+                "checkpoint_resume"
+                if checkpoint.queries
+                else "checkpoint_start",
+                recorded_queries=len(checkpoint.queries),
+            )
 
     run_config = replace(config, telemetry=telemetry)
     try:
@@ -151,10 +141,10 @@ def run_attack(
         # (e.g. ``fall-hd2``) for human-readable reports.
         details["label"] = result.attack
         result.attack = attack.name
+    details["telemetry"] = telemetry.snapshot()
     if checkpoint_unsupported:
         details["checkpoint"] = {"unsupported": True}
-    details["telemetry"] = telemetry.snapshot()
-    if checkpoint_oracle is not None:
+    elif checkpoint_oracle is not None:
         details["checkpoint"] = {
             "path": config.checkpoint_path,
             "replayed_queries": checkpoint_oracle.replayed_queries,

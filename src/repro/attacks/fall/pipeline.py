@@ -1,20 +1,28 @@
 """The full FALL attack pipeline (paper Figure 4).
 
-Stages:
+Stages, each recorded as a telemetry stage of the same name:
 
-1. comparator identification (§III-A) — pairing of key inputs with
-   circuit inputs, and the protected-input set Compx;
-2. support-set matching (§III-B) — candidate cube-stripper nodes;
-3. functional analyses (§IV-B) — AnalyzeUnateness for h = 0,
-   Distance2H (when 4h ≤ m) and SlidingWindow (when 2h < m) for h > 0,
-   each run on the candidate cone and on its complement (the netlist
-   may contain ¬F rather than F);
-4. equivalence checking (§IV-C) — cube confirmation against strip_h;
-5. key confirmation (§V) — only when more than one candidate key
-   survives and an I/O oracle is available.
+1. ``comparators`` (§III-A) — pairing of key inputs with circuit
+   inputs, and the protected-input set Compx;
+2. ``support_match`` (§III-B) — candidate cube-stripper nodes;
+3. ``functional_analysis`` — the scan over the candidates, in the
+   order of a density prefilter (one random simulation ranks them by
+   how closely their signal density matches strip_h's, just before the
+   stage starts). It rejects the polarities whose density cannot match
+   (and, for h = 0, those a sampled unateness check refutes); the
+   survivors go through the functional analyses (§IV-B) —
+   AnalyzeUnateness for h = 0, Distance2H (when 4h ≤ m) and
+   SlidingWindow (when 2h < m) for h > 0, on the candidate cone or its
+   complement (the netlist may contain ¬F rather than F) — and cube
+   confirmation against strip_h (§IV-C);
+4. ``key_derivation`` — confirmed cubes mapped onto keys through the
+   comparator pairing;
+5. ``key_confirmation`` (§V) — only with an I/O oracle, when more than
+   one key survives or the budget cut the scan short.
 
-The attack is oracle-less whenever stage 4 leaves exactly one key —
-the paper's headline practicality claim (90% of its successful runs).
+The attack is oracle-less whenever a completed scan leaves exactly one
+key — the paper's headline practicality claim (90% of its successful
+runs).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from repro.attacks.fall.distance2h import distance_2h
 from repro.attacks.fall.equivalence import confirm_cube
 from repro.attacks.fall.prefilter import passes_unateness_sim, strip_density
 from repro.attacks.fall.sliding_window import sliding_window
-from repro.attacks.base import TelemetryRecorder, telemetry_or_null
+from repro.attacks.base import TelemetryRecorder
 from repro.attacks.fall.support_match import candidate_strip_nodes
 from repro.attacks.fall.unateness import analyze_unateness
 from repro.attacks.key_confirmation import key_confirmation
@@ -62,7 +70,6 @@ class FallReport:
     candidate_keys: list[KeyVector] = field(default_factory=list)
     analyses_attempted: int = 0
     prefilter_rejections: int = 0
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     oracle_less: bool = False
     used_key_confirmation: bool = False
     scan_complete: bool = True
@@ -73,7 +80,6 @@ def fall_attack(
     h: int,
     oracle: IOOracle | None = None,
     budget: Budget | None = None,
-    use_prefilter: bool = True,
     analyses: tuple[str, ...] | None = None,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
@@ -87,7 +93,7 @@ def fall_attack(
     if h < 0:
         raise AttackError(f"invalid Hamming distance parameter h={h}")
     stopwatch = Stopwatch()
-    telemetry = telemetry_or_null(telemetry)
+    telemetry = telemetry or TelemetryRecorder()
     budget = budget or Budget.unlimited()
     report = FallReport()
     key_names = locked.key_inputs
@@ -107,36 +113,28 @@ def fall_attack(
             details={"report": report},
         )
 
-    # Stage 1: comparator identification.
-    stage = Stopwatch()
-    supports = support_table(locked)
-    report.comparators = find_comparators(locked, supports=supports)
-    report.pairing = pairing_from_comparators(report.comparators)
-    report.stage_seconds["comparators"] = stage.elapsed
-    telemetry.stage_done(
-        "comparators", stage.elapsed, found=len(report.comparators)
-    )
+    with telemetry.stage("comparators") as stage:
+        supports = support_table(locked)
+        report.comparators = find_comparators(locked, supports=supports)
+        report.pairing = pairing_from_comparators(report.comparators)
+        stage.record(found=len(report.comparators))
     if not report.comparators:
         return result(AttackStatus.FAILED)
 
-    # Stage 2: support-set matching.
-    stage.restart()
-    report.candidate_nodes = candidate_strip_nodes(
-        locked, report.comparators, supports=supports
-    )
-    report.stage_seconds["support_match"] = stage.elapsed
-    telemetry.stage_done(
-        "support_match", stage.elapsed, candidates=len(report.candidate_nodes)
-    )
+    with telemetry.stage("support_match") as stage:
+        report.candidate_nodes = candidate_strip_nodes(
+            locked, report.comparators, supports=supports
+        )
+        stage.record(candidates=len(report.candidate_nodes))
     if not report.candidate_nodes:
         return result(AttackStatus.FAILED)
 
-    # Stage 2.5: one bit-parallel random simulation over the candidate
-    # cones yields every candidate's signal density. Candidates are
-    # ordered by how closely their density matches strip_h's C(m,h)/2^m
-    # (the true stripper is analyzed first, so a budget-truncated scan
-    # still finds it), and density incompatibility rejects polarities
-    # outright.
+    # The density prefilter: one bit-parallel random simulation over the
+    # candidate cones yields every candidate's signal density.
+    # Candidates are ordered by how closely their density matches
+    # strip_h's C(m,h)/2^m (the true stripper is analyzed first, so a
+    # budget-truncated scan still finds it), and density incompatibility
+    # rejects polarities outright.
     m = len(report.pairing)
     rng = make_rng(1)
     sim_inputs = {
@@ -164,80 +162,72 @@ def fall_attack(
 
     ordered_candidates = sorted(report.candidate_nodes, key=density_rank)
 
-    # Stages 3+4: functional analyses + equivalence confirmation.
-    stage.restart()
-    confirmed: list[dict[str, int]] = []
-    for candidate_index, node in enumerate(ordered_candidates):
-        if budget.expired:
-            break
-        if use_prefilter:
+    # Functional analyses + equivalence confirmation.
+    with telemetry.stage("functional_analysis") as stage:
+        confirmed: list[dict[str, int]] = []
+        for candidate_index, node in enumerate(ordered_candidates):
+            if budget.expired:
+                break
             try_plain = density[node] <= density_threshold
             try_complement = (1.0 - density[node]) <= density_threshold
             if not (try_plain or try_complement):
                 # Both polarities fail the density test: no cone needed.
                 report.prefilter_rejections += 2
                 continue
-        else:
-            try_plain = try_complement = True
-        # Geometric budget slicing: the best-ranked candidate may use up
-        # to half the remaining budget, the next half of what is left,
-        # and so on — density ranking puts the true stripper first, so
-        # front-loading the budget is the right trade.
-        slice_seconds = max(2.0, budget.remaining / 2.0)
-        candidate_budget = budget.sub(slice_seconds)
-        cone = extract_cone(locked, node)
-        analysed = False
-        for polarity, wanted in enumerate((try_plain, try_complement)):
-            if candidate_budget.expired:
-                break
-            if not wanted:
-                report.prefilter_rejections += 1
-                continue
-            variant = cone if polarity == 0 else _complement(cone)
-            if use_prefilter and h == 0 and not passes_unateness_sim(variant):
-                report.prefilter_rejections += 1
-                continue
-            if not analysed:
-                telemetry.iteration(
-                    "functional_analysis", candidate_index, node=node
+            # Geometric budget slicing: the best-ranked candidate may use
+            # up to half the remaining budget, the next half of what is
+            # left, and so on — density ranking puts the true stripper
+            # first, so front-loading the budget is the right trade.
+            slice_seconds = max(2.0, budget.remaining / 2.0)
+            candidate_budget = budget.sub(slice_seconds)
+            cone = extract_cone(locked, node)
+            analysed = False
+            for polarity, wanted in enumerate((try_plain, try_complement)):
+                if candidate_budget.expired:
+                    break
+                if not wanted:
+                    report.prefilter_rejections += 1
+                    continue
+                variant = cone if polarity == 0 else _complement(cone)
+                if h == 0 and not passes_unateness_sim(variant):
+                    report.prefilter_rejections += 1
+                    continue
+                if not analysed:
+                    telemetry.iteration(
+                        "functional_analysis", candidate_index, node=node
+                    )
+                    analysed = True
+                cube = _analyze_candidate(
+                    variant, h, candidate_budget, report, analyses=analyses
                 )
-                analysed = True
-            cube = _analyze_candidate(
-                variant, h, candidate_budget, report, analyses=analyses
-            )
-            if cube is None:
-                continue
-            verdict = confirm_cube(variant, cube, h, budget=candidate_budget)
-            if verdict:
-                confirmed.append(cube)
-                break
-    report.stage_seconds["functional_analysis"] = stage.elapsed
-    telemetry.stage_done(
-        "functional_analysis",
-        stage.elapsed,
-        analyses=report.analyses_attempted,
-        prefilter_rejections=report.prefilter_rejections,
-        confirmed=len(confirmed),
-    )
+                if cube is None:
+                    continue
+                if confirm_cube(variant, cube, h, budget=candidate_budget):
+                    confirmed.append(cube)
+                    break
+        stage.record(
+            analyses=report.analyses_attempted,
+            prefilter_rejections=report.prefilter_rejections,
+            confirmed=len(confirmed),
+        )
     report.scan_complete = not budget.expired
 
     # Deduplicate cubes and derive keys through the comparator pairing.
-    stage.restart()
-    seen: set[tuple[tuple[str, int], ...]] = set()
-    keys: list[KeyVector] = []
-    for cube in confirmed:
-        signature = tuple(sorted(cube.items()))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        report.confirmed_cubes.append(cube)
-        derived = _derive_keys(cube, report.pairing, key_names, h, m)
-        for key in derived:
-            if key not in keys:
-                keys.append(key)
-    report.candidate_keys = keys
-    report.stage_seconds["key_derivation"] = stage.elapsed
-    telemetry.stage_done("key_derivation", stage.elapsed, keys=len(keys))
+    with telemetry.stage("key_derivation") as stage:
+        seen: set[tuple[tuple[str, int], ...]] = set()
+        keys: list[KeyVector] = []
+        for cube in confirmed:
+            signature = tuple(sorted(cube.items()))
+            if signature in seen:
+                continue
+            seen.add(signature)
+            report.confirmed_cubes.append(cube)
+            derived = _derive_keys(cube, report.pairing, key_names, h, m)
+            for key in derived:
+                if key not in keys:
+                    keys.append(key)
+        report.candidate_keys = keys
+        stage.record(keys=len(keys))
 
     if not keys:
         if budget.expired:

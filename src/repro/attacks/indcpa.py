@@ -50,11 +50,9 @@ class GameRound:
 class Defender:
     """The game's challenger: locks one of two submitted circuits."""
 
-    def __init__(self, h: int = 1, key_width: int | None = None,
-                 seed: RngLike = 0):
+    def __init__(self, h: int = 1, seed: RngLike = 0):
         self._rng = make_rng(seed)
         self._h = h
-        self._key_width = key_width
         self._secret_bit = self._rng.getrandbits(1)
 
     def challenge(self, circuit0: Circuit, circuit1: Circuit) -> Circuit:
@@ -63,7 +61,6 @@ class Defender:
         locked: LockedCircuit = lock_sfll_hd(
             chosen,
             h=self._h,
-            key_width=self._key_width,
             seed=self._rng.getrandbits(30),
         )
         return locked.circuit

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.attacks.base import TelemetryRecorder, telemetry_or_null
+from repro.attacks.base import TelemetryRecorder
 from repro.attacks.cegis import check_attack_inputs, constrain_io
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
@@ -129,7 +129,7 @@ def key_confirmation(
     TIMEOUT.
     """
     stopwatch = Stopwatch()
-    telemetry = telemetry_or_null(telemetry)
+    telemetry = telemetry or TelemetryRecorder()
     check_attack_inputs(locked, oracle)
     key_names = locked.key_inputs
     input_names = locked.circuit_inputs
@@ -161,8 +161,6 @@ def key_confirmation(
     q_solver.add_cnf(q_cnf)
     q_cnf.clauses.clear()
 
-    probes_used = 0
-
     def result(
         status: AttackStatus, key=None, iterations=0, verification="phi-relative"
     ) -> AttackResult:
@@ -178,7 +176,6 @@ def key_confirmation(
             details={
                 "p_solver": p_solver.stats.as_dict(),
                 "q_solver": q_solver.stats.as_dict(),
-                "probes": probes_used,
                 "verification": verification if key is not None else None,
             },
         )
@@ -201,8 +198,7 @@ def key_confirmation(
         probes = list(_mine_probes(locked, candidates, key_names, budget))
         for pattern, observed in zip(probes, oracle.query_batch(probes)):
             absorb_observation(pattern, observed)
-            probes_used += 1
-        telemetry.count("probes", probes_used)
+        telemetry.count("probes", len(probes))
 
     iteration = 0
     certification_dis = 0

@@ -25,7 +25,7 @@ adapter class with the ``@register_attack`` decorator.
 
 from __future__ import annotations
 
-from repro.attacks.base import Attack, telemetry_or_null
+from repro.attacks.base import Attack, TelemetryRecorder
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.errors import AttackError
 
@@ -219,7 +219,7 @@ class GuessFamily(Attack):
         from repro.utils.timer import Stopwatch
 
         stopwatch = Stopwatch()
-        telemetry = telemetry_or_null(config.telemetry)
+        telemetry = config.telemetry or TelemetryRecorder()
         budget = config.make_budget()
         queries_before = oracle.query_count if oracle is not None else 0
         with telemetry.stage("guess"):
@@ -259,7 +259,7 @@ class GuessFamily(Attack):
                 oracle,
                 list(guesses),
                 budget=budget,
-                telemetry=config.telemetry,
+                telemetry=telemetry,
             )
         if confirmation.status is AttackStatus.SUCCESS:
             return result(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attacks.base import TelemetryRecorder, telemetry_or_null
+from repro.attacks.base import TelemetryRecorder
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.analysis import support_table
 from repro.circuit.circuit import Circuit
@@ -89,7 +89,7 @@ def sps_attack(
     ``details['approximate']``.
     """
     stopwatch = Stopwatch()
-    telemetry = telemetry_or_null(telemetry)
+    telemetry = telemetry or TelemetryRecorder()
     if not locked.key_inputs:
         raise AttackError("circuit has no key inputs to attack")
     with telemetry.stage("probability_estimation", patterns=PATTERNS):

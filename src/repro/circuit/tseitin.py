@@ -44,21 +44,18 @@ def encode_circuit(
     circuit: Circuit,
     cnf: Cnf | None = None,
     shared_vars: Mapping[str, int] | None = None,
-    targets: Sequence[str] | None = None,
 ) -> CircuitEncoding:
-    """Encode (the target cones of) a circuit into CNF.
+    """Encode the fanin cones of a circuit's outputs into CNF.
 
     ``shared_vars`` pre-assigns CNF variables to nodes (typically inputs)
     so several instances can share them; each must already be a literal
-    of ``cnf``. ``targets`` restricts encoding to the fanin cones of the
-    given nodes (default: the declared outputs).
+    of ``cnf``.
     """
     if cnf is None:
         cnf = Cnf()
-    if targets is None:
-        targets = list(circuit.outputs)
-        if not targets:
-            raise EncodingError("circuit has no outputs and no targets given")
+    targets = list(circuit.outputs)
+    if not targets:
+        raise EncodingError("circuit has no outputs")
     encoding = CircuitEncoding(cnf=cnf)
     var_of = encoding.var_of
     top = cnf.num_vars
@@ -74,7 +71,7 @@ def encode_circuit(
     fanins_of = circuit._fanins
     clauses = cnf.clauses
     append = clauses.append
-    for node in circuit.topological_order(targets=list(targets)):
+    for node in circuit.topological_order(targets=targets):
         if node in var_of:
             continue  # shared variable supplied by the caller
         top += 1

@@ -31,7 +31,7 @@ from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import all_attacks, attack_names, get_attack
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.sharding import parse_jobs
-from repro.errors import CircuitError
+from repro.errors import AttackError, CircuitError, LockingError
 from repro.locking import (
     lock_antisat,
     lock_random_xor,
@@ -47,6 +47,28 @@ def _jobs(value: str) -> int | None:
         return parse_jobs(value)
     except CircuitError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _at_least(convert, low, what: str):
+    """argparse type: ``convert(value)``, rejected unless it is ``>= low``."""
+
+    def parse(value: str):
+        try:
+            number = convert(value)
+        except ValueError:
+            number = None
+        if number is None or not number >= low:  # NaN fails ">=" too
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+_positive_int = _at_least(int, 1, "a positive integer")
+_non_negative_int = _at_least(int, 0, "a non-negative integer")
+_non_negative_float = _at_least(float, 0.0, "a non-negative number")
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser, what: str) -> None:
@@ -71,8 +93,12 @@ def main_lock(argv: list[str] | None = None) -> int:
         choices=("ttlock", "sfll", "rll", "sarlock", "antisat"),
         default="sfll",
     )
-    parser.add_argument("--h", type=int, default=0, help="SFLL Hamming distance")
-    parser.add_argument("--keys", type=int, default=None, help="key width")
+    parser.add_argument(
+        "--h", type=_non_negative_int, default=0, help="SFLL Hamming distance"
+    )
+    parser.add_argument(
+        "--keys", type=_positive_int, default=None, help="key width"
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--no-optimize", action="store_true", help="skip the strash pass"
@@ -84,31 +110,34 @@ def main_lock(argv: list[str] | None = None) -> int:
 
     circuit = read_bench(args.netlist)
     optimize_netlist = not args.no_optimize
-    if args.scheme == "ttlock":
-        locked = lock_ttlock(
-            circuit, key_width=args.keys, seed=args.seed,
-            optimize_netlist=optimize_netlist,
-        )
-    elif args.scheme == "sfll":
-        locked = lock_sfll_hd(
-            circuit, h=args.h, key_width=args.keys, seed=args.seed,
-            optimize_netlist=optimize_netlist,
-        )
-    elif args.scheme == "rll":
-        locked = lock_random_xor(
-            circuit, key_width=args.keys or 32, seed=args.seed,
-            optimize_netlist=optimize_netlist,
-        )
-    elif args.scheme == "sarlock":
-        locked = lock_sarlock(
-            circuit, key_width=args.keys, seed=args.seed,
-            optimize_netlist=optimize_netlist,
-        )
-    else:
-        locked = lock_antisat(
-            circuit, key_width=args.keys, seed=args.seed,
-            optimize_netlist=optimize_netlist,
-        )
+    try:
+        if args.scheme == "ttlock":
+            locked = lock_ttlock(
+                circuit, key_width=args.keys, seed=args.seed,
+                optimize_netlist=optimize_netlist,
+            )
+        elif args.scheme == "sfll":
+            locked = lock_sfll_hd(
+                circuit, h=args.h, key_width=args.keys, seed=args.seed,
+                optimize_netlist=optimize_netlist,
+            )
+        elif args.scheme == "rll":
+            locked = lock_random_xor(
+                circuit, key_width=32 if args.keys is None else args.keys,
+                seed=args.seed, optimize_netlist=optimize_netlist,
+            )
+        elif args.scheme == "sarlock":
+            locked = lock_sarlock(
+                circuit, key_width=args.keys, seed=args.seed,
+                optimize_netlist=optimize_netlist,
+            )
+        else:
+            locked = lock_antisat(
+                circuit, key_width=args.keys, seed=args.seed,
+                optimize_netlist=optimize_netlist,
+            )
+    except LockingError as error:
+        parser.error(str(error))
     save_bench(locked.circuit, args.output)
     key_text = "".join(str(b) for b in locked.reveal_correct_key())
     if args.key_file:
@@ -119,26 +148,13 @@ def main_lock(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _parse_portfolio(parser, value: str) -> list[str]:
-    """Resolve a ``--portfolio`` spec into registered attack names."""
+def _portfolio_names(value: str) -> list[str]:
+    """The attack names a ``--portfolio`` spec lists."""
     if value == "auto":
         # The oracle-guided racing set: the families whose conclusive
         # results are comparable key recoveries.
         return ["fall", "sat", "appsat", "double-dip"]
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    if not names:
-        parser.error("--portfolio needs at least one attack name")
-    seen: set[str] = set()
-    for name in names:
-        if name not in attack_names():
-            parser.error(
-                f"unknown attack {name!r} in --portfolio; registered "
-                f"attacks: {', '.join(attack_names())}"
-            )
-        if name in seen:
-            parser.error(f"attack {name!r} listed twice in --portfolio")
-        seen.add(name)
-    return names
+    return [name.strip() for name in value.split(",") if name.strip()]
 
 
 def main_attack(argv: list[str] | None = None) -> int:
@@ -177,13 +193,17 @@ def main_attack(argv: list[str] | None = None) -> int:
         action="store_true",
         help="list the registered attack families and exit",
     )
-    parser.add_argument("--h", type=int, default=0, help="SFLL Hamming distance")
+    parser.add_argument(
+        "--h", type=_non_negative_int, default=0, help="SFLL Hamming distance"
+    )
     parser.add_argument(
         "--oracle",
         default=None,
         help="unlocked .bench file to answer I/O queries",
     )
-    parser.add_argument("--time-limit", type=float, default=1000.0)
+    parser.add_argument(
+        "--time-limit", type=_non_negative_float, default=1000.0
+    )
     parser.add_argument(
         "--seed",
         type=int,
@@ -192,7 +212,7 @@ def main_attack(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=_positive_int,
         default=None,
         help="iteration cap for the oracle-guided CEGIS loops",
     )
@@ -214,16 +234,7 @@ def main_attack(argv: list[str] | None = None) -> int:
         return 0
     if args.netlist is None:
         parser.error("the following arguments are required: netlist")
-    if args.attack not in attack_names():
-        parser.error(
-            f"unknown attack {args.attack!r}; registered attacks: "
-            f"{', '.join(attack_names())}"
-        )
-    if args.portfolio is not None and args.checkpoint is not None:
-        parser.error("--checkpoint cannot be combined with --portfolio")
-
     locked = read_bench(args.netlist)
-    oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
     config = AttackConfig(
         h=args.h,
         time_limit=args.time_limit,
@@ -232,9 +243,20 @@ def main_attack(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
     )
+    # The engine validates attack names, portfolios and oracles; its
+    # rejection is a usage error.
+    try:
+        oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
+        if args.portfolio is None:
+            if oracle is None and get_attack(args.attack).requires_oracle:
+                parser.error(f"the {args.attack} attack requires --oracle")
+            result = run_attack(args.attack, locked, oracle, config)
+        else:
+            names = _portfolio_names(args.portfolio)
+            result = run_portfolio(names, locked, oracle, config)
+    except AttackError as error:
+        parser.error(str(error))
     if args.portfolio is not None:
-        names = _parse_portfolio(parser, args.portfolio)
-        result = run_portfolio(names, locked, oracle, config)
         portfolio = result.details["portfolio"]
         print(f"portfolio winner: {portfolio['winner']}")
         for name in names:
@@ -243,10 +265,6 @@ def main_attack(argv: list[str] | None = None) -> int:
             if entry.get("cancelled"):
                 status += " (cancelled)"
             print(f"  {name:14s} {status}")
-    else:
-        if oracle is None and get_attack(args.attack).requires_oracle:
-            parser.error(f"the {args.attack} attack requires --oracle")
-        result = run_attack(args.attack, locked, oracle, config)
     print(result.summary())
     if result.key is not None:
         print("key:", "".join(str(b) for b in result.key))

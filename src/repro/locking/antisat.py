@@ -30,7 +30,6 @@ from repro.utils.rng import RngLike
 def lock_antisat(
     circuit: Circuit,
     key_width: int | None = None,
-    base_key: Sequence[int] | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
@@ -38,11 +37,11 @@ def lock_antisat(
 
     ``key_width`` is the width *per block*; the locked circuit has
     ``2 * key_width`` key inputs (K1 followed by K2). The canonical
-    correct key sets ``K1 = K2 = base_key``.
+    correct key sets ``K1 = K2`` to a block key that ``seed`` draws.
     """
     target, protected = resolve_lock_site(circuit, key_width)
     width = len(protected)
-    base = resolve_cube(base_key, width, seed)
+    base = resolve_cube(None, width, seed)
 
     work, hidden = displace_target(circuit, target)
     work.name = f"{circuit.name}~antisat"

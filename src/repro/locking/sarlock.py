@@ -14,8 +14,6 @@ break it).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 from repro.circuit.opt import optimize
@@ -33,13 +31,12 @@ from repro.utils.rng import RngLike
 def lock_sarlock(
     circuit: Circuit,
     key_width: int | None = None,
-    correct_key: Sequence[int] | None = None,
     seed: RngLike = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
-    """Lock ``circuit`` with SARLock."""
+    """Lock ``circuit`` with SARLock; ``seed`` draws the correct key."""
     target, protected = resolve_lock_site(circuit, key_width)
-    key_bits = resolve_cube(correct_key, len(protected), seed)
+    key_bits = resolve_cube(None, len(protected), seed)
 
     work, hidden = displace_target(circuit, target)
     work.name = f"{circuit.name}~sarlock"

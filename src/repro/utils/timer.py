@@ -22,9 +22,6 @@ class Stopwatch:
     def __init__(self):
         self._start = time.monotonic()
 
-    def restart(self) -> None:
-        self._start = time.monotonic()
-
     @property
     def elapsed(self) -> float:
         return time.monotonic() - self._start

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.base import AttackConfig
+from repro.attacks.base import AttackConfig, TelemetryRecorder
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.engine import run_attack
 from repro.attacks.key_confirmation import key_confirmation
@@ -54,6 +54,14 @@ class TestCegisContract:
         assert result.iterations == 0
         assert result.oracle_queries == 0
         assert oracle.query_count == 0
+
+    def test_records_encode_and_key_extraction_stages(self, attack):
+        original = paper_example_circuit()
+        locked = lock_ttlock(original, cube=(1, 0, 0, 1))
+        telemetry = TelemetryRecorder()
+        result = attack(locked.circuit, IOOracle(original), telemetry=telemetry)
+        assert result.succeeded
+        assert {"encode", "key_extraction"} <= set(telemetry.stages)
 
 
 @pytest.mark.parametrize(

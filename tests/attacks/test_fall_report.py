@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import IOOracle, fall_attack
+from repro.attacks import IOOracle, base, fall_attack
 from repro.attacks.base import TelemetryRecorder
 from repro.attacks.fall import pipeline
 from repro.attacks.fall.pipeline import ANALYSIS_NAMES, FallReport
@@ -21,12 +21,29 @@ from repro.locking import lock_sfll_hd, lock_ttlock
 class TestReportBookkeeping:
     def test_stage_timings_recorded(self):
         locked = lock_ttlock(paper_example_circuit(), cube=(1, 0, 0, 1))
-        result = fall_attack(locked.circuit, h=0)
+        telemetry = TelemetryRecorder()
+        result = fall_attack(locked.circuit, h=0, telemetry=telemetry)
         report: FallReport = result.details["report"]
-        for stage in ("comparators", "support_match", "functional_analysis",
-                      "key_derivation"):
-            assert stage in report.stage_seconds
-            assert report.stage_seconds[stage] >= 0.0
+        assert list(telemetry.stages) == [
+            "comparators", "support_match", "functional_analysis",
+            "key_derivation",
+        ]
+        assert all(seconds >= 0.0 for seconds in telemetry.stages.values())
+        ends = {
+            event["stage"]: event for event in telemetry.events
+            if event["kind"] == "stage_end"
+        }
+        assert ends["comparators"]["found"] == len(report.comparators)
+        assert ends["support_match"]["candidates"] == len(
+            report.candidate_nodes
+        )
+        assert ends["functional_analysis"]["analyses"] == (
+            report.analyses_attempted
+        )
+        assert ends["functional_analysis"]["confirmed"] >= len(
+            report.confirmed_cubes
+        )
+        assert ends["key_derivation"]["keys"] == len(report.candidate_keys)
 
     def test_comparator_pairing_recorded(self):
         locked = lock_ttlock(paper_example_circuit(), cube=(1, 0, 0, 1))
@@ -139,10 +156,13 @@ class TestCandidateScan:
         assert len(extracted) == len(set(extracted)) < candidates
         assert set(extracted) == reached
 
-    def test_telemetry_keeps_stage_ends_past_the_event_cap(self):
+    def test_telemetry_keeps_stage_ends_past_the_event_cap(
+        self, monkeypatch
+    ):
         original = generate_random_circuit("pf", 12, 3, 80, seed=6)
         locked = lock_sfll_hd(original, h=1, key_width=10, seed=6)
-        telemetry = TelemetryRecorder(max_events=16)
+        monkeypatch.setattr(base, "MAX_TELEMETRY_EVENTS", 16)
+        telemetry = TelemetryRecorder()
         result = fall_attack(locked.circuit, h=1, telemetry=telemetry)
         report = result.details["report"]
         assert len(report.candidate_nodes) > 16

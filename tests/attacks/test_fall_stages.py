@@ -22,14 +22,18 @@ from repro.attacks.fall.support_match import (
     comparator_inputs,
 )
 from repro.attacks.fall.unateness import analyze_unateness
-from repro.circuit.analysis import extract_cone, support
+from repro.circuit.analysis import extract_cone, support, support_table
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 from repro.circuit.library import paper_example_circuit
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import truth_table
+from repro.circuit.tseitin import encode_circuit
 from repro.errors import AttackError
 from repro.locking import lock_sfll_hd, lock_ttlock
 from repro.locking.comparators import add_cube_detector, add_hamming_distance_equals
+from repro.sat.cnf import Cnf
+from repro.sat.solver import Solver, SolveStatus
 
 PAPER_CUBE = (1, 0, 0, 1)
 
@@ -40,6 +44,56 @@ def ttlock_example():
 
 def sfll_hd1_example():
     return lock_sfll_hd(paper_example_circuit(), h=1, cube=PAPER_CUBE)
+
+
+def _classify_sat(locked: Circuit, node: str, x: str, k: str) -> bool | None:
+    """The paper's §III-A check: validity of cktfn_v ⇔ ±(x ⊕ k).
+
+    ``False`` for XOR, ``True`` for XNOR, ``None`` for neither.
+    """
+    cnf = Cnf()
+    encoding = encode_circuit(extract_cone(locked, node), cnf)
+    v, xv, kv = encoding.lit(node), encoding.lit(x), encoding.lit(k)
+    solver = Solver()
+    solver.add_cnf(cnf)
+
+    def is_valid_equiv(negate: bool) -> bool:
+        # v ⇔ (x ⊕ k) is valid iff v ≠ (x ⊕ k) is UNSAT; check the four
+        # violating combinations under assumptions.
+        for x_bit in (0, 1):
+            for k_bit in (0, 1):
+                want_v = x_bit ^ k_bit ^ negate
+                assumptions = [
+                    xv if x_bit else -xv,
+                    kv if k_bit else -kv,
+                    -v if want_v else v,
+                ]
+                if solver.solve(assumptions=assumptions) is SolveStatus.SAT:
+                    return False
+        return True
+
+    if is_valid_equiv(negate=False):
+        return False
+    if is_valid_equiv(negate=True):
+        return True
+    return None
+
+
+def sat_comparators(locked: Circuit) -> set[tuple[str, bool]]:
+    """(node, is_xnor) of every comparator, found by the SAT check."""
+    supports = support_table(locked)
+    found = set()
+    for node in locked.nodes:
+        if not locked.gate_type(node).is_gate or len(supports[node]) != 2:
+            continue
+        keys = [name for name in supports[node] if locked.is_key_input(name)]
+        if len(keys) != 1:
+            continue
+        (x,) = supports[node] - {keys[0]}
+        verdict = _classify_sat(locked, node, x, keys[0])
+        if verdict is not None:
+            found.add((node, verdict))
+    return found
 
 
 def cube_cone(cube, names=("a", "b", "c", "d")) -> Circuit:
@@ -81,12 +135,16 @@ class TestComparatorIdentification:
         assert {c.polarity for c in comparators} <= {1, -1}
 
     def test_sat_and_sim_classifiers_agree(self):
-        locked = sfll_hd1_example()
-        sim = find_comparators(locked.circuit, use_sat=False)
-        sat = find_comparators(locked.circuit, use_sat=True)
-        assert {(c.node, c.is_xnor) for c in sim} == {
-            (c.node, c.is_xnor) for c in sat
-        }
+        random_cell = lock_sfll_hd(
+            generate_random_circuit("cmp", 14, 3, 90, seed=2),
+            h=2, key_width=12, seed=5,
+        )
+        for locked in (ttlock_example(), sfll_hd1_example(), random_cell):
+            sim = find_comparators(locked.circuit)
+            assert sim
+            assert {(c.node, c.is_xnor) for c in sim} == sat_comparators(
+                locked.circuit
+            )
 
     def test_no_comparators_in_unlocked_circuit(self):
         assert find_comparators(paper_example_circuit()) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit.analysis import extract_cone
 from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
@@ -25,7 +26,7 @@ from tests.circuits import c17
 
 def tseitin_truth_table(circuit: Circuit, node: str) -> int:
     """Truth table of a node computed through the CNF encoding."""
-    encoding = encode_circuit(circuit, targets=[node])
+    encoding = encode_circuit(extract_cone(circuit, node))
     solver = Solver()
     solver.add_cnf(encoding.cnf)
     inputs = [n for n in circuit.inputs if n in encoding.var_of]
@@ -114,22 +115,18 @@ class TestTseitin:
 
     def test_missing_node_lit_rejected(self):
         circuit = paper_example_circuit()
-        encoding = encode_circuit(circuit, targets=["ab"])
+        encoding = encode_circuit(extract_cone(circuit, "ab"))
         with pytest.raises(EncodingError):
             encoding.lit("y")
 
 
-def reference_encode_circuit(
-    circuit, cnf, shared_vars=None, targets=None
-) -> CircuitEncoding:
+def reference_encode_circuit(circuit, cnf, shared_vars=None) -> CircuitEncoding:
     """The node-by-node walk through ``Cnf.add_clause`` that
     :func:`encode_circuit` must reproduce clause for clause."""
-    if targets is None:
-        targets = list(circuit.outputs)
     encoding = CircuitEncoding(cnf=cnf)
     var_of = encoding.var_of
     var_of.update(shared_vars or {})
-    for node in circuit.topological_order(targets=list(targets)):
+    for node in circuit.topological_order(targets=list(circuit.outputs)):
         if node in var_of:
             continue
         gate_type = circuit.gate_type(node)
@@ -181,6 +178,22 @@ def reference_encode_circuit(
     return encoding
 
 
+def _cones(circuit: Circuit, targets: list[str]) -> Circuit:
+    """The fanin cones of ``targets`` as one circuit with those outputs."""
+    cones = Circuit(f"{circuit.name}~cones")
+    for node in circuit.topological_order(targets=targets):
+        gate_type = circuit.gate_type(node)
+        if gate_type is GateType.INPUT:
+            cones.add_input(node)
+        elif gate_type in (GateType.CONST0, GateType.CONST1):
+            cones.add_const(node, int(gate_type is GateType.CONST1))
+        else:
+            cones.add_gate(node, gate_type, circuit.fanins(node))
+    for node in targets:
+        cones.add_output(node)
+    return cones
+
+
 def _every_gate_kind(seed: int) -> Circuit:
     """A random circuit plus constants, buffers, inverters, wide and
     unary parities and repeated fanins, each extra node an output."""
@@ -219,9 +232,11 @@ class TestMatchesGateWalk:
         circuit = _every_gate_kind(seed)
         new_cnf, ref_cnf = Cnf(5), Cnf(5)
         for step in range(6):
-            targets = (
-                None if step % 3 == 0
-                else rng.sample(list(circuit.nodes), rng.randint(1, 4))
+            target = (
+                circuit if step % 3 == 0
+                else _cones(
+                    circuit, rng.sample(list(circuit.nodes), rng.randint(1, 4))
+                )
             )
             # Shared inputs and, now and then, shared gates.
             shared = {
@@ -229,8 +244,8 @@ class TestMatchesGateWalk:
                 for name in circuit.nodes
                 if rng.random() < (0.5 if name in circuit.inputs else 0.1)
             }
-            new = encode_circuit(circuit, new_cnf, shared, targets)
-            ref = reference_encode_circuit(circuit, ref_cnf, shared, targets)
+            new = encode_circuit(target, new_cnf, shared)
+            ref = reference_encode_circuit(target, ref_cnf, shared)
             assert new_cnf.num_vars == ref_cnf.num_vars
             assert new_cnf.clauses == ref_cnf.clauses
             assert list(new.var_of.items()) == list(ref.var_of.items())

@@ -237,16 +237,14 @@ class TestRandomXorLocking:
 class TestSarlock:
     def test_correct_key_restores_function(self):
         original = paper_example_circuit()
-        locked = lock_sarlock(original, correct_key=(1, 1, 0, 0))
+        locked = lock_sarlock(original, seed=3)
         unlocked = locked.unlocked_with(locked.reveal_correct_key())
         assert check_equivalence(original, unlocked).proved
 
     def test_wrong_key_corrupts_exactly_one_pattern(self):
         original = paper_example_circuit()
-        locked = lock_sarlock(
-            original, correct_key=(1, 1, 0, 0), optimize_netlist=False
-        )
-        wrong = (0, 1, 0, 1)
+        locked = lock_sarlock(original, seed=3, optimize_netlist=False)
+        wrong = complement_bits(locked.reveal_correct_key())
         mismatches = []
         for pattern in all_keys(4):
             assignment = dict(zip("abcd", pattern))
@@ -261,20 +259,20 @@ class TestSarlock:
 class TestAntisat:
     def test_canonical_key_restores_function(self):
         original = paper_example_circuit()
-        locked = lock_antisat(original, base_key=(0, 1, 1, 0))
+        locked = lock_antisat(original, seed=3)
         unlocked = locked.unlocked_with(locked.reveal_correct_key())
         assert check_equivalence(original, unlocked).proved
 
     def test_equal_halves_are_all_correct(self):
         # Anti-SAT's correct-key class: any K1 == K2.
         original = paper_example_circuit()
-        locked = lock_antisat(original, base_key=(0, 1, 1, 0))
+        locked = lock_antisat(original, seed=3)
         key = (1, 0, 0, 1, 1, 0, 0, 1)
         assert check_equivalence(original, locked.unlocked_with(key)).proved
 
     def test_unequal_halves_corrupt(self):
         original = paper_example_circuit()
-        locked = lock_antisat(original, base_key=(0, 1, 1, 0))
+        locked = lock_antisat(original, seed=3)
         key = (1, 0, 0, 1, 1, 0, 0, 0)
         assert check_equivalence(original, locked.unlocked_with(key)).refuted
 

@@ -12,6 +12,7 @@ import repro
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.cli import main_attack, main_experiments, main_lock
 from repro.locking import lock_ttlock
 
@@ -275,6 +276,59 @@ class TestAttackCommand:
                 [str(locked_path), "--portfolio", "--checkpoint", "x.json"]
             )
         assert excinfo.value.code == 2
+
+
+class TestInputErrors:
+    """Out-of-range flags and inputs the locker or the engine rejects are
+    usage errors: exit 2 with the reason, never a traceback or a
+    substituted value."""
+
+    @pytest.fixture
+    def wide_bench(self, tmp_path):
+        path = tmp_path / "wide.bench"
+        save_bench(generate_random_circuit("w", 12, 3, 60, seed=1), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--scheme", "rll", "--keys", "0"], "argument --keys:"),
+            (["--h", "-1"], "argument --h:"),
+            (["--h", "9", "--keys", "8"], "h=9"),
+            (["--keys", "99"], "key width 99"),
+        ],
+        ids=["rll-zero-keys", "negative-h", "h-above-key-width", "too-many-keys"],
+    )
+    def test_lock(self, wide_bench, tmp_path, capsys, args, message):
+        out = tmp_path / "locked.bench"
+        with pytest.raises(SystemExit) as excinfo:
+            main_lock([str(wide_bench), str(out), *args])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--h", "-1"], "argument --h:"),
+            (["--time-limit", "-1"], "argument --time-limit:"),
+            (["--attack", "sat", "--oracle", "ORIGINAL",
+              "--max-iterations", "-3"], "argument --max-iterations:"),
+            (["--oracle", "LOCKED"], "key inputs"),
+        ],
+        ids=["negative-h", "negative-time-limit", "negative-max-iterations",
+             "locked-oracle"],
+    )
+    def test_attack(self, wide_bench, tmp_path, capsys, args, message):
+        locked_path = tmp_path / "locked.bench"
+        main_lock([str(wide_bench), str(locked_path), "--h", "1"])
+        capsys.readouterr()
+        paths = {"LOCKED": str(locked_path), "ORIGINAL": str(wide_bench)}
+        args = [paths.get(arg, arg) for arg in args]
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(locked_path), *args])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestJobsFlag:

@@ -20,12 +20,6 @@ class TestStopwatch:
         second = sw.elapsed
         assert second >= first >= 0.0
 
-    def test_restart(self):
-        sw = Stopwatch()
-        time.sleep(0.01)
-        sw.restart()
-        assert sw.elapsed < 0.01
-
 
 class TestBudget:
     def test_unlimited_never_expires(self):
