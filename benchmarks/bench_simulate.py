@@ -12,8 +12,7 @@ pre-compilation implementation kept for differential testing):
 - **prefilter_sweep** — repeated cofactor sweeps over candidate cones
   (the FALL unateness-prefilter shape);
 - **sliced_sweep** — a 4096-pattern outputs sweep issued one pattern
-  per call (the PR 1 scalar-compiled shape) against the bit-sliced bulk
-  entry point ``eval_outputs_sliced``.
+  per call against one bit-sliced ``eval_outputs_sliced`` pass.
 
 Run ``python benchmarks/bench_simulate.py`` from the repo root (with
 ``PYTHONPATH=src``); results are printed and written to
@@ -64,10 +63,11 @@ def bench_wide_simulation() -> dict:
             simulate_interpreted(circuit, values, width=patterns)
 
     engine = compile_circuit(circuit)  # compile outside the timed region
+    nodes = circuit.nodes
 
     def compiled():
         for _ in range(rounds):
-            engine.simulate(values, width=patterns)
+            engine.node_values(nodes, values, width=patterns)
 
     return {
         "workload": f"{rounds} x {patterns}-pattern full-netlist passes",
@@ -157,9 +157,10 @@ def bench_prefilter_sweep() -> dict:
 def bench_sliced_sweep() -> dict:
     """The acceptance workload: 4096-pattern sweep, per-call vs sliced.
 
-    ``scalar_compiled`` is the PR 1 shape — one ``eval_outputs`` call
-    per pattern on the compiled engine. The sliced timing runs the same
-    4096 patterns through one ``eval_outputs_sliced`` pass.
+    ``scalar_compiled`` is the per-pattern shape — one width-1
+    ``eval_outputs_sliced`` call per pattern on the compiled engine. The
+    sliced timing runs the same 4096 patterns through one
+    ``eval_outputs_sliced`` pass.
     """
     circuit = generate_random_circuit("bench_sliced", 24, 8, 600, seed=11)
     patterns = 4096
@@ -170,11 +171,11 @@ def bench_sliced_sweep() -> dict:
     ]
     packed = pack_patterns(circuit.inputs, rows)
     engine = compile_circuit(circuit)
-    engine.eval_outputs(rows[0], width=1)  # warm the outputs program
+    engine.eval_outputs_sliced(rows[0], width=1)  # warm the program
 
     def scalar_compiled():
         for row in rows:
-            engine.eval_outputs(row, width=1)
+            engine.eval_outputs_sliced(row, width=1)
 
     sliced_rounds = 20  # sliced passes are ~µs; time a block per repeat
 
@@ -199,7 +200,7 @@ def bench_compile_cost() -> dict:
 
     start = time.perf_counter()
     engine = CompiledCircuit(circuit)
-    engine.simulate({name: 1 for name in circuit.inputs}, width=1)
+    engine.node_values(circuit.nodes, {n: 1 for n in circuit.inputs}, 1)
     elapsed = time.perf_counter() - start
     return {
         "workload": "one-time compilation + first simulation",

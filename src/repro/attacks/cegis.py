@@ -33,6 +33,7 @@ from repro.attacks.base import TelemetryRecorder
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
+from repro.circuit.compiled import pack_patterns
 from repro.circuit.sharding import sweep_outputs
 from repro.circuit.tseitin import encode_circuit, encode_under_assignment
 from repro.errors import AttackError
@@ -299,7 +300,6 @@ def appsat_attack(
         status, key = run.extract_key()
         if key is None:
             return run.result(status, iterations=iteration)
-        key_assignment = dict(zip(run.key_names, key))
         samples = [
             {name: rng.getrandbits(1) for name in input_names}
             for _ in range(QUERIES_PER_ROUND)
@@ -307,9 +307,12 @@ def appsat_attack(
         observed_by_name = dict(
             zip(oracle.output_names, oracle.query_sliced(samples))
         )
-        predicted_words = sweep_outputs(
-            locked, [{**sample, **key_assignment} for sample in samples]
+        all_ones = (1 << QUERIES_PER_ROUND) - 1
+        packed = pack_patterns(input_names, samples)
+        packed.update(
+            (name, all_ones * bit) for name, bit in zip(run.key_names, key)
         )
+        predicted_words = sweep_outputs(locked, packed, QUERIES_PER_ROUND)
         wrong = 0
         for name, predicted in zip(output_names, predicted_words):
             wrong |= observed_by_name[name] ^ predicted

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuit.analysis import support_table
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import sweep_node_values
 
@@ -42,11 +41,12 @@ class Comparator:
 
 def find_comparators(
     locked: Circuit,
-    supports: dict[str, frozenset[str]] | None = None,
+    supports: dict[str, frozenset[str]],
 ) -> list[Comparator]:
-    """All comparator tuples Comp = {〈v_i, x_i, k_i〉, ...} in the netlist."""
-    if supports is None:
-        supports = support_table(locked)
+    """All comparator tuples Comp = {〈v_i, x_i, k_i〉, ...} in the netlist.
+
+    ``supports`` is the netlist's ``support_table``.
+    """
     candidates: list[tuple[str, str, str]] = []
     for node in locked.nodes:
         if not locked.gate_type(node).is_gate:

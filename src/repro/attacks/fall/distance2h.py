@@ -12,12 +12,10 @@ cactus plots at small h.
 
 from __future__ import annotations
 
+from repro.attacks.fall.sliding_window import formula_f
 from repro.circuit.circuit import Circuit
-from repro.circuit.tseitin import encode_circuit
 from repro.errors import AttackError
-from repro.sat.cnf import Cnf
-from repro.sat.encodings import encode_hamming_distance_equals
-from repro.sat.solver import Solver, SolveStatus
+from repro.sat.solver import SolveStatus
 from repro.utils.timer import Budget
 
 
@@ -34,28 +32,12 @@ def distance_2h(
     """
     if len(cone.outputs) != 1:
         raise AttackError("distance_2h expects a single-output cone")
-    output = cone.outputs[0]
     inputs = list(cone.inputs)
     m = len(inputs)
     if h < 0 or 4 * h > m:
         return None
 
-    cnf = Cnf()
-    a_vars = {name: cnf.new_var() for name in inputs}
-    b_vars = {name: cnf.new_var() for name in inputs}
-    enc_a = encode_circuit(cone, cnf, shared_vars=a_vars)
-    enc_b = encode_circuit(cone, cnf, shared_vars=b_vars)
-    cnf.add_clause([enc_a.lit(output)])
-    cnf.add_clause([enc_b.lit(output)])
-    encode_hamming_distance_equals(
-        cnf,
-        [a_vars[n] for n in inputs],
-        [b_vars[n] for n in inputs],
-        2 * h,
-    )
-    solver = Solver()
-    solver.add_cnf(cnf)
-    cnf.clauses.clear()
+    solver, a_vars, b_vars = formula_f(cone, h)
 
     status = solver.solve(budget=budget)
     if status is not SolveStatus.SAT:

@@ -109,18 +109,10 @@ def _joint_miter_circuit(cone: Circuit, reference: Circuit) -> Circuit:
             if gate_type is GateType.INPUT:
                 mapping[node] = node
                 continue
-            fresh = f"{tag}${node}"
-            mapping[node] = fresh
-            if gate_type is GateType.CONST0:
-                joint.add_const(fresh, 0)
-            elif gate_type is GateType.CONST1:
-                joint.add_const(fresh, 1)
-            else:
-                joint.add_gate(
-                    fresh,
-                    gate_type,
-                    [mapping[f] for f in source.fanins(node)],
-                )
+            fresh = mapping[node] = f"{tag}${node}"
+            joint.add_node(
+                fresh, gate_type, [mapping[f] for f in source.fanins(node)]
+            )
     joint.add_output(renaming["cone"][cone.outputs[0]])
     joint.add_output(renaming["ref"][reference.outputs[0]])
     return joint

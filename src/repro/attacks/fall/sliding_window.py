@@ -23,25 +23,16 @@ from repro.sat.solver import Solver, SolveStatus
 from repro.utils.timer import Budget
 
 
-def sliding_window(
-    cone: Circuit,
-    h: int,
-    budget: Budget | None = None,
-) -> dict[str, int] | None:
-    """Recover the protected cube from an SFLL-HDh candidate node.
+def formula_f(
+    cone: Circuit, h: int
+) -> tuple[Solver, dict[str, int], dict[str, int]]:
+    """A solver loaded with F = c(X) ∧ c(X') ∧ HD(X, X') = 2h.
 
-    Returns {input name: cube bit}, or ``None`` for ⊥/timeouts (callers
-    check ``budget.expired`` to distinguish). Applicability: 2h must not
-    exceed the support size, otherwise F is trivially unsatisfiable.
+    Returns the solver and the variables of X and X' by input name.
+    Distance2H starts from the same formula.
     """
-    if len(cone.outputs) != 1:
-        raise AttackError("sliding_window expects a single-output cone")
     output = cone.outputs[0]
-    inputs = list(cone.inputs)
-    m = len(inputs)
-    if h < 0 or 2 * h > m:
-        return None
-
+    inputs = cone.inputs
     cnf = Cnf()
     a_vars = {name: cnf.new_var() for name in inputs}
     b_vars = {name: cnf.new_var() for name in inputs}
@@ -58,6 +49,28 @@ def sliding_window(
     solver = Solver()
     solver.add_cnf(cnf)
     cnf.clauses.clear()
+    return solver, a_vars, b_vars
+
+
+def sliding_window(
+    cone: Circuit,
+    h: int,
+    budget: Budget | None = None,
+) -> dict[str, int] | None:
+    """Recover the protected cube from an SFLL-HDh candidate node.
+
+    Returns {input name: cube bit}, or ``None`` for ⊥/timeouts (callers
+    check ``budget.expired`` to distinguish). Applicability: 2h must not
+    exceed the support size, otherwise F is trivially unsatisfiable.
+    """
+    if len(cone.outputs) != 1:
+        raise AttackError("sliding_window expects a single-output cone")
+    inputs = list(cone.inputs)
+    m = len(inputs)
+    if h < 0 or 2 * h > m:
+        return None
+
+    solver, a_vars, b_vars = formula_f(cone, h)
 
     status = solver.solve(budget=budget)
     if status is not SolveStatus.SAT:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.attacks.fall.comparators import Comparator
-from repro.circuit.analysis import support_table
 from repro.circuit.circuit import Circuit
 
 
@@ -25,18 +24,17 @@ def comparator_inputs(comparators: Iterable[Comparator]) -> frozenset[str]:
 def candidate_strip_nodes(
     locked: Circuit,
     comparators: Iterable[Comparator],
-    supports: dict[str, frozenset[str]] | None = None,
+    supports: dict[str, frozenset[str]],
 ) -> list[str]:
     """Cand: gates whose support equals Compx (no key inputs).
 
-    Returned in topological order (stripper cones tend to sit deep, but
+    ``supports`` is the netlist's ``support_table``. Returned in
+    topological order (stripper cones tend to sit deep, but
     deterministic order matters more than heuristics here).
     """
     compx = comparator_inputs(comparators)
     if not compx:
         return []
-    if supports is None:
-        supports = support_table(locked)
     comparator_nodes = {comp.node for comp in comparators}
     return [
         node

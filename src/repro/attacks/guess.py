@@ -23,13 +23,16 @@ from repro.attacks.fall.comparators import (
     find_comparators,
     pairing_from_comparators,
 )
-from repro.attacks.fall.pipeline import _analyze_candidate, FallReport
+from repro.attacks.fall.pipeline import (
+    FallReport,
+    _analyze_candidate,
+    _complement,
+)
 from repro.attacks.fall.prefilter import strip_density
 from repro.attacks.fall.support_match import candidate_strip_nodes
 from repro.circuit.analysis import extract_cone, support_table
 from repro.circuit.circuit import Circuit
 from repro.circuit.compiled import compile_circuit
-from repro.circuit.gates import GateType
 from repro.errors import AttackError
 from repro.utils.rng import make_rng
 from repro.utils.timer import Budget
@@ -107,7 +110,7 @@ def guess_keys(
         if len(report.guesses) >= MAX_GUESSES or budget.expired:
             break
         cone = extract_cone(locked, node)
-        for variant in _polarities(cone):
+        for variant in (cone, _complement(cone)):
             report.nodes_examined += 1
             cube = _analyze_candidate(variant, h, budget.sub(10.0), scratch)
             if cube is None:
@@ -117,16 +120,6 @@ def guess_keys(
                 report.guesses.append(key)
             break
     return report
-
-
-def _polarities(cone: Circuit):
-    yield cone
-    complement = cone.copy(name=f"{cone.name}~neg")
-    output = complement.outputs[0]
-    negated = complement.fresh_name("guess_neg")
-    complement.add_gate(negated, GateType.NOT, [output])
-    complement.replace_output(output, negated)
-    yield complement
 
 
 def _cube_to_key(

@@ -97,10 +97,12 @@ def equivalence_adversary(
         name: rng.getrandbits(patterns)
         for name in locked.inputs  # includes arbitrary key values
     }
-    locked_view = compile_circuit(locked).eval_outputs(values, width=patterns)
+    locked_view = compile_circuit(locked).eval_outputs_sliced(
+        values, width=patterns
+    )
     mismatches = []
     for candidate in (circuit0, circuit1):
-        candidate_view = compile_circuit(candidate).eval_outputs(
+        candidate_view = compile_circuit(candidate).eval_outputs_sliced(
             values, width=patterns
         )
         bits = 0

@@ -12,8 +12,9 @@ flat outputs-only evaluator on first use, so a query is one generated-
 function call instead of a full interpreted netlist walk. Attack loops
 that need many patterns at once should use :meth:`IOOracle.query_batch`
 (per-pattern dict rows) or :meth:`IOOracle.query_sliced` (packed words,
-one per output), both of which pack all patterns into one wide
-bit-sliced simulation.
+one per output), both of which pack all patterns with
+:func:`~repro.circuit.compiled.pack_patterns` into one wide bit-sliced
+simulation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.compiled import compile_circuit, unpack_sliced_rows
+from repro.circuit.compiled import (
+    compile_circuit,
+    pack_patterns,
+    unpack_sliced_rows,
+)
 from repro.circuit.sharding import sweep_outputs
 from repro.circuit.simulate import require_binary_inputs
 from repro.errors import AttackError
@@ -62,7 +67,7 @@ class IOOracle:
         """Outputs for one input pattern (0/1 values keyed by name)."""
         self._check_assignment(assignment)
         self.query_count += 1
-        outputs = compile_circuit(self._circuit).eval_outputs(
+        outputs = compile_circuit(self._circuit).eval_outputs_sliced(
             assignment, width=1
         )
         return dict(zip(self.output_names, outputs))
@@ -81,8 +86,7 @@ class IOOracle:
         self.query_count += len(assignments)
         if not assignments:
             return []
-        words = sweep_outputs(self._circuit, assignments)
-        rows = unpack_sliced_rows(words, len(assignments))
+        rows = unpack_sliced_rows(self._sweep(assignments), len(assignments))
         return [dict(zip(self.output_names, row)) for row in rows]
 
     def query_sliced(
@@ -101,4 +105,11 @@ class IOOracle:
         self.query_count += len(assignments)
         if not assignments:
             return tuple(0 for _ in self.output_names)
-        return sweep_outputs(self._circuit, assignments)
+        return self._sweep(assignments)
+
+    def _sweep(
+        self, assignments: Sequence[Mapping[str, int]]
+    ) -> tuple[int, ...]:
+        """Packed outputs of one pass with pattern ``j`` in bit ``j``."""
+        packed = pack_patterns(self.input_names, assignments)
+        return sweep_outputs(self._circuit, packed, len(assignments))

@@ -207,20 +207,10 @@ def _copy_without(
     """Copy all nodes except ``omit``; optionally drop key inputs."""
     rebuilt = Circuit(f"{locked.name}~sps")
     for node in locked.nodes:
-        if node in omit:
+        key = locked.is_key_input(node)
+        if node in omit or (key and not keep_keys):
             continue
-        gate_type = locked.gate_type(node)
-        if gate_type is GateType.INPUT:
-            if keep_keys:
-                rebuilt.add_input(node, key=locked.is_key_input(node))
-            elif not locked.is_key_input(node):
-                rebuilt.add_input(node)
-        elif gate_type is GateType.CONST0:
-            rebuilt.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            rebuilt.add_const(node, 1)
-        else:
-            rebuilt.add_gate(node, gate_type, locked.fanins(node))
+        rebuilt.add_node(node, locked.gate_type(node), locked.fanins(node), key)
     return rebuilt
 
 
@@ -228,15 +218,7 @@ def _drop_key_inputs(circuit: Circuit) -> Circuit:
     """Remove (now dangling) key inputs from a reconstructed netlist."""
     rebuilt = Circuit(circuit.name)
     for node in circuit.topological_order(targets=circuit.outputs):
-        gate_type = circuit.gate_type(node)
-        if gate_type is GateType.INPUT:
-            rebuilt.add_input(node)
-        elif gate_type is GateType.CONST0:
-            rebuilt.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            rebuilt.add_const(node, 1)
-        else:
-            rebuilt.add_gate(node, gate_type, circuit.fanins(node))
+        rebuilt.add_node(node, circuit.gate_type(node), circuit.fanins(node))
     # Non-key inputs outside the cone are still part of the interface.
     for name in circuit.circuit_inputs:
         if not rebuilt.has_node(name):

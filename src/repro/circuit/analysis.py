@@ -89,15 +89,12 @@ def extract_cone(circuit: Circuit, node: str) -> Circuit:
     order = circuit.topological_order(targets=[node])
     cone = Circuit(f"{circuit.name}~cone[{node}]")
     for current in order:
-        gate_type = circuit.gate_type(current)
-        if gate_type is GateType.INPUT:
-            cone.add_input(current, key=circuit.is_key_input(current))
-        elif gate_type is GateType.CONST0:
-            cone.add_const(current, 0)
-        elif gate_type is GateType.CONST1:
-            cone.add_const(current, 1)
-        else:
-            cone.add_gate(current, gate_type, circuit.fanins(current))
+        cone.add_node(
+            current,
+            circuit.gate_type(current),
+            circuit.fanins(current),
+            key=circuit.is_key_input(current),
+        )
     cone.add_output(node)
     return cone
 

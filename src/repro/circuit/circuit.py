@@ -159,6 +159,21 @@ class Circuit:
         self._add_node(name, gate_type, fanin_tuple)
         return name
 
+    def add_node(
+        self,
+        name: str,
+        gate_type: GateType,
+        fanins: Sequence[str],
+        key: bool = False,
+    ) -> str:
+        """Add a node of any type: an input (``key=True`` marks a key
+        input), a constant, or a gate over ``fanins``."""
+        if gate_type is GateType.INPUT:
+            return self.add_input(name, key=key)
+        if gate_type.is_constant:
+            return self.add_const(name, int(gate_type is GateType.CONST1))
+        return self.add_gate(name, gate_type, fanins)
+
     def _add_node(self, name: str, gate_type: GateType, fanins: tuple[str, ...]) -> None:
         if not name:
             raise CircuitError("node name must be a non-empty string")

@@ -40,15 +40,12 @@ def sweep(circuit: Circuit) -> Circuit:
     for node in circuit.nodes:
         if node in dead:
             continue
-        gate_type = circuit.gate_type(node)
-        if gate_type is GateType.INPUT:
-            cleaned.add_input(node, key=circuit.is_key_input(node))
-        elif gate_type is GateType.CONST0:
-            cleaned.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            cleaned.add_const(node, 1)
-        else:
-            cleaned.add_gate(node, gate_type, circuit.fanins(node))
+        cleaned.add_node(
+            node,
+            circuit.gate_type(node),
+            circuit.fanins(node),
+            key=circuit.is_key_input(node),
+        )
     for output in circuit.outputs:
         cleaned.add_output(output)
     return cleaned

@@ -11,8 +11,10 @@ worker (or any daemonic process) runs inline instead; worker processes
 never start nested pools.
 
 The ``sweep_*`` functions are the attack code's calls into bit-sliced
-simulation: each evaluates on the calling process's cached compiled
-engine (:func:`~repro.circuit.compiled.compile_circuit`).
+simulation. Each takes packed input words and a width and evaluates
+through :meth:`~repro.circuit.compiled.CompiledCircuit.node_values` on
+the calling process's cached compiled engine
+(:func:`~repro.circuit.compiled.compile_circuit`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.compiled import compile_circuit
+from repro.circuit.compiled import canonical_input_words, compile_circuit
 from repro.errors import CircuitError
 
 
@@ -176,33 +178,51 @@ def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
 # Sweeps on the cached compiled engine
 # ----------------------------------------------------------------------
 def sweep_outputs(
-    circuit: Circuit, patterns, width: int | None = None
+    circuit: Circuit, values: Mapping[str, int], width: int
 ) -> tuple[int, ...]:
-    """:meth:`CompiledCircuit.eval_outputs_sliced` on the cached engine."""
-    return compile_circuit(circuit).eval_outputs_sliced(patterns, width)
+    """Packed output words of one ``width``-pattern pass."""
+    return compile_circuit(circuit).eval_outputs_sliced(values, width)
 
 
 def sweep_node_values(
     circuit: Circuit,
     nodes: Sequence[str],
-    patterns,
-    width: int | None = None,
+    values: Mapping[str, int],
+    width: int,
 ) -> tuple[int, ...]:
-    """:meth:`CompiledCircuit.node_values_sliced` on the cached engine."""
-    return compile_circuit(circuit).node_values_sliced(nodes, patterns, width)
+    """Packed words of ``nodes`` from one ``width``-pattern pass."""
+    return compile_circuit(circuit).node_values(nodes, values, width)
 
 
 def sweep_popcounts(
     circuit: Circuit,
-    input_values: Mapping[str, int],
+    values: Mapping[str, int],
     width: int,
 ) -> dict[str, int]:
-    """:meth:`CompiledCircuit.node_popcounts` on the cached engine."""
-    return compile_circuit(circuit).node_popcounts(input_values, width)
+    """Set-bit count of every node over one ``width``-pattern pass.
+
+    The signal-probability workload (SPS).
+    """
+    nodes = circuit.nodes
+    words = compile_circuit(circuit).node_values(nodes, values, width)
+    return {node: word.bit_count() for node, word in zip(nodes, words)}
 
 
 def sweep_truth_table(
     circuit: Circuit, node: str
 ) -> tuple[int, tuple[str, ...]]:
-    """:meth:`CompiledCircuit.truth_table` on the cached engine."""
-    return compile_circuit(circuit).truth_table(node)
+    """Exhaustive table of ``node`` over its own support.
+
+    Returns ``(table, support)``: ``support`` is the cone's inputs in
+    ``circuit.inputs`` order, and bit ``j`` of ``table`` is the node's
+    value when support input ``i`` is bit ``i`` of ``j``. Only the cone
+    is enumerated, so the 24-input limit applies to the cone, not the
+    whole circuit.
+    """
+    cone = set(circuit.topological_order(targets=(node,)))
+    support = tuple(name for name in circuit.inputs if name in cone)
+    words = canonical_input_words(len(support))
+    (table,) = compile_circuit(circuit).node_values(
+        (node,), dict(zip(support, words)), 1 << len(support)
+    )
+    return table, support

@@ -3,20 +3,19 @@
 Values are Python ints used as packed bit-vectors: bit ``j`` of a node's
 value is its output under input pattern ``j``. One pass over the netlist
 therefore simulates arbitrarily many patterns at once (Python's bignum
-``&``/``|``/``^`` do the wide ops). This powers exhaustive truth tables
-for small cones (comparator identification), random sampling (SPS-style
-analyses and tests) and the oracle in attack experiments.
+``&``/``|``/``^`` do the wide ops).
 
-:func:`simulate` is a facade over the compile-once engine in
-:mod:`repro.circuit.compiled`: the first call on a circuit generates a
-flat straight-line evaluator (cached per structural version), and every
-later call — including calls restricted to other target cones — reuses
-it. Callers with tight inner loops should hold the engine directly::
+:func:`simulate` and :func:`truth_table` are views over the compiled
+engine's one evaluation path,
+:meth:`~repro.circuit.compiled.CompiledCircuit.node_values`: packed
+input words and a width in, packed node values out. Attack code calls
+that path through the ``sweep_*`` functions of
+:mod:`repro.circuit.sharding`, or holds the engine directly::
 
     from repro.circuit.compiled import compile_circuit
     engine = compile_circuit(circuit)
-    engine.eval_outputs(values, width)      # outputs only, no node dict
-    engine.query_batch(patterns)            # many 1-bit patterns, one pass
+    engine.node_values(nodes, values, width)     # exactly these nodes
+    engine.eval_outputs_sliced(values, width)    # the outputs
 
 :func:`simulate_interpreted` keeps the original tree-walking
 interpreter; it is the differential-testing reference for the compiled
@@ -35,20 +34,16 @@ from repro.errors import CircuitError
 
 
 def simulate(
-    circuit: Circuit,
-    input_values: Mapping[str, int],
-    width: int = 1,
-    targets: Sequence[str] | None = None,
+    circuit: Circuit, input_values: Mapping[str, int], width: int = 1
 ) -> dict[str, int]:
-    """Simulate ``width`` patterns at once.
+    """Packed values of every node for ``width`` patterns at once.
 
-    ``input_values`` maps every relevant input to a packed int (bit ``j``
-    = value in pattern ``j``). Returns packed values for every node in
-    the evaluated region (all nodes, or the fanin cones of ``targets``).
+    ``input_values`` maps every input to a packed int (bit ``j`` = value
+    in pattern ``j``).
     """
-    return compile_circuit(circuit).simulate(
-        input_values, width=width, targets=targets
-    )
+    nodes = circuit.topological_order()
+    words = compile_circuit(circuit).node_values(nodes, input_values, width)
+    return dict(zip(nodes, words))
 
 
 def simulate_interpreted(

@@ -35,15 +35,7 @@ def circuit_from_spec(spec: tuple) -> Circuit:
     keys = set(key_inputs)
     circuit = Circuit(name)
     for node, type_value, fanins in nodes:
-        gate_type = GateType(type_value)
-        if gate_type is GateType.INPUT:
-            circuit.add_input(node, key=node in keys)
-        elif gate_type is GateType.CONST0:
-            circuit.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            circuit.add_const(node, 1)
-        else:
-            circuit.add_gate(node, gate_type, fanins)
+        circuit.add_node(node, GateType(type_value), fanins, key=node in keys)
     for out in outputs:
         circuit.add_output(out)
     return circuit

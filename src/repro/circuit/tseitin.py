@@ -42,7 +42,7 @@ class CircuitEncoding:
 
 def encode_circuit(
     circuit: Circuit,
-    cnf: Cnf | None = None,
+    cnf: Cnf,
     shared_vars: Mapping[str, int] | None = None,
 ) -> CircuitEncoding:
     """Encode the fanin cones of a circuit's outputs into CNF.
@@ -51,8 +51,6 @@ def encode_circuit(
     so several instances can share them; each must already be a literal
     of ``cnf``.
     """
-    if cnf is None:
-        cnf = Cnf()
     targets = list(circuit.outputs)
     if not targets:
         raise EncodingError("circuit has no outputs")
@@ -283,9 +281,9 @@ class _CofactorTemplate:
         slots = Cnf(len(self.shared_names))
         consts: dict[str, int] = {}
         if split.static:
-            consts.update(zip(
-                split.static, program.compiled.node_values(split.static, fixed)
-            ))
+            consts.update(zip(split.static, program.compiled.node_values(
+                split.static, fixed, width=1
+            )))
         lits: dict[str, int] = {}
         next_shared = 0
         for node, gate_type, fanins in split.dynamic:

@@ -31,7 +31,7 @@ from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import all_attacks, attack_names, get_attack
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.sharding import parse_jobs
-from repro.errors import AttackError, CircuitError, LockingError
+from repro.errors import AttackError, CircuitError, LockingError, ReproError
 from repro.locking import (
     lock_antisat,
     lock_random_xor,
@@ -82,6 +82,14 @@ def _add_jobs_argument(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
+def _read_netlist(parser: argparse.ArgumentParser, path: str):
+    """``read_bench(path)``; a missing or malformed file is a usage error."""
+    try:
+        return read_bench(path)
+    except (OSError, ReproError) as error:
+        parser.error(f"cannot read netlist {path}: {error}")
+
+
 def main_lock(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fall-lock", description="Lock a .bench netlist."
@@ -108,7 +116,7 @@ def main_lock(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    circuit = read_bench(args.netlist)
+    circuit = _read_netlist(parser, args.netlist)
     optimize_netlist = not args.no_optimize
     try:
         if args.scheme == "ttlock":
@@ -234,7 +242,7 @@ def main_attack(argv: list[str] | None = None) -> int:
         return 0
     if args.netlist is None:
         parser.error("the following arguments are required: netlist")
-    locked = read_bench(args.netlist)
+    locked = _read_netlist(parser, args.netlist)
     config = AttackConfig(
         h=args.h,
         time_limit=args.time_limit,
@@ -246,7 +254,9 @@ def main_attack(argv: list[str] | None = None) -> int:
     # The engine validates attack names, portfolios and oracles; its
     # rejection is a usage error.
     try:
-        oracle = IOOracle(read_bench(args.oracle)) if args.oracle else None
+        oracle = None
+        if args.oracle:
+            oracle = IOOracle(_read_netlist(parser, args.oracle))
         if args.portfolio is None:
             if oracle is None and get_attack(args.attack).requires_oracle:
                 parser.error(f"the {args.attack} attack requires --oracle")

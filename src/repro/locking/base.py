@@ -16,7 +16,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.gates import GateType
 from repro.errors import LockingError
 
 
@@ -82,17 +81,15 @@ def apply_key(circuit: Circuit, key_values: Mapping[str, int]) -> Circuit:
             raise LockingError(f"{name!r} is not a key input")
     result = Circuit(f"{circuit.name}~activated")
     for node in circuit.nodes:
-        gate_type = circuit.gate_type(node)
         if node in key_values:
             result.add_const(node, int(key_values[node]))
-        elif gate_type is GateType.INPUT:
-            result.add_input(node, key=circuit.is_key_input(node) and node not in key_values)
-        elif gate_type is GateType.CONST0:
-            result.add_const(node, 0)
-        elif gate_type is GateType.CONST1:
-            result.add_const(node, 1)
         else:
-            result.add_gate(node, gate_type, circuit.fanins(node))
+            result.add_node(
+                node,
+                circuit.gate_type(node),
+                circuit.fanins(node),
+                key=circuit.is_key_input(node),
+            )
     for output in circuit.outputs:
         result.add_output(output)
     return result

@@ -49,18 +49,14 @@ def lock_random_xor(
 
     work = Circuit(f"{circuit.name}~rll")
     for node in circuit.nodes:
-        gate_type = circuit.gate_type(node)
-        new_name = hidden_of.get(node, node)
-        if gate_type is GateType.INPUT:
-            work.add_input(new_name, key=circuit.is_key_input(node))
-        elif gate_type is GateType.CONST0:
-            work.add_const(new_name, 0)
-        elif gate_type is GateType.CONST1:
-            work.add_const(new_name, 1)
-        else:
-            # Fanin references are NOT renamed: references to a locked
-            # wire will resolve to the key gate added below.
-            work.add_gate(new_name, gate_type, circuit.fanins(node))
+        # Fanin references are NOT renamed: references to a locked
+        # wire will resolve to the key gate added below.
+        work.add_node(
+            hidden_of.get(node, node),
+            circuit.gate_type(node),
+            circuit.fanins(node),
+            key=circuit.is_key_input(node),
+        )
     keys = add_key_inputs(work, key_width)
     for wire, key_bit, key_name in zip(chosen, key_bits, keys):
         gate_type = GateType.XOR if key_bit == 0 else GateType.XNOR

@@ -116,21 +116,29 @@ def strip_cone(cube, h, names=("a", "b", "c", "d")) -> Circuit:
     return circuit
 
 
+def comparators_of(circuit: Circuit):
+    return find_comparators(circuit, support_table(circuit))
+
+
+def candidates_of(circuit: Circuit, comparators):
+    return candidate_strip_nodes(circuit, comparators, support_table(circuit))
+
+
 class TestComparatorIdentification:
     def test_finds_all_pairs_on_ttlock_example(self):
         locked = ttlock_example()
-        comparators = find_comparators(locked.circuit)
+        comparators = comparators_of(locked.circuit)
         pairing = pairing_from_comparators(comparators)
         assert pairing == dict(zip("abcd", locked.key_names))
 
     def test_finds_all_pairs_on_sfll_example(self):
         locked = sfll_hd1_example()
-        pairing = pairing_from_comparators(find_comparators(locked.circuit))
+        pairing = pairing_from_comparators(comparators_of(locked.circuit))
         assert pairing == dict(zip("abcd", locked.key_names))
 
     def test_polarity_recorded(self):
         locked = ttlock_example()
-        comparators = find_comparators(locked.circuit)
+        comparators = comparators_of(locked.circuit)
         assert all(isinstance(c.is_xnor, bool) for c in comparators)
         assert {c.polarity for c in comparators} <= {1, -1}
 
@@ -140,14 +148,14 @@ class TestComparatorIdentification:
             h=2, key_width=12, seed=5,
         )
         for locked in (ttlock_example(), sfll_hd1_example(), random_cell):
-            sim = find_comparators(locked.circuit)
+            sim = comparators_of(locked.circuit)
             assert sim
             assert {(c.node, c.is_xnor) for c in sim} == sat_comparators(
                 locked.circuit
             )
 
     def test_no_comparators_in_unlocked_circuit(self):
-        assert find_comparators(paper_example_circuit()) == []
+        assert comparators_of(paper_example_circuit()) == []
 
     def test_ignores_two_key_nodes(self):
         circuit = Circuit("kk")
@@ -155,19 +163,19 @@ class TestComparatorIdentification:
         circuit.add_key_input("k1")
         circuit.add_gate("g", GateType.XOR, ["k0", "k1"])
         circuit.add_output("g")
-        assert find_comparators(circuit) == []
+        assert comparators_of(circuit) == []
 
 
 class TestSupportMatch:
     def test_compx_is_protected_inputs(self):
         locked = ttlock_example()
-        comparators = find_comparators(locked.circuit)
+        comparators = comparators_of(locked.circuit)
         assert comparator_inputs(comparators) == frozenset("abcd")
 
     def test_candidates_contain_strip_function(self):
         locked = ttlock_example()
-        comparators = find_comparators(locked.circuit)
-        candidates = candidate_strip_nodes(locked.circuit, comparators)
+        comparators = comparators_of(locked.circuit)
+        candidates = candidates_of(locked.circuit, comparators)
         assert candidates
         # At least one candidate (possibly via complement) must be the
         # cube detector: verified by checking cube truth table.
@@ -182,13 +190,13 @@ class TestSupportMatch:
 
     def test_candidates_have_exact_support(self):
         locked = sfll_hd1_example()
-        comparators = find_comparators(locked.circuit)
+        comparators = comparators_of(locked.circuit)
         compx = comparator_inputs(comparators)
-        for node in candidate_strip_nodes(locked.circuit, comparators):
+        for node in candidates_of(locked.circuit, comparators):
             assert support(locked.circuit, node) == compx
 
     def test_no_comparators_no_candidates(self):
-        assert candidate_strip_nodes(paper_example_circuit(), []) == []
+        assert candidates_of(paper_example_circuit(), []) == []
 
 
 class TestAnalyzeUnateness:

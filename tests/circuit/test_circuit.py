@@ -71,6 +71,19 @@ class TestConstruction:
         with pytest.raises(CircuitError):
             c.add_const("two", 2)
 
+    def test_add_node_dispatches_on_type(self):
+        c = Circuit()
+        c.add_node("a", GateType.INPUT, (), key=True)
+        c.add_node("b", GateType.INPUT, ())
+        c.add_node("one", GateType.CONST1, ())
+        c.add_node("zero", GateType.CONST0, ())
+        c.add_node("g", GateType.AND, ["a", "b", "one"])
+        assert c.nodes == ("a", "b", "one", "zero", "g")
+        assert c.key_inputs == ("a",)
+        assert c.gate_type("one") is GateType.CONST1
+        assert c.gate_type("zero") is GateType.CONST0
+        assert c.fanins("g") == ("a", "b", "one")
+
     def test_duplicate_output_rejected(self):
         c = simple_circuit()
         with pytest.raises(CircuitError):

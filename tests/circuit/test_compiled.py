@@ -1,8 +1,9 @@
 """Tests for the compile-once simulation engine.
 
-The load-bearing guarantee: :class:`CompiledCircuit` is bit-for-bit
-identical to the interpreted reference on arbitrary circuits, and
-structural mutation invalidates every cached artifact.
+The load-bearing guarantee: the engine's one evaluation path,
+:meth:`CompiledCircuit.node_values`, and every view over it are
+bit-for-bit identical to the interpreted reference on arbitrary
+circuits, and structural mutation invalidates every cached artifact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from repro.circuit.circuit import Circuit
 from repro.attacks.oracle import IOOracle
 from repro.circuit.backends import resolve_backend
 from repro.circuit.compiled import (
-    CompiledCircuit,
     canonical_input_words,
     compile_circuit,
     pack_patterns,
@@ -21,7 +21,7 @@ from repro.circuit.compiled import (
 from repro.circuit.gates import GateType
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
-from repro.circuit.sharding import sweep_truth_table
+from repro.circuit.sharding import sweep_popcounts, sweep_truth_table
 from repro.circuit.simulate import (
     exhaustive_input_values,
     simulate,
@@ -54,24 +54,39 @@ class TestEquivalenceWithInterpreter:
             interpreted = simulate_interpreted(circuit, values, width=width)
             compiled = simulate(circuit, values, width=width)
             assert compiled == interpreted, f"mismatch on seed {seed}"
-            sliced = compile_circuit(circuit).eval_outputs_sliced(
-                values, width=width
-            )
+            engine = compile_circuit(circuit)
+            nodes = circuit.gates[::3]
+            assert engine.node_values(nodes, values, width) == tuple(
+                interpreted[name] for name in nodes
+            ), f"node_values mismatch on seed {seed}"
+            sliced = engine.eval_outputs_sliced(values, width=width)
             assert sliced == tuple(
                 interpreted[name] for name in circuit.outputs
             ), f"sliced mismatch on seed {seed}"
+            assert sweep_popcounts(circuit, values, width) == {
+                node: word.bit_count() for node, word in interpreted.items()
+            }, f"popcount mismatch on seed {seed}"
+            node = circuit.outputs[-1]
+            table, support = sweep_truth_table(circuit, node)
+            exhaustive, table_width = exhaustive_input_values(support)
+            assert table == simulate_interpreted(
+                circuit, exhaustive, width=table_width, targets=[node]
+            )[node], f"truth table mismatch on seed {seed}"
             checked += 1
         assert checked >= 100
 
     def test_targets_region_matches_interpreter(self):
         circuit = c17()
+        engine = compile_circuit(circuit)
         values = {name: 0b1011 for name in circuit.inputs}
         for target in circuit.gates:
             interpreted = simulate_interpreted(
                 circuit, values, width=4, targets=[target]
             )
-            compiled = simulate(circuit, values, width=4, targets=[target])
-            assert compiled == interpreted
+            region = tuple(interpreted)
+            assert engine.node_values(region, values, 4) == tuple(
+                interpreted.values()
+            )
 
     def test_every_gate_type_compiles(self):
         circuit = Circuit("allgates")
@@ -121,7 +136,7 @@ class TestEngineEntryPoints:
         engine = compile_circuit(circuit)
         values = {name: 0b0110 for name in circuit.inputs}
         full = simulate(circuit, values, width=4)
-        assert engine.eval_outputs(values, width=4) == tuple(
+        assert engine.eval_outputs_sliced(values, width=4) == tuple(
             full[name] for name in circuit.outputs
         )
 
@@ -137,16 +152,16 @@ class TestEngineEntryPoints:
 
     def test_query_batch_matches_single_queries(self):
         circuit = c17()
-        engine = compile_circuit(circuit)
+        oracle = IOOracle(circuit)
         rng = make_rng(3)
         patterns = [
             {name: rng.getrandbits(1) for name in circuit.inputs}
             for _ in range(17)
         ]
-        batched = engine.query_batch(patterns)
+        batched = oracle.query_batch(patterns)
         for pattern, row in zip(patterns, batched):
             values = simulate(circuit, pattern, width=1)
-            assert row == tuple(values[o] for o in circuit.outputs)
+            assert row == {o: values[o] for o in circuit.outputs}
 
     def test_missing_input_raises(self):
         circuit = paper_example_circuit()
@@ -155,19 +170,21 @@ class TestEngineEntryPoints:
 
     def test_bad_width_rejected(self):
         engine = compile_circuit(paper_example_circuit())
-        with pytest.raises(CircuitError):
-            engine.simulate({}, width=0)
+        values = {name: 1 for name in "abcd"}
+        with pytest.raises(CircuitError, match="width must be"):
+            engine.node_values(("y",), values, width=0)
+        with pytest.raises(CircuitError, match="width must be"):
+            engine.eval_outputs_sliced(values, width=0)
 
     def test_unknown_target_raises(self):
-        circuit = paper_example_circuit()
+        engine = compile_circuit(paper_example_circuit())
         with pytest.raises(CircuitError, match="undefined node"):
-            simulate(circuit, {"a": 1}, targets=["nope"])
+            engine.node_values(("nope",), {"a": 1}, width=1)
 
     def test_cone_inputs_in_declaration_order(self):
         circuit = paper_example_circuit()
-        engine = compile_circuit(circuit)
-        assert engine.cone_inputs("ab") == ("a", "b")
-        assert engine.cone_inputs("a") == ("a",)
+        assert sweep_truth_table(circuit, "ab")[1] == ("a", "b")
+        assert sweep_truth_table(circuit, "a")[1] == ("a",)
 
 
 class TestCompileCacheInvalidation:
@@ -192,8 +209,8 @@ class TestCompileCacheInvalidation:
         assert after is not before
         values = simulate(circuit, {"a": 1, "b": 1})
         assert values["z"] == 0
-        assert compile_circuit(circuit).eval_outputs(
-            {"a": 1, "b": 1}
+        assert compile_circuit(circuit).eval_outputs_sliced(
+            {"a": 1, "b": 1}, width=1
         ) == (0,)
 
     def test_stale_engine_snapshot_is_frozen(self):
@@ -205,8 +222,10 @@ class TestCompileCacheInvalidation:
         old = compile_circuit(circuit)
         circuit.add_gate("z", GateType.NOT, ["y"])
         circuit.replace_output("y", "z")
-        assert old.eval_outputs({"a": 1}) == (1,)  # old structure
-        assert compile_circuit(circuit).eval_outputs({"a": 1}) == (0,)
+        assert old.eval_outputs_sliced({"a": 1}, 1) == (1,)  # old structure
+        assert compile_circuit(circuit).eval_outputs_sliced(
+            {"a": 1}, 1
+        ) == (0,)
 
     def test_memoized_properties_track_mutation(self):
         circuit = Circuit("props")
@@ -300,6 +319,7 @@ class TestConeTruthTable:
 
 class TestSlicedInputForms:
     def test_packed_rows_and_dicts_agree(self):
+        """Rows packed with ``pack_patterns`` evaluate as one row each."""
         circuit = generate_random_circuit("forms", 8, 3, 60, seed=21)
         rng = make_rng(2)
         patterns = 77
@@ -307,32 +327,15 @@ class TestSlicedInputForms:
             {name: rng.getrandbits(1) for name in circuit.inputs}
             for _ in range(patterns)
         ]
-        bit_rows = [
-            [row[name] for name in circuit.inputs] for row in dict_rows
-        ]
         packed = pack_patterns(circuit.inputs, dict_rows)
         engine = compile_circuit(circuit)
-        from_packed = engine.eval_outputs_sliced(packed, width=patterns)
-        assert engine.eval_outputs_sliced(dict_rows) == from_packed
-        assert engine.eval_outputs_sliced(bit_rows) == from_packed
+        words = engine.eval_outputs_sliced(packed, width=patterns)
+        for j, row in enumerate(dict_rows):
+            assert tuple((word >> j) & 1 for word in words) == (
+                engine.eval_outputs_sliced(row, width=1)
+            )
 
-    def test_packed_mapping_requires_width(self):
-        engine = compile_circuit(c17())
-        with pytest.raises(CircuitError, match="width is required"):
-            engine.eval_outputs_sliced({name: 1 for name in engine.input_names})
-
-    def test_row_count_width_mismatch_rejected(self):
-        engine = compile_circuit(c17())
-        rows = [{name: 0 for name in engine.input_names}] * 3
-        with pytest.raises(CircuitError, match="does not match"):
-            engine.eval_outputs_sliced(rows, width=4)
-
-    def test_empty_patterns_rejected(self):
-        engine = compile_circuit(c17())
-        with pytest.raises(CircuitError, match="at least one pattern"):
-            engine.eval_outputs_sliced([])
-
-    def test_node_values_sliced_matches_simulate(self):
+    def test_node_values_matches_interpreter(self):
         circuit = generate_random_circuit("nvs", 6, 2, 50, seed=31)
         engine = compile_circuit(circuit)
         rng = make_rng(4)
@@ -340,7 +343,7 @@ class TestSlicedInputForms:
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
         full = simulate_interpreted(circuit, values, width=width)
         nodes = tuple(circuit.gates[:5])
-        assert engine.node_values_sliced(nodes, values, width=width) == tuple(
+        assert engine.node_values(nodes, values, width=width) == tuple(
             full[n] for n in nodes
         )
 
@@ -368,15 +371,15 @@ class TestPopcounts:
         width = 300
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
         reference = simulate_interpreted(circuit, values, width=width)
-        counts = compile_circuit(circuit).node_popcounts(values, width)
+        counts = sweep_popcounts(circuit, values, width)
         assert counts == {
             node: word.bit_count() for node, word in reference.items()
         }
 
     def test_bad_width_rejected(self):
-        engine = compile_circuit(c17())
+        circuit = c17()
         with pytest.raises(CircuitError, match="width must be"):
-            engine.node_popcounts({}, 0)
+            sweep_popcounts(circuit, {n: 1 for n in circuit.inputs}, 0)
 
 
 class TestOracleSliced:

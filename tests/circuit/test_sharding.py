@@ -15,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.circuit import sharding
-from repro.circuit.compiled import compile_circuit
+from repro.circuit.compiled import compile_circuit, pack_patterns
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.sharding import (
     parse_jobs,
@@ -25,7 +25,10 @@ from repro.circuit.sharding import (
     sweep_popcounts,
     sweep_truth_table,
 )
-from repro.circuit.simulate import simulate_interpreted
+from repro.circuit.simulate import (
+    exhaustive_input_values,
+    simulate_interpreted,
+)
 from repro.circuit.spec import (
     circuit_fingerprint,
     circuit_from_spec,
@@ -135,10 +138,20 @@ class TestSweeps:
             {name: rng.getrandbits(1) for name in circuit.inputs}
             for _ in range(150)
         ]
-        engine = compile_circuit(circuit)
-        assert sweep_outputs(circuit, rows) == engine.eval_outputs_sliced(rows)
+        words = sweep_outputs(
+            circuit, pack_patterns(circuit.inputs, rows), len(rows)
+        )
+        for j, row in enumerate(rows):
+            reference = simulate_interpreted(circuit, row)
+            assert tuple((word >> j) & 1 for word in words) == tuple(
+                reference[name] for name in circuit.outputs
+            )
         node = circuit.outputs[0]
-        assert sweep_truth_table(circuit, node) == engine.truth_table(node)
+        table, support = sweep_truth_table(circuit, node)
+        values, width = exhaustive_input_values(support)
+        assert table == simulate_interpreted(
+            circuit, values, width=width, targets=[node]
+        )[node]
 
 
 class TestPoolLifecycle:

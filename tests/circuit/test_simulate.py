@@ -46,7 +46,7 @@ class TestSimulatePattern:
     def test_output_pattern(self):
         circuit = c17()
         assignment = {"G1": 1, "G2": 0, "G3": 1, "G6": 1, "G7": 0}
-        out = compile_circuit(circuit).eval_outputs(assignment, width=1)
+        out = compile_circuit(circuit).eval_outputs_sliced(assignment, 1)
         assert len(out) == 2
         assert all(v in (0, 1) for v in out)
 
@@ -63,11 +63,12 @@ class TestPackedSimulation:
             assert (packed["y"] >> pattern) & 1 == expected
 
     def test_targets_skip_unneeded_inputs(self):
-        circuit = c17()
+        engine = compile_circuit(c17())
         # Only G10's cone (G1, G3) is required.
-        values = simulate(circuit, {"G1": 1, "G3": 0}, targets=["G10"])
-        assert values["G10"] == 1
-        assert "G22" not in values
+        values = {"G1": 1, "G3": 0}
+        assert engine.node_values(("G10",), values, width=1) == (1,)
+        with pytest.raises(CircuitError, match="no value provided"):
+            engine.node_values(("G22",), values, width=1)
 
     def test_bad_width_rejected(self):
         circuit = paper_example_circuit()

@@ -26,7 +26,7 @@ from tests.circuits import c17
 
 def tseitin_truth_table(circuit: Circuit, node: str) -> int:
     """Truth table of a node computed through the CNF encoding."""
-    encoding = encode_circuit(extract_cone(circuit, node))
+    encoding = encode_circuit(extract_cone(circuit, node), Cnf())
     solver = Solver()
     solver.add_cnf(encoding.cnf)
     inputs = [n for n in circuit.inputs if n in encoding.var_of]
@@ -111,11 +111,11 @@ class TestTseitin:
         circuit = Circuit()
         circuit.add_input("a")
         with pytest.raises(EncodingError):
-            encode_circuit(circuit)
+            encode_circuit(circuit, Cnf())
 
     def test_missing_node_lit_rejected(self):
         circuit = paper_example_circuit()
-        encoding = encode_circuit(extract_cone(circuit, "ab"))
+        encoding = encode_circuit(extract_cone(circuit, "ab"), Cnf())
         with pytest.raises(EncodingError):
             encoding.lit("y")
 

@@ -28,7 +28,7 @@ def fresh(names):
 
 def exhaustive(circuit, node, names):
     values, width = exhaustive_input_values(list(names))
-    return simulate(circuit, values, width=width, targets=[node])[node], width
+    return simulate(circuit, values, width=width)[node], width
 
 
 class TestCubeDetector:
@@ -105,7 +105,7 @@ class TestPopcount:
             if not circuit.has_node(bit):
                 pytest.fail(f"missing sum bit {bit}")
         values, sim_width = exhaustive_input_values(names)
-        results = simulate(circuit, values, width=sim_width, targets=sum_bits)
+        results = simulate(circuit, values, width=sim_width)
         for pattern in range(sim_width):
             expected = bin(pattern).count("1")
             got = sum(
@@ -167,7 +167,7 @@ def test_hd_comparator_against_constants_property(width, data):
     top = add_hamming_distance_equals(circuit, names, cube, h)
     circuit.add_output(top)
     values, sim_width = exhaustive_input_values(names)
-    table = simulate(circuit, values, width=sim_width, targets=[top])[top]
+    table = simulate(circuit, values, width=sim_width)[top]
     cube_pattern = sum(bit << i for i, bit in enumerate(cube))
     for pattern in range(sim_width):
         distance = bin(pattern ^ cube_pattern).count("1")

@@ -330,6 +330,47 @@ class TestInputErrors:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.fixture
+    def bad_gate_bench(self, tmp_path):
+        path = tmp_path / "badgate.bench"
+        path.write_text("INPUT(a)\nOUTPUT(y)\ny = FOO(a)\n")
+        return path
+
+    def _usage_error(self, main, argv, path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(arg) for arg in argv])
+        assert excinfo.value.code == 2
+        assert f"cannot read netlist {path}" in capsys.readouterr().err
+
+    def test_missing_netlist_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.bench"
+        self._usage_error(main_attack, [missing], missing, capsys)
+        out = tmp_path / "locked.bench"
+        self._usage_error(main_lock, [missing, out], missing, capsys)
+        assert not out.exists()
+
+    def test_unknown_gate_type_in_lock_netlist(
+        self, bad_gate_bench, tmp_path, capsys
+    ):
+        out = tmp_path / "locked.bench"
+        self._usage_error(
+            main_lock, [bad_gate_bench, out], bad_gate_bench, capsys
+        )
+        assert not out.exists()
+
+    def test_unknown_gate_type_in_oracle(
+        self, wide_bench, bad_gate_bench, tmp_path, capsys
+    ):
+        locked_path = tmp_path / "locked.bench"
+        main_lock([str(wide_bench), str(locked_path), "--h", "1"])
+        capsys.readouterr()
+        self._usage_error(
+            main_attack,
+            [locked_path, "--attack", "sat", "--oracle", bad_gate_bench],
+            bad_gate_bench,
+            capsys,
+        )
+
 
 class TestJobsFlag:
     """--jobs parsing on the attack + experiment CLIs."""
