@@ -51,6 +51,21 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
     return best
 
 
+def _interleaved_best_of(*fns) -> list[float]:
+    """Best-of-``_REPEATS`` timings of ``fns``, taken in turn per repeat.
+
+    The host's speed drifts by half over seconds, so a ratio of two
+    timings holds only when both were taken over the same stretch of
+    time and over windows of similar length: callers loop a fast
+    function until one call of it takes about as long as the slow one.
+    """
+    bests = [float("inf")] * len(fns)
+    for _ in range(_REPEATS):
+        for index, fn in enumerate(fns):
+            bests[index] = min(bests[index], _best_of(fn, 1))
+    return bests
+
+
 def bench_wide_simulation() -> dict:
     circuit = generate_random_circuit("bench_wide", 24, 8, 600, seed=11)
     patterns = 4096
@@ -92,20 +107,28 @@ def bench_oracle_queries() -> dict:
 
     oracle = IOOracle(circuit)
     oracle.query(queries[0])  # warm the compiled outputs program
+    # Rounds per timing, so each timing spans about as long as one
+    # interpreted loop (see _interleaved_best_of).
+    compiled_rounds, batched_rounds = 20, 50
 
     def compiled():
-        for pattern in queries:
-            oracle.query(pattern)
+        for _ in range(compiled_rounds):
+            for pattern in queries:
+                oracle.query(pattern)
 
     def batched():
-        oracle.query_batch(queries)
+        for _ in range(batched_rounds):
+            oracle.query_batch(queries)
 
+    interpreted_s, compiled_s, batched_s = _interleaved_best_of(
+        interpreted, compiled, batched
+    )
     return {
         "workload": f"{len(queries)} single-pattern oracle queries",
         "gates": circuit.num_gates,
-        "interpreted_s": _best_of(interpreted),
-        "compiled_s": _best_of(compiled),
-        "batched_s": _best_of(batched),
+        "interpreted_s": interpreted_s,
+        "compiled_s": compiled_s / compiled_rounds,
+        "batched_s": batched_s / batched_rounds,
     }
 
 
@@ -177,18 +200,21 @@ def bench_sliced_sweep() -> dict:
         for row in rows:
             engine.eval_outputs_sliced(row, width=1)
 
-    sliced_rounds = 20  # sliced passes are ~µs; time a block per repeat
+    # One sliced pass takes ~0.1 ms: time a block about as long as the
+    # per-pattern loop (see _interleaved_best_of).
+    sliced_rounds = 1000
 
     def sliced_python():
         for _ in range(sliced_rounds):
             engine.eval_outputs_sliced(packed, width=patterns)
 
+    scalar_s, sliced_s = _interleaved_best_of(scalar_compiled, sliced_python)
     return {
         "workload": f"{patterns}-pattern outputs sweep, "
                     "one call per pattern vs one bit-sliced pass",
         "gates": circuit.num_gates,
-        "scalar_compiled_s": _best_of(scalar_compiled),
-        "sliced_python_s": _best_of(sliced_python) / sliced_rounds,
+        "scalar_compiled_s": scalar_s,
+        "sliced_python_s": sliced_s / sliced_rounds,
     }
 
 

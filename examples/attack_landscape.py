@@ -11,11 +11,13 @@ the history the paper tells in §I:
 - SFLL resists all of the above — and falls to FALL.
 """
 
-from repro.attacks import IOOracle, fall_attack
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
+from repro.attacks.fall.pipeline import fall_attack
+from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.attacks.sps import sps_attack
-from repro.circuit import check_equivalence, generate_random_circuit
+from repro.circuit.equivalence import check_equivalence
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.locking import (
     lock_antisat,
     lock_random_xor,

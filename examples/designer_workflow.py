@@ -13,8 +13,9 @@ that the corruption of a wrong key is much larger than TTLock's
 import tempfile
 from pathlib import Path
 
-from repro.circuit import check_equivalence, generate_random_circuit
 from repro.circuit.bench_io import read_bench, save_bench
+from repro.circuit.equivalence import check_equivalence
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate
 from repro.locking import lock_sfll_hd, lock_ttlock
 from repro.utils.rng import make_rng

@@ -11,9 +11,11 @@ list with noise, and lets key confirmation pick out the one correct key
 — or report ⊥ when every guess is wrong (Lemma 4's second clause).
 """
 
-from repro.attacks import IOOracle, key_confirmation
 from repro.attacks.guess import guess_keys
-from repro.circuit import check_equivalence, generate_random_circuit
+from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.oracle import IOOracle
+from repro.circuit.equivalence import check_equivalence
+from repro.circuit.random_circuits import generate_random_circuit
 from repro.locking import lock_sfll_hd
 from repro.utils.rng import make_rng
 

@@ -15,18 +15,20 @@ Reproduces the walk-through interspersed in the paper's text:
 9. §V        — key confirmation on a two-key shortlist.
 """
 
-from repro.attacks import IOOracle, key_confirmation
-from repro.attacks.fall import (
-    analyze_unateness,
-    candidate_strip_nodes,
-    confirm_cube,
+from repro.attacks.fall.comparators import (
     find_comparators,
-    sliding_window,
+    pairing_from_comparators,
 )
-from repro.attacks.fall.comparators import pairing_from_comparators
-from repro.circuit import check_equivalence, paper_example_circuit
-from repro.circuit.analysis import extract_cone, support
+from repro.attacks.fall.equivalence import confirm_cube
+from repro.attacks.fall.sliding_window import sliding_window
+from repro.attacks.fall.support_match import candidate_strip_nodes
+from repro.attacks.fall.unateness import analyze_unateness
+from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.oracle import IOOracle
+from repro.circuit.analysis import extract_cone, support, support_table
 from repro.circuit.bench_io import write_bench
+from repro.circuit.equivalence import check_equivalence
+from repro.circuit.library import paper_example_circuit
 from repro.locking import lock_sfll_hd, lock_ttlock
 from repro.utils.bitops import complement_bits
 
@@ -51,7 +53,8 @@ def main() -> None:
     print(write_bench(ttlock_opt.circuit))
 
     banner("§III-A: comparator identification")
-    comparators = find_comparators(ttlock_opt.circuit)
+    supports = support_table(ttlock_opt.circuit)
+    comparators = find_comparators(ttlock_opt.circuit, supports)
     for comp in comparators:
         kind = "XNOR" if comp.is_xnor else "XOR"
         print(f"  node {comp.node}: {kind}({comp.circuit_input}, {comp.key_input})")
@@ -59,7 +62,7 @@ def main() -> None:
     print(f"  pairing: {pairing}")
 
     banner("§III-B: support-set matching")
-    candidates = candidate_strip_nodes(ttlock_opt.circuit, comparators)
+    candidates = candidate_strip_nodes(ttlock_opt.circuit, comparators, supports)
     for node in candidates:
         print(f"  candidate {node}: support {sorted(support(ttlock_opt.circuit, node))}")
 
@@ -78,8 +81,9 @@ def main() -> None:
 
     banner("Figure 2c: SFLL-HD1 and the SlidingWindow analysis")
     sfll = lock_sfll_hd(original, h=1, cube=CUBE)
-    comparators = find_comparators(sfll.circuit)
-    candidates = candidate_strip_nodes(sfll.circuit, comparators)
+    supports = support_table(sfll.circuit)
+    comparators = find_comparators(sfll.circuit, supports)
+    candidates = candidate_strip_nodes(sfll.circuit, comparators, supports)
     for node in candidates:
         cone = extract_cone(sfll.circuit, node)
         cube = sliding_window(cone, 1)

@@ -10,8 +10,9 @@ Figure 2a), locks it with SFLL-HD1 and protected cube a·¬b·¬c·d
 recovered key unlocks the circuit.
 """
 
-from repro.attacks import fall_attack
-from repro.circuit import check_equivalence, paper_example_circuit
+from repro.attacks.fall.pipeline import fall_attack
+from repro.circuit.equivalence import check_equivalence
+from repro.circuit.library import paper_example_circuit
 from repro.locking import lock_sfll_hd
 
 CUBE = (1, 0, 0, 1)  # the protected cube a ∧ ¬b ∧ ¬c ∧ d

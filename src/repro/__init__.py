@@ -9,12 +9,15 @@ attacks that frame the paper's story.
 
 Typical entry points:
 
->>> from repro.circuit import paper_example_circuit
+>>> from repro.circuit.library import paper_example_circuit
 >>> from repro.locking import lock_sfll_hd
->>> from repro.attacks import fall_attack
+>>> from repro.attacks.fall.pipeline import fall_attack
 >>> locked = lock_sfll_hd(paper_example_circuit(), h=1, cube=(1, 0, 0, 1))
 >>> fall_attack(locked.circuit, h=1).key
 (1, 0, 0, 1)
+
+Each name is imported from its defining module; :mod:`repro.locking`
+is the one package that exports its lockers.
 
 Subpackages
 -----------

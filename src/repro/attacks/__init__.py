@@ -12,43 +12,7 @@ Since the unified-engine refactor, every family is registered behind the
 uniform :class:`~repro.attacks.base.Attack` interface and driven through
 :func:`~repro.attacks.engine.run_attack` /
 :func:`~repro.attacks.engine.run_portfolio`; the per-family functions
-remain importable for direct, object-returning use.
+remain importable from their defining modules for direct,
+object-returning use. Like every package here but
+:mod:`repro.locking`, this one re-exports nothing.
 """
-
-from repro.attacks.base import Attack, AttackConfig, TelemetryRecorder
-from repro.attacks.engine import run_attack, run_portfolio
-from repro.attacks.oracle import IOOracle
-from repro.attacks.registry import (
-    all_attacks,
-    attack_names,
-    get_attack,
-    register_attack,
-)
-from repro.attacks.results import AttackResult, AttackStatus
-from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
-from repro.attacks.key_confirmation import key_confirmation
-from repro.attacks.fall import fall_attack
-from repro.attacks.sps import sps_attack
-from repro.attacks.guess import guess_keys
-
-__all__ = [
-    "Attack",
-    "AttackConfig",
-    "TelemetryRecorder",
-    "IOOracle",
-    "AttackResult",
-    "AttackStatus",
-    "run_attack",
-    "run_portfolio",
-    "get_attack",
-    "attack_names",
-    "all_attacks",
-    "register_attack",
-    "sat_attack",
-    "key_confirmation",
-    "fall_attack",
-    "sps_attack",
-    "double_dip_attack",
-    "appsat_attack",
-    "guess_keys",
-]

@@ -57,6 +57,8 @@ def check_attack_inputs(locked: Circuit, oracle: IOOracle) -> None:
         raise AttackError("circuit has no key inputs to attack")
     if set(oracle.input_names) != set(locked.circuit_inputs):
         raise AttackError("oracle inputs do not match the locked netlist")
+    if set(oracle.output_names) != set(locked.outputs):
+        raise AttackError("oracle outputs do not match the locked netlist")
 
 
 def constrain_io(

@@ -35,15 +35,11 @@ sequentially.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from repro.attacks.base import AttackConfig, TelemetryRecorder
-from repro.attacks.checkpoint import CheckpointOracle, open_checkpoint
 from repro.attacks.oracle import IOOracle
 from repro.attacks.registry import get_attack
 from repro.attacks.results import AttackResult, AttackStatus
@@ -53,11 +49,6 @@ from repro.circuit.sharding import (
     pool_executor,
     resolve_jobs,
     shutdown_pool,
-)
-from repro.circuit.spec import (
-    circuit_fingerprint,
-    circuit_from_spec,
-    circuit_spec,
 )
 from repro.errors import AttackError
 from repro.utils.timer import Budget
@@ -87,7 +78,7 @@ def run_attack(
         ).sanitized()
 
     telemetry = config.telemetry or TelemetryRecorder()
-    checkpoint_oracle: CheckpointOracle | None = None
+    checkpoint_oracle = None
     run_oracle = oracle
     checkpoint_unsupported = False
     if config.checkpoint_path:
@@ -98,6 +89,14 @@ def run_attack(
             # later with a misleading replay-divergence error.
             checkpoint_unsupported = True
         else:
+            # Imported here: json and hashlib load only for a run that
+            # checkpoints, not in every suite worker.
+            from repro.attacks.checkpoint import (
+                CheckpointOracle,
+                open_checkpoint,
+            )
+            from repro.circuit.spec import circuit_fingerprint
+
             checkpoint = open_checkpoint(
                 config.checkpoint_path,
                 attack.name,
@@ -227,6 +226,8 @@ def _conclusive(result: AttackResult | None) -> bool:
 
 def _portfolio_task(payload: tuple) -> AttackResult | None:
     """Worker entry: rebuild the benchmark, run one racer, return result."""
+    from repro.circuit.spec import circuit_from_spec
+
     name, locked_spec, oracle_spec, config, cancel = payload
     locked = circuit_from_spec(locked_spec)
     oracle = (
@@ -286,6 +287,8 @@ def run_portfolio(
     workers = min(resolve_jobs(config.jobs), len(names))
     results = None
     if workers > 1 and pool_allowed():
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             results, cancelled = _race_in_processes(
                 names, locked, oracle, config, workers
@@ -313,6 +316,12 @@ def _race_sequentially(names, locked, oracle, config):
 
 
 def _race_in_processes(names, locked, oracle, config, workers):
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.circuit.spec import circuit_spec
+
     locked_spec = circuit_spec(locked)
     oracle_spec = (
         circuit_spec(oracle.circuit) if oracle is not None else None

@@ -6,23 +6,3 @@ SlidingWindow, Distance2H) and equivalence-check confirmation, yielding
 a shortlist of candidate keys. Stage 2 (§V): key confirmation against an
 I/O oracle when the shortlist has more than one entry.
 """
-
-from repro.attacks.fall.comparators import Comparator, find_comparators
-from repro.attacks.fall.support_match import candidate_strip_nodes
-from repro.attacks.fall.unateness import analyze_unateness
-from repro.attacks.fall.sliding_window import sliding_window
-from repro.attacks.fall.distance2h import distance_2h
-from repro.attacks.fall.equivalence import confirm_cube
-from repro.attacks.fall.pipeline import fall_attack, FallReport
-
-__all__ = [
-    "Comparator",
-    "find_comparators",
-    "candidate_strip_nodes",
-    "analyze_unateness",
-    "sliding_window",
-    "distance_2h",
-    "confirm_cube",
-    "fall_attack",
-    "FallReport",
-]

@@ -124,9 +124,10 @@ def key_confirmation(
     ``candidates`` is the shortlist defining φ.
 
     Returns SUCCESS with the confirmed key (``details['verification']``
-    tells whether the Lemma 4 certificate was completed), FAILED when no
-    shortlisted key is consistent with the oracle (the ⊥ outcome), or
-    TIMEOUT.
+    tells whether the Lemma 4 certificate was completed; a
+    ``"phi-relative"`` key is also flagged ``details['approximate']``),
+    FAILED when no shortlisted key is consistent with the oracle (the ⊥
+    outcome), or TIMEOUT.
     """
     stopwatch = Stopwatch()
     telemetry = telemetry or TelemetryRecorder()
@@ -177,6 +178,10 @@ def key_confirmation(
                 "p_solver": p_solver.stats.as_dict(),
                 "q_solver": q_solver.stats.as_dict(),
                 "verification": verification if key is not None else None,
+                # Correct only if φ holds a correct key, which the attack
+                # cannot know: a locked netlist may have several.
+                "approximate": key is not None
+                and verification == "phi-relative",
             },
         )
 

@@ -26,8 +26,14 @@ adapter class with the ``@register_attack`` decorator.
 from __future__ import annotations
 
 from repro.attacks.base import Attack, TelemetryRecorder
+from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
+from repro.attacks.fall.pipeline import fall_attack
+from repro.attacks.guess import guess_keys
+from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.results import AttackResult, AttackStatus
+from repro.attacks.sps import sps_attack
 from repro.errors import AttackError
+from repro.utils.timer import Stopwatch
 
 _REGISTRY: dict[str, Attack] = {}
 
@@ -81,8 +87,6 @@ class FallAttackFamily(Attack):
     supports_checkpoint = False
 
     def run(self, locked, oracle, config):
-        from repro.attacks.fall.pipeline import fall_attack
-
         return fall_attack(
             locked,
             h=config.h,
@@ -101,8 +105,6 @@ class SatAttackFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.cegis import sat_attack
-
         return sat_attack(
             locked,
             oracle,
@@ -120,8 +122,6 @@ class AppSatFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.cegis import appsat_attack
-
         return appsat_attack(
             locked,
             oracle,
@@ -140,8 +140,6 @@ class DoubleDipFamily(Attack):
     supports_checkpoint = True
 
     def run(self, locked, oracle, config):
-        from repro.attacks.cegis import double_dip_attack
-
         return double_dip_attack(
             locked,
             oracle,
@@ -158,8 +156,6 @@ class SpsFamily(Attack):
     requires_oracle = False
 
     def run(self, locked, oracle, config):
-        from repro.attacks.sps import sps_attack
-
         return sps_attack(
             locked, seed=config.seed, telemetry=config.telemetry
         )
@@ -189,8 +185,6 @@ class KeyConfirmationFamily(Attack):
         return None
 
     def run(self, locked, oracle, config):
-        from repro.attacks.key_confirmation import key_confirmation
-
         return key_confirmation(
             locked,
             oracle,
@@ -214,10 +208,6 @@ class GuessFamily(Attack):
     supports_checkpoint = False
 
     def run(self, locked, oracle, config):
-        from repro.attacks.guess import guess_keys
-        from repro.attacks.key_confirmation import key_confirmation
-        from repro.utils.timer import Stopwatch
-
         stopwatch = Stopwatch()
         telemetry = config.telemetry or TelemetryRecorder()
         budget = config.make_budget()
@@ -265,6 +255,9 @@ class GuessFamily(Attack):
             return result(
                 AttackStatus.SUCCESS,
                 key=confirmation.key,
-                extra={"verification": confirmation.details.get("verification")},
+                extra={
+                    "verification": confirmation.details.get("verification"),
+                    "approximate": confirmation.approximate,
+                },
             )
         return result(confirmation.status)

@@ -48,9 +48,10 @@ class AttackResult:
     def approximate(self) -> bool:
         """Whether this is a SUCCESS the attack could not check.
 
-        AppSAT's early exit, Double DIP and SPS mark such results with
-        ``details['approximate']``: the answer may be wrong on some
-        inputs.
+        AppSAT's early exit, Double DIP, SPS and a key-confirmation (or
+        ``guess``) key checked only against its shortlist mark such
+        results with ``details['approximate']``: the answer may be wrong
+        on some inputs.
         """
         return self.succeeded and bool(self.details.get("approximate"))
 

@@ -298,18 +298,16 @@ class Circuit:
         With ``targets``, restricts to the union of their transitive fanin
         cones (targets included). Raises on cycles or dangling references.
 
-        The full order (``targets=None``) is memoized per structural
-        version; callers receive a fresh list each time.
+        Each order (full, or per ``targets`` tuple) is memoized per
+        structural version; callers receive a fresh list each time.
         """
-        if targets is None:
-            return list(self._memo("topo", self._full_topological_order))
-        return self._topological_order_of(list(targets))
+        wanted = None if targets is None else tuple(targets)
 
-    def _full_topological_order(self) -> tuple[str, ...]:
-        return tuple(self._topological_order_of(list(self._type)))
+        def build() -> tuple[str, ...]:
+            roots = self._type if wanted is None else wanted
+            return tuple(topological_region_order(self._fanins, roots))
 
-    def _topological_order_of(self, wanted: list[str]) -> list[str]:
-        return topological_region_order(self._fanins, wanted)
+        return list(self._memo(("topo", wanted), build))
 
     def validate(self) -> None:
         """Check the netlist is a closed DAG with declared outputs."""

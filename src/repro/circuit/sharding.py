@@ -19,11 +19,9 @@ the calling process's cached compiled engine
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.compiled import canonical_input_words, compile_circuit
@@ -74,8 +72,10 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
 # ----------------------------------------------------------------------
 # The persistent pool
 # ----------------------------------------------------------------------
+# multiprocessing and concurrent.futures are imported inside the pool
+# functions: a run that never starts the pool never loads them.
 _IN_WORKER = False
-_POOL: ProcessPoolExecutor | None = None
+_POOL = None  # the ProcessPoolExecutor, once started
 _POOL_WORKERS = 0
 
 
@@ -86,6 +86,8 @@ def _pool_disallowed() -> bool:
     daemonic multiprocessing worker, where spawning children raises —
     such callers silently take the inline path instead.
     """
+    import multiprocessing
+
     return _IN_WORKER or multiprocessing.current_process().daemon
 
 
@@ -102,13 +104,23 @@ def _call(fn, item):
     return fn(item)
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared executor, grown (never shrunk) to ``workers``."""
+def _get_pool(workers: int):
+    """The shared executor, grown (never shrunk) to ``workers``.
+
+    Starting it registers :func:`shutdown_pool` to run at exit (one
+    registration however often the pool restarts), so the pool is shut
+    down while ``concurrent.futures`` is still intact rather than
+    collected during module teardown.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL, _POOL_WORKERS
     if _POOL is not None and _POOL_WORKERS < workers:
         _POOL.shutdown(wait=True)
         _POOL = None
     if _POOL is None:
+        atexit.unregister(shutdown_pool)
+        atexit.register(shutdown_pool)
         _POOL = ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker
         )
@@ -121,7 +133,7 @@ def pool_is_running() -> bool:
     return _POOL is not None
 
 
-def pool_executor(workers: int) -> ProcessPoolExecutor:
+def pool_executor(workers: int):
     """The persistent executor, grown to ``workers``, for submit-style
     consumers (the attack portfolio racer) that need futures rather than
     the order-preserving :func:`map_in_processes`. Callers must check
@@ -150,6 +162,8 @@ def _run_sharded(fn, items: list, workers: int) -> list | None:
     segfault): the dead executor is torn down so the next pooled call
     starts a fresh one, and the caller finishes inline.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         pool = _get_pool(workers)
         return list(pool.map(_call, [fn] * len(items), items))
@@ -167,7 +181,7 @@ def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
     """
     items = list(items)
     workers = resolve_jobs(jobs)
-    if not (_pool_disallowed() or workers <= 1 or len(items) <= 1):
+    if workers > 1 and len(items) > 1 and not _pool_disallowed():
         results = _run_sharded(fn, items, min(workers, len(items)))
         if results is not None:
             return results

@@ -9,34 +9,3 @@ each artifact takes a :class:`~repro.experiments.profiles.Scale`: the
 laptop-sized ``DEFAULT_SCALE``, the paper's ``PAPER_SCALE``, or any
 scale in between (see :mod:`repro.experiments.profiles`).
 """
-
-from repro.experiments.profiles import (
-    DEFAULT_SCALE,
-    PAPER_SCALE,
-    CircuitProfile,
-    Scale,
-    TABLE1_PROFILES,
-    scale_from_env,
-)
-from repro.experiments.suite import LockedBenchmark, build_benchmark
-from repro.experiments.runner import (
-    RunRecord,
-    SuiteTask,
-    run_benchmark_attack,
-    run_suite,
-)
-
-__all__ = [
-    "CircuitProfile",
-    "DEFAULT_SCALE",
-    "PAPER_SCALE",
-    "Scale",
-    "TABLE1_PROFILES",
-    "scale_from_env",
-    "LockedBenchmark",
-    "build_benchmark",
-    "RunRecord",
-    "SuiteTask",
-    "run_benchmark_attack",
-    "run_suite",
-]

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import IOOracle, base, fall_attack
+from repro.attacks import base
 from repro.attacks.base import TelemetryRecorder
 from repro.attacks.fall import pipeline
-from repro.attacks.fall.pipeline import ANALYSIS_NAMES, FallReport
+from repro.attacks.fall.pipeline import ANALYSIS_NAMES, FallReport, fall_attack
+from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit

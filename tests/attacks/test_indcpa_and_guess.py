@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import IOOracle, key_confirmation
 from repro.attacks import guess
 from repro.attacks.guess import guess_keys
 from repro.attacks.indcpa import (
@@ -13,6 +12,8 @@ from repro.attacks.indcpa import (
     equivalence_adversary,
     play_game,
 )
+from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.attacks import IOOracle, key_confirmation
-from repro.attacks.key_confirmation import encode_key_shortlist
+from repro.attacks import registry
+from repro.attacks.base import AttackConfig
+from repro.attacks.engine import run_attack
+from repro.attacks.guess import GuessReport
+from repro.attacks.key_confirmation import encode_key_shortlist, key_confirmation
+from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
-from repro.locking import lock_sarlock, lock_sfll_hd, lock_ttlock
+from repro.locking import lock_antisat, lock_sarlock, lock_sfll_hd, lock_ttlock
 from repro.sat.cnf import Cnf
 from repro.utils.bitops import complement_bits
 from repro.utils.timer import Budget
@@ -84,6 +90,55 @@ class TestShortlistConfirmation:
         assert result.status is AttackStatus.SUCCESS
         unlocked = locked.unlocked_with(result.key)
         assert check_equivalence(original, unlocked).proved
+
+
+def _antisat_wrong_shortlist():
+    """Anti-SAT (2 x 8 key bits) with three keys CEC proves wrong: the
+    bounded Lemma 4 certificate gives up, and the φ-relative survivor
+    is one of the wrong keys."""
+    original = generate_random_circuit("r4", 12, 3, 120, seed=4)
+    locked = lock_antisat(original, key_width=8, seed=4)
+    rng = random.Random(4)
+    shortlist = []
+    while len(shortlist) < 3:
+        key = tuple(rng.getrandbits(1) for _ in locked.circuit.key_inputs)
+        if key not in shortlist and not check_equivalence(
+            original, locked.unlocked_with(key)
+        ).proved:
+            shortlist.append(key)
+    return original, locked, shortlist
+
+
+class TestUncheckedKeys:
+    """A key checked only against φ is not an exact SUCCESS: a locked
+    netlist can admit many correct keys, and φ may hold none of them."""
+
+    def test_wrong_shortlist_key_is_flagged_approximate(self):
+        original, locked, shortlist = _antisat_wrong_shortlist()
+        result = key_confirmation(locked.circuit, IOOracle(original), shortlist)
+        assert result.status is AttackStatus.FAILED or result.approximate
+        if result.succeeded:
+            assert result.details["verification"] == "phi-relative"
+
+    def test_guess_family_keeps_the_flag(self, monkeypatch):
+        original, locked, shortlist = _antisat_wrong_shortlist()
+        monkeypatch.setattr(
+            registry, "guess_keys",
+            lambda circuit, h, budget: GuessReport(guesses=list(shortlist)),
+        )
+        result = run_attack(
+            "guess", locked.circuit, IOOracle(original), AttackConfig()
+        )
+        assert result.status is AttackStatus.FAILED or result.approximate
+        if result.succeeded:
+            assert result.details["verification"] == "phi-relative"
+
+    def test_exact_certificate_is_not_flagged(self):
+        original = paper_example_circuit()
+        locked = lock_ttlock(original, cube=PAPER_CUBE)
+        result = key_confirmation(locked.circuit, IOOracle(original), [PAPER_CUBE])
+        assert result.details["verification"] == "exact"
+        assert not result.approximate
 
 
 class TestBudgetsAndErrors:

@@ -12,7 +12,8 @@ from repro.circuit.analysis import (
     support_table,
     transitive_fanin,
 )
-from repro.circuit.circuit import Circuit
+from repro.circuit import circuit as circuit_module
+from repro.circuit.circuit import Circuit, topological_region_order
 from repro.circuit.gates import GateType, check_arity, evaluate_gate
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
@@ -160,6 +161,30 @@ class TestTopologicalOrder:
         c = c17()
         order = c.topological_order(targets=["G10"])
         assert set(order) == {"G1", "G3", "G10"}
+
+    def test_targets_order_is_memoized_per_structure(self, monkeypatch):
+        sorts = []
+
+        def counted(fanins, wanted):
+            sorts.append(tuple(wanted))
+            return topological_region_order(fanins, wanted)
+
+        monkeypatch.setattr(circuit_module, "topological_region_order", counted)
+        c = Circuit()
+        c.add_input("a")
+        c.add_gate("y", GateType.NOT, ["a"])
+        c.add_output("y")
+        first = c.topological_order(targets=["y"])
+        assert first == ["a", "y"]
+        first.append("corrupted")  # the caller's copy, not the memo
+        assert c.topological_order(targets=("y",)) == ["a", "y"]
+        assert sorts == [("y",)]
+        c.add_input("b")
+        c.add_gate("z", GateType.AND, ["y", "b"])
+        c.add_output("z")
+        assert c.topological_order(targets=["y"]) == ["a", "y"]
+        assert c.topological_order(targets=["z"]) == ["a", "y", "b", "z"]
+        assert sorts == [("y",), ("y",), ("z",)]
 
     def test_deep_chain_no_recursion_limit(self):
         c = Circuit()

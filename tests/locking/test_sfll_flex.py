@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import IOOracle, fall_attack, key_confirmation
+from repro.attacks.fall.pipeline import fall_attack
+from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit

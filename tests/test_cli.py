@@ -372,6 +372,20 @@ class TestInputErrors:
         )
 
 
+    def test_oracle_with_other_output_names(self, tmp_path, capsys):
+        locked_path = tmp_path / "locked.bench"
+        locked_path.write_text(
+            "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ny = XOR(a, keyinput0)\n"
+        )
+        oracle_path = tmp_path / "oracle.bench"
+        oracle_path.write_text("INPUT(a)\nOUTPUT(z)\nz = BUF(a)\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(locked_path), "--attack", "sat",
+                         "--oracle", str(oracle_path)])
+        assert excinfo.value.code == 2
+        assert "oracle outputs do not match" in capsys.readouterr().err
+
+
 class TestJobsFlag:
     """--jobs parsing on the attack + experiment CLIs."""
 
