@@ -9,18 +9,21 @@ example runs a fast heuristic guesser (FALL's structural stages without
 the equivalence-checking confirmation), deliberately salts the guess
 list with noise, and lets key confirmation pick out the one correct key
 — or report ⊥ when every guess is wrong (Lemma 4's second clause).
+It exits 1 unless the confirmed key unlocks the circuit (CEC) and the
+all-wrong shortlist comes back ⊥.
 """
 
 from repro.attacks.guess import guess_keys
 from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.oracle import IOOracle
+from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.locking import lock_sfll_hd
 from repro.utils.rng import make_rng
 
 
-def main() -> None:
+def main() -> int:
     original = generate_random_circuit("design", 14, 4, 120, seed=21)
     locked = lock_sfll_hd(original, h=1, key_width=12, seed=21)
     print(f"victim: {locked.circuit} (SFLL-HD1, 12-bit key)")
@@ -44,14 +47,17 @@ def main() -> None:
     print(f"confirmation: {result.summary()}")
     print(f"verification level: {result.details['verification']}")
 
-    unlocked = locked.unlocked_with(result.key)
-    print(f"recovered key unlocks: {check_equivalence(original, unlocked).proved}")
+    unlocks = result.succeeded and bool(
+        check_equivalence(original, locked.unlocked_with(result.key)).proved
+    )
+    print(f"recovered key unlocks: {unlocks}")
 
     # And the ⊥ case: all-wrong shortlist.
     wrong_only = [key for key in shortlist if key != result.key][:3]
     verdict = key_confirmation(locked.circuit, IOOracle(original), wrong_only)
     print(f"\nall-wrong shortlist -> {verdict.status.value} (Lemma 4's ⊥)")
+    return 0 if unlocks and verdict.status is AttackStatus.FAILED else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -12,7 +12,11 @@ Reproduces the walk-through interspersed in the paper's text:
 6. §III-B    — support-set matching;
 7. §IV       — AnalyzeUnateness / SlidingWindow recover the cube;
 8. §IV-C     — equivalence-check confirmation;
-9. §V        — key confirmation on a two-key shortlist.
+9. §V        — key confirmation on a two-key shortlist, and ⊥ on an
+               all-wrong one.
+
+It exits 1 unless the confirmed key unlocks the circuit (CEC) and the
+all-wrong shortlist comes back ⊥.
 """
 
 from repro.attacks.fall.comparators import (
@@ -25,6 +29,7 @@ from repro.attacks.fall.support_match import candidate_strip_nodes
 from repro.attacks.fall.unateness import analyze_unateness
 from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.oracle import IOOracle
+from repro.attacks.results import AttackStatus
 from repro.circuit.analysis import extract_cone, support, support_table
 from repro.circuit.bench_io import write_bench
 from repro.circuit.equivalence import check_equivalence
@@ -39,7 +44,7 @@ def banner(text: str) -> None:
     print(f"\n=== {text} ===")
 
 
-def main() -> None:
+def main() -> int:
     banner("Figure 2a: original circuit")
     original = paper_example_circuit()
     print(write_bench(original))
@@ -96,12 +101,17 @@ def main() -> None:
     shortlist = [complement_bits(CUBE), CUBE]
     result = key_confirmation(sfll.circuit, oracle, shortlist)
     print(f"  shortlist: {[''.join(map(str, k)) for k in shortlist]}")
-    print(f"  confirmed: {''.join(map(str, result.key))} "
-          f"after {result.oracle_queries} oracle queries")
+    print(f"  {result.summary()}")
+    unlocks = result.succeeded and bool(
+        check_equivalence(original, sfll.unlocked_with(result.key)).proved
+    )
+    print(f"  unlocks the circuit: {unlocks}")
 
-    unlocked = sfll.unlocked_with(result.key)
-    print(f"  unlocks the circuit: {check_equivalence(original, unlocked).proved}")
+    wrong = [(0, 0, 0, 0), (1, 1, 1, 1)]
+    verdict = key_confirmation(sfll.circuit, IOOracle(original), wrong)
+    print(f"  all-wrong shortlist -> {verdict.status.value} (Lemma 4's ⊥)")
+    return 0 if unlocks and verdict.status is AttackStatus.FAILED else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -3,10 +3,10 @@
 The paper's contribution (the FALL attack pipeline and SAT-based key
 confirmation) plus the prior-work attacks used as baselines and context:
 the SAT attack [22], SPS [30], Double DIP [18] and AppSAT [17]. The SAT
-attack, AppSAT and Double DIP share one distinguishing-input loop in
-:mod:`repro.attacks.cegis`; key confirmation
-(:mod:`repro.attacks.key_confirmation`) reuses its input checks and I/O
-constraints.
+attack, AppSAT, Double DIP and key confirmation
+(:mod:`repro.attacks.key_confirmation`) run on one distinguishing-input
+loop state, :mod:`repro.attacks.cegis`'s ``_Cegis``: key confirmation's
+P and Q are its key solver and its two-copy miter.
 
 Since the unified-engine refactor, every family is registered behind the
 uniform :class:`~repro.attacks.base.Attack` interface and driven through

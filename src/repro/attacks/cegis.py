@@ -19,6 +19,9 @@ the key. The families differ in the miter and between iterations:
   approximately correct key (``details['approximate']``) and feeds the
   sampled disagreements back as I/O constraints.
 
+Key confirmation (:mod:`repro.attacks.key_confirmation`) runs its own
+loop on the same two solvers, Algorithm 4's P and Q.
+
 Variables, clauses and solver calls come in one fixed order per family;
 the seeded searches depend on it. Each ``Cnf`` is a staging buffer: its
 clauses are cleared once loaded into the solver, so a clause is stored
@@ -49,31 +52,6 @@ from repro.utils.timer import Budget, Stopwatch
 SETTLE_ROUNDS = 4
 QUERIES_PER_ROUND = 64
 ERROR_THRESHOLD = 0.0
-
-
-def check_attack_inputs(locked: Circuit, oracle: IOOracle) -> None:
-    """Reject a keyless netlist and an oracle for a different circuit."""
-    if not locked.key_inputs:
-        raise AttackError("circuit has no key inputs to attack")
-    if set(oracle.input_names) != set(locked.circuit_inputs):
-        raise AttackError("oracle inputs do not match the locked netlist")
-    if set(oracle.output_names) != set(locked.outputs):
-        raise AttackError("oracle outputs do not match the locked netlist")
-
-
-def constrain_io(
-    locked: Circuit,
-    cnf: Cnf,
-    pattern: Mapping[str, int],
-    outputs: Mapping[str, int],
-    key_vars: Mapping[str, int],
-) -> None:
-    """Append ``C(pattern, K, outputs)`` over the key variables ``key_vars``."""
-    enc = encode_under_assignment(
-        locked, cnf, fixed=pattern, shared_vars=key_vars
-    )
-    for out in locked.outputs:
-        enc.assert_node_equals(out, outputs[out])
 
 
 def _outputs_differ(cnf: Cnf, ys: list[list[int]], ks: list[list[int]]) -> None:
@@ -116,7 +94,12 @@ class _Cegis:
         details: Mapping[str, object] | None = None,
     ):
         self.stopwatch = Stopwatch()
-        check_attack_inputs(locked, oracle)
+        if not locked.key_inputs:
+            raise AttackError("circuit has no key inputs to attack")
+        if set(oracle.input_names) != set(locked.circuit_inputs):
+            raise AttackError("oracle inputs do not match the locked netlist")
+        if set(oracle.output_names) != set(locked.outputs):
+            raise AttackError("oracle outputs do not match the locked netlist")
         self.label = label
         self.locked = locked
         self.oracle = oracle
@@ -143,25 +126,54 @@ class _Cegis:
                 [enc.lits(locked.outputs) for enc in encodings],
                 [list(ks.values()) for ks in self.key_sets],
             )
-            self.solver = Solver(random_phase=random_phase)
-            self.solver.add_cnf(cnf)
-            cnf.clauses.clear()
-
             self.key_cnf = Cnf()
             self.key_vars = {name: self.key_cnf.new_var() for name in self.key_names}
+            self.solver = Solver(random_phase=random_phase)
             self.key_solver = Solver()
-            self.key_solver.add_cnf(self.key_cnf)
+            self.load()
+
+    def load(self) -> None:
+        """Move the clauses staged in both CNFs into their solvers."""
+        self.solver.add_cnf(self.cnf)
+        self.cnf.clauses.clear()
+        self.key_solver.add_cnf(self.key_cnf)
+        self.key_cnf.clauses.clear()
 
     def observe(self, pattern: Mapping[str, int], outputs: Mapping[str, int]):
-        """Constrain every key copy and the key solver with one I/O pair."""
-        locked, cnf, key_cnf = self.locked, self.cnf, self.key_cnf
-        for key_vars in self.key_sets:
-            constrain_io(locked, cnf, pattern, outputs, key_vars)
-        self.solver.add_cnf(cnf)
-        cnf.clauses.clear()
-        constrain_io(locked, key_cnf, pattern, outputs, self.key_vars)
-        self.key_solver.add_cnf(key_cnf)
-        key_cnf.clauses.clear()
+        """Constrain every key copy and the key solver with one I/O pair:
+        ``C(pattern, K, outputs)``, cofactored over each copy's keys."""
+        targets = [(self.cnf, key_vars) for key_vars in self.key_sets]
+        for cnf, key_vars in targets + [(self.key_cnf, self.key_vars)]:
+            enc = encode_under_assignment(
+                self.locked, cnf, fixed=pattern, shared_vars=key_vars
+            )
+            for out in self.locked.outputs:
+                enc.assert_node_equals(out, outputs[out])
+        self.load()
+
+    def model_input(self) -> dict[str, int]:
+        """The input ``X`` of the miter solver's last model."""
+        model = self.solver.model_value
+        return {name: int(model(var)) for name, var in self.x_vars.items()}
+
+    def query_model(self, iteration: int, **fields) -> None:
+        """Query the oracle on the model's input, observe the answer and
+        record the ``cegis`` iteration event (``fields`` first)."""
+        pattern = self.model_input()
+        self.observe(pattern, self.oracle.query(pattern))
+        self.telemetry.iteration(
+            "cegis",
+            iteration,
+            **fields,
+            oracle_queries=self.oracle.query_count - self.queries_before,
+            conflicts=self.solver.stats.conflicts,
+        )
+
+    def stopped(self, iteration: int) -> bool:
+        """Whether the budget or the iteration cap ends the loop."""
+        if self.budget is not None and self.budget.expired:
+            return True
+        return self.max_iterations is not None and iteration >= self.max_iterations
 
     def extract_key(self) -> tuple[AttackStatus, tuple[int, ...] | None]:
         """A key consistent with every observation (FAILED: none is)."""
@@ -195,30 +207,17 @@ class _Cegis:
 
     def run(self, between=None) -> AttackResult:
         """The loop; ``between(iteration)`` may return a result that ends it."""
-        solver, budget = self.solver, self.budget
         iteration = 0
         while True:
-            if budget is not None and budget.expired:
+            if self.stopped(iteration):
                 return self.result(AttackStatus.TIMEOUT, iterations=iteration)
-            if self.max_iterations is not None and iteration >= self.max_iterations:
-                return self.result(AttackStatus.TIMEOUT, iterations=iteration)
-            status = solver.solve(budget=budget)
+            status = self.solver.solve(budget=self.budget)
             if status is SolveStatus.UNKNOWN:
                 return self.result(AttackStatus.TIMEOUT, iterations=iteration)
             if status is SolveStatus.UNSAT:
                 break
             iteration += 1
-            pattern = {
-                name: int(solver.model_value(var))
-                for name, var in self.x_vars.items()
-            }
-            self.observe(pattern, self.oracle.query(pattern))
-            self.telemetry.iteration(
-                "cegis",
-                iteration,
-                oracle_queries=self.oracle.query_count - self.queries_before,
-                conflicts=solver.stats.conflicts,
-            )
+            self.query_model(iteration)
             if between is not None:
                 outcome = between(iteration)
                 if outcome is not None:

@@ -18,7 +18,8 @@ Stages, each recorded as a telemetry stage of the same name:
 4. ``key_derivation`` — confirmed cubes mapped onto keys through the
    comparator pairing;
 5. ``key_confirmation`` (§V) — only with an I/O oracle, when more than
-   one key survives or the budget cut the scan short.
+   one key survives or the budget cut the scan short; the result keeps
+   its ``verification`` and ``approximate`` details.
 
 The attack is oracle-less whenever a completed scan leaves exactly one
 key — the paper's headline practicality claim (90% of its successful
@@ -71,7 +72,6 @@ class FallReport:
     analyses_attempted: int = 0
     prefilter_rejections: int = 0
     oracle_less: bool = False
-    used_key_confirmation: bool = False
     scan_complete: bool = True
 
 
@@ -99,7 +99,7 @@ def fall_attack(
     key_names = locked.key_inputs
     queries_before = oracle.query_count if oracle is not None else 0
 
-    def result(status: AttackStatus, key=None) -> AttackResult:
+    def result(status: AttackStatus, key=None, **details) -> AttackResult:
         return AttackResult(
             attack=f"fall-hd{h}",
             status=status,
@@ -110,7 +110,7 @@ def fall_attack(
             oracle_queries=(
                 oracle.query_count - queries_before if oracle is not None else 0
             ),
-            details={"report": report},
+            details={"report": report, **details},
         )
 
     with telemetry.stage("comparators") as stage:
@@ -129,38 +129,16 @@ def fall_attack(
     if not report.candidate_nodes:
         return result(AttackStatus.FAILED)
 
-    # The density prefilter: one bit-parallel random simulation over the
-    # candidate cones yields every candidate's signal density.
-    # Candidates are ordered by how closely their density matches
-    # strip_h's C(m,h)/2^m (the true stripper is analyzed first, so a
-    # budget-truncated scan still finds it), and density incompatibility
-    # rejects polarities outright.
+    # The density prefilter: the true stripper is analyzed first, so a
+    # budget-truncated scan still finds it, and a density far from
+    # strip_h's C(m,h)/2^m rejects a polarity outright.
     m = len(report.pairing)
-    rng = make_rng(1)
-    sim_inputs = {
-        name: rng.getrandbits(_DENSITY_PATTERNS) for name in locked.inputs
-    }
-    candidate_words = sweep_node_values(
-        locked, tuple(report.candidate_nodes), sim_inputs,
-        width=_DENSITY_PATTERNS,
+    ordered_candidates, density = _density_order(
+        locked, report.candidate_nodes, h, m
     )
-    density = {
-        node: word.bit_count() / _DENSITY_PATTERNS
-        for node, word in zip(report.candidate_nodes, candidate_words)
-    }
-    expected_density = strip_density(m, h)
     density_threshold = max(
-        _MIN_DENSITY_THRESHOLD, _DENSITY_MARGIN * expected_density
+        _MIN_DENSITY_THRESHOLD, _DENSITY_MARGIN * strip_density(m, h)
     )
-
-    def density_rank(node: str) -> tuple[float, str]:
-        distance = min(
-            abs(density[node] - expected_density),
-            abs((1.0 - density[node]) - expected_density),
-        )
-        return (distance, node)
-
-    ordered_candidates = sorted(report.candidate_nodes, key=density_rank)
 
     # Functional analyses + equivalence confirmation.
     with telemetry.stage("functional_analysis") as stage:
@@ -246,16 +224,45 @@ def fall_attack(
         if not report.scan_complete:
             return result(AttackStatus.TIMEOUT)
         return result(AttackStatus.MULTIPLE_CANDIDATES)
-    report.used_key_confirmation = True
     with telemetry.stage("key_confirmation", shortlist=len(keys)):
         confirmation = key_confirmation(
             locked, oracle, keys, budget=budget, telemetry=telemetry
         )
-    if confirmation.status is AttackStatus.SUCCESS:
-        return result(AttackStatus.SUCCESS, key=confirmation.key)
-    if confirmation.status is AttackStatus.TIMEOUT:
-        return result(AttackStatus.TIMEOUT)
-    return result(AttackStatus.FAILED)
+    return result(
+        confirmation.status,
+        key=confirmation.key,
+        verification=confirmation.details["verification"],
+        approximate=confirmation.approximate,
+    )
+
+
+def _density_order(
+    locked: Circuit, nodes: list[str], h: int, m: int
+) -> tuple[list[str], dict[str, float]]:
+    """``nodes`` by how closely their signal density (or its complement)
+    matches strip_h's, and every node's density from one bit-parallel
+    random simulation of the candidate cones."""
+    rng = make_rng(1)
+    sim_inputs = {
+        name: rng.getrandbits(_DENSITY_PATTERNS) for name in locked.inputs
+    }
+    words = sweep_node_values(
+        locked, tuple(nodes), sim_inputs, width=_DENSITY_PATTERNS
+    )
+    density = {
+        node: word.bit_count() / _DENSITY_PATTERNS
+        for node, word in zip(nodes, words)
+    }
+    expected = strip_density(m, h)
+
+    def rank(node: str) -> tuple[float, str]:
+        distance = min(
+            abs(density[node] - expected),
+            abs((1.0 - density[node]) - expected),
+        )
+        return (distance, node)
+
+    return sorted(nodes, key=rank), density
 
 
 def _complement(cone: Circuit) -> Circuit:

@@ -9,16 +9,18 @@ This module provides such a guesser: it runs FALL's structural stages
 (comparator pairing, support-set matching, density ranking) and the
 functional analyses on the best-ranked candidates, but *skips the
 equivalence-checking confirmation* — returning fast, unverified key
-guesses. Feeding them to :func:`repro.attacks.key_confirmation` is the
-intended workflow (see ``examples/guess_and_confirm.py``); the
-confirmation step either certifies one guess or returns ⊥, exactly the
-division of labour §V describes.
+guesses. :func:`guess_and_confirm`, the ``guess`` family, feeds them to
+:func:`repro.attacks.key_confirmation.key_confirmation` when an oracle
+is given (see also ``examples/guess_and_confirm.py``); the confirmation
+step either certifies one guess or returns ⊥, exactly the division of
+labour §V describes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.attacks.base import TelemetryRecorder
 from repro.attacks.fall.comparators import (
     find_comparators,
     pairing_from_comparators,
@@ -27,15 +29,17 @@ from repro.attacks.fall.pipeline import (
     FallReport,
     _analyze_candidate,
     _complement,
+    _derive_keys,
+    _density_order,
 )
-from repro.attacks.fall.prefilter import strip_density
 from repro.attacks.fall.support_match import candidate_strip_nodes
+from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.oracle import IOOracle
+from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.analysis import extract_cone, support_table
 from repro.circuit.circuit import Circuit
-from repro.circuit.compiled import compile_circuit
 from repro.errors import AttackError
-from repro.utils.rng import make_rng
-from repro.utils.timer import Budget
+from repro.utils.timer import Budget, Stopwatch
 
 KeyVector = tuple[int, ...]
 
@@ -49,7 +53,6 @@ class GuessReport:
 
     guesses: list[KeyVector] = field(default_factory=list)
     nodes_examined: int = 0
-    pairing: dict[str, str] = field(default_factory=dict)
 
 
 def guess_keys(
@@ -73,40 +76,19 @@ def guess_keys(
 
     supports = support_table(locked)
     comparators = find_comparators(locked, supports=supports)
-    report.pairing = pairing_from_comparators(comparators)
+    pairing = pairing_from_comparators(comparators)
     if not comparators:
         return report
     candidates = candidate_strip_nodes(locked, comparators, supports=supports)
     if not candidates:
         return report
 
-    # Rank candidates by density proximity to strip_h, like the full
-    # pipeline, and analyze the best few without confirmation. One wide
-    # pass over just the candidate cones yields every density at once.
-    patterns = 256
-    rng = make_rng(2)
-    engine = compile_circuit(locked)
-    sim_inputs = {name: rng.getrandbits(patterns) for name in locked.inputs}
-    candidate_words = engine.node_values(
-        tuple(candidates), sim_inputs, width=patterns
-    )
-    density = {
-        node: word.bit_count() / patterns
-        for node, word in zip(candidates, candidate_words)
-    }
-    expected = strip_density(len(report.pairing), h)
-
-    def rank(node: str) -> tuple[float, str]:
-        return (
-            min(
-                abs(density[node] - expected),
-                abs((1.0 - density[node]) - expected),
-            ),
-            node,
-        )
-
+    # Analyze the best-ranked few, in the full pipeline's density order,
+    # without confirmation.
+    m = len(pairing)
+    ordered, _ = _density_order(locked, candidates, h, m)
     scratch = FallReport()
-    for node in sorted(candidates, key=rank):
+    for node in ordered:
         if len(report.guesses) >= MAX_GUESSES or budget.expired:
             break
         cone = extract_cone(locked, node)
@@ -115,22 +97,51 @@ def guess_keys(
             cube = _analyze_candidate(variant, h, budget.sub(10.0), scratch)
             if cube is None:
                 continue
-            key = _cube_to_key(cube, report.pairing, key_names)
-            if key is not None and key not in report.guesses:
-                report.guesses.append(key)
+            for key in _derive_keys(cube, pairing, key_names, h, m):
+                if key not in report.guesses:
+                    report.guesses.append(key)
             break
     return report
 
 
-def _cube_to_key(
-    cube: dict[str, int],
-    pairing: dict[str, str],
-    key_names: tuple[str, ...],
-) -> KeyVector | None:
-    bits = {}
-    for circuit_input, key_input in pairing.items():
-        if circuit_input in cube:
-            bits[key_input] = cube[circuit_input]
-    if set(bits) != set(key_names):
-        return None
-    return tuple(bits[name] for name in key_names)
+def guess_and_confirm(
+    locked: Circuit,
+    oracle: IOOracle | None,
+    h: int,
+    budget: Budget,
+    telemetry: TelemetryRecorder | None,
+) -> AttackResult:
+    """Guess keys, then confirm them through key confirmation.
+
+    Without an oracle the guesses come back unverified, as
+    MULTIPLE_CANDIDATES. With one, the result is key confirmation's,
+    ``verification`` and ``approximate`` details included.
+    """
+    stopwatch = Stopwatch()
+    telemetry = telemetry or TelemetryRecorder()
+    with telemetry.stage("guess"):
+        report = guess_keys(locked, h=h, budget=budget)
+    guesses = tuple(report.guesses)
+    if not guesses:
+        status = AttackStatus.TIMEOUT if budget.expired else AttackStatus.FAILED
+        result = AttackResult("guess", status)
+    elif oracle is None:
+        result = AttackResult(
+            "guess", AttackStatus.MULTIPLE_CANDIDATES, candidates=guesses
+        )
+    else:
+        with telemetry.stage("confirm"):
+            result = key_confirmation(
+                locked, oracle, guesses, budget=budget, telemetry=telemetry
+            )
+    return replace(
+        result,
+        attack="guess",
+        key_names=locked.key_inputs,
+        elapsed_seconds=stopwatch.elapsed,
+        details={
+            **result.details,
+            "nodes_examined": report.nodes_examined,
+            "guesses": [list(guess) for guess in guesses],
+        },
+    )

@@ -5,24 +5,23 @@ takes a predicate φ over the key inputs — typically "the key is one of
 these shortlisted values" — and an I/O oracle, and returns a key
 satisfying φ that is consistent with the oracle, or ⊥ if none exists.
 
-Two solver instances implement the formula sequences P_i and Q_i:
+It runs on the SAT attack's loop state (``repro.attacks.cegis._Cegis``),
+whose two solvers are the formula sequences P_i and Q_i:
 
-- ``P`` produces candidate keys consistent with φ and the I/O patterns
-  observed so far (P_1 = φ, P_{i+1} = P_i ∧ C(Xd_i, K1, Yd_i));
-- ``Q`` produces distinguishing inputs for a *fixed* candidate key
-  (Q_1 = C(X, K1, Y1) ∧ C(X, K2, Y2) ∧ Y1 ≠ Y2,
-  Q_{i+1} = Q_i ∧ C(Xd_i, K2, Yd_i)), solved under the assumption
-  K1 = K_i.
+- ``P``, the key solver plus φ, produces candidate keys consistent with
+  φ and the I/O patterns observed so far (P_1 = φ, P_{i+1} = P_i ∧
+  C(Xd_i, K1, Yd_i));
+- ``Q``, the two-copy miter (Q_1 = C(X, K1, Y1) ∧ C(X, K2, Y2) ∧ Y1 ≠
+  Y2, Q_{i+1} = Q_i ∧ C(Xd_i, K1, Yd_i) ∧ C(Xd_i, K2, Yd_i)), produces
+  distinguishing inputs for a *fixed* candidate key, solved under the
+  assumption K1 = K_i (which already satisfies every observation).
 
 P going UNSAT means φ was wrong (⊥); Q going UNSAT means no
-distinguishing input remains and K_i is correct (Lemma 4). The split is
-what distinguishes the two UNSAT outcomes — impossible in the original
-single-solver SAT attack — and restricting the search to φ is what
-makes the attack cheap even on SAT-attack-resilient circuits.
-
-With φ = true the algorithm devolves into the standard SAT attack,
-which :func:`repro.attacks.cegis.sat_attack` implements; this module
-always takes a shortlist.
+distinguishing input remains and K_i is correct (Lemma 4). The split
+tells the two UNSAT outcomes apart, and restricting the search to φ is
+what makes the attack cheap even on SAT-attack-resilient circuits.
+With φ = true it is the SAT attack itself, so this module always takes
+a shortlist.
 
 Implementation notes (how the measured Figure 6 behaviour is achieved):
 
@@ -31,12 +30,12 @@ Implementation notes (how the measured Figure 6 behaviour is achieved):
    of the input space, and a CDCL model generator left to its own
    devices rarely lands there (the easy way to satisfy ``Y1 ≠ Y2`` is
    to mirror X into K2, one useless oracle query per iteration). Before
-   the loop we therefore mine counterexamples between pairs of
-   *keyed* circuits — shortlist pairs plus single-bit perturbations of
-   each candidate — and query the oracle exactly there. Each probe
-   refutes at least one key of its pair (or tests the candidate's own
-   shell, for the perturbation pairs) and adds shell constraints that
-   collapse Q's K2 space.
+   the loop we therefore mine counterexamples between pairs of keys —
+   shortlist pairs plus single-bit perturbations of each candidate —
+   by solving a copy of Q's miter under K1 = a, K2 = b, and query the
+   oracle exactly there. Each probe refutes at least one key of its pair (or tests the
+   candidate's own shell, for the perturbation pairs) and adds shell
+   constraints that collapse Q's K2 space.
 
 2. **Two-tier termination.** Exactly certifying a key against *all*
    2^m rivals is information-theoretically exponential in oracle
@@ -54,19 +53,18 @@ Implementation notes (how the measured Figure 6 behaviour is achieved):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 from repro.attacks.base import TelemetryRecorder
-from repro.attacks.cegis import check_attack_inputs, constrain_io
+from repro.attacks.cegis import _Cegis, _outputs_differ
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
-from repro.circuit.tseitin import encode_circuit, encode_under_assignment
 from repro.errors import AttackError
 from repro.sat.cnf import Cnf
-from repro.sat.encodings import encode_difference_bits, encode_xor
-from repro.sat.solver import Solver, SolveStatus
-from repro.utils.timer import Budget, Stopwatch
+from repro.sat.solver import SolveStatus
+from repro.utils.timer import Budget
 
 KeyVector = tuple[int, ...]
 
@@ -94,6 +92,7 @@ def encode_key_shortlist(
     """
     if not candidates:
         raise AttackError("empty candidate shortlist")
+    key_lits = [key_vars[name] for name in key_names]
     selectors = []
     for candidate in candidates:
         if len(candidate) != len(key_names):
@@ -102,13 +101,9 @@ def encode_key_shortlist(
             )
         selector = cnf.new_var()
         selectors.append(selector)
-        for name, bit in zip(key_names, candidate):
-            var = key_vars[name]
-            cnf.add_clause([-selector, var if bit else -var])
-    if guard is None:
-        cnf.add_clause(selectors)
-    else:
-        cnf.add_clause([-guard] + selectors)
+        for lit in _assign(key_lits, candidate):
+            cnf.add_clause([-selector, lit])
+    cnf.add_clause(selectors if guard is None else [-guard] + selectors)
 
 
 def key_confirmation(
@@ -129,261 +124,146 @@ def key_confirmation(
     FAILED when no shortlisted key is consistent with the oracle (the ⊥
     outcome), or TIMEOUT.
     """
-    stopwatch = Stopwatch()
-    telemetry = telemetry or TelemetryRecorder()
-    check_attack_inputs(locked, oracle)
-    key_names = locked.key_inputs
-    input_names = locked.circuit_inputs
-    output_names = locked.outputs
-    queries_before = oracle.query_count
-
-    # P: candidate-key producer over its own variable space.
-    p_cnf = Cnf()
-    p_key_vars = {name: p_cnf.new_var() for name in key_names}
-    encode_key_shortlist(p_cnf, p_key_vars, key_names, candidates)
-    p_solver = Solver()
-    p_solver.add_cnf(p_cnf)
-    p_cnf.clauses.clear()
-
-    # Q: distinguishing-input generator (double instantiation + miter).
-    q_cnf = Cnf()
-    x_vars = {name: q_cnf.new_var() for name in input_names}
-    k1_vars = {name: q_cnf.new_var() for name in key_names}
-    k2_vars = {name: q_cnf.new_var() for name in key_names}
-    enc1 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k1_vars})
-    enc2 = encode_circuit(locked, q_cnf, shared_vars={**x_vars, **k2_vars})
-    q_cnf.add_clause(
-        encode_difference_bits(q_cnf, enc1.lits(output_names), enc2.lits(output_names))
-    )
-    # Tier-1 guard: when assumed true, K2 must be a shortlist member.
-    phi2_guard = q_cnf.new_var()
-    encode_key_shortlist(q_cnf, k2_vars, key_names, candidates, guard=phi2_guard)
-    q_solver = Solver(random_phase=0.2)
-    q_solver.add_cnf(q_cnf)
-    q_cnf.clauses.clear()
-
-    def result(
-        status: AttackStatus, key=None, iterations=0, verification="phi-relative"
-    ) -> AttackResult:
-        return AttackResult(
-            attack="key-confirmation",
-            status=status,
-            key=key,
-            key_names=key_names,
-            candidates=tuple(tuple(c) for c in candidates),
-            elapsed_seconds=stopwatch.elapsed,
-            oracle_queries=oracle.query_count - queries_before,
-            iterations=iterations,
-            details={
-                "p_solver": p_solver.stats.as_dict(),
-                "q_solver": q_solver.stats.as_dict(),
-                "verification": verification if key is not None else None,
-                # Correct only if φ holds a correct key, which the attack
-                # cannot know: a locked netlist may have several.
-                "approximate": key is not None
-                and verification == "phi-relative",
-            },
+    def new_cegis(label: str, telemetry: TelemetryRecorder | None) -> _Cegis:
+        return _Cegis(
+            label, locked, oracle, copies=2, miter=_outputs_differ,
+            random_phase=0.2, budget=budget, max_iterations=max_iterations,
+            telemetry=telemetry,
         )
 
-    def absorb_observation(
-        pattern: dict[str, int], observed: dict[str, int]
-    ) -> None:
-        """P_{i+1} = P_i ∧ C(Xd, K1, Yd); Q_{i+1} = Q_i ∧ C(Xd, K2, Yd)."""
-        constrain_io(locked, p_cnf, pattern, observed, p_key_vars)
-        p_solver.add_cnf(p_cnf)
-        p_cnf.clauses.clear()
-        constrain_io(locked, q_cnf, pattern, observed, k2_vars)
-        q_solver.add_cnf(q_cnf)
-        q_cnf.clauses.clear()
+    cegis = new_cegis("key-confirmation", telemetry)
+    shortlist = tuple(tuple(candidate) for candidate in candidates)
+    key_names, solver = cegis.key_names, cegis.solver
+    # φ on P, and on Q's second copy behind the tier-1 guard.
+    encode_key_shortlist(cegis.key_cnf, cegis.key_vars, key_names, shortlist)
+    phi_guard = cegis.cnf.new_var()
+    encode_key_shortlist(
+        cegis.cnf, cegis.key_sets[1], key_names, shortlist, guard=phi_guard
+    )
+    cegis.load()
+    iteration = 0
+
+    def result(status, key=None, verification=None) -> AttackResult:
+        outcome = cegis.result(
+            status,
+            key=key,
+            iterations=iteration,
+            verification=verification,
+            # A φ-relative key is correct only if φ holds a correct key,
+            # which the attack cannot know: a netlist may have several.
+            approximate=verification == "phi-relative",
+        )
+        outcome.candidates = shortlist
+        return outcome
 
     # Probe mining (module docstring note 1). Mining is independent of
     # the observations, so all probes are collected first and replayed
-    # against the oracle as one batched wide simulation.
-    with telemetry.stage("probe_mining"):
-        probes = list(_mine_probes(locked, candidates, key_names, budget))
+    # against the oracle as one batched wide simulation. It runs on a
+    # second instance of the miter: left in Q, the activity scores and
+    # learnt clauses of its fixed-key searches cost the loop 9% more
+    # propagations over Figure 6's cells.
+    with cegis.telemetry.stage("probe_mining"):
+        probes = _mine_probes(new_cegis("probe-mining", None), shortlist)
         for pattern, observed in zip(probes, oracle.query_batch(probes)):
-            absorb_observation(pattern, observed)
-        telemetry.count("probes", len(probes))
+            cegis.observe(pattern, observed)
+        cegis.telemetry.count("probes", len(probes))
 
-    iteration = 0
     certification_dis = 0
     while True:
-        if budget is not None and budget.expired:
-            return result(AttackStatus.TIMEOUT, iterations=iteration)
-        if max_iterations is not None and iteration >= max_iterations:
-            return result(AttackStatus.TIMEOUT, iterations=iteration)
-
-        p_status = p_solver.solve(budget=budget)
-        if p_status is SolveStatus.UNKNOWN:
-            return result(AttackStatus.TIMEOUT, iterations=iteration)
-        if p_status is SolveStatus.UNSAT:
-            # ⊥: no key satisfying φ is consistent with the oracle.
-            return result(AttackStatus.FAILED, iterations=iteration)
-        candidate = tuple(
-            int(p_solver.model_value(p_key_vars[n])) for n in key_names
-        )
-        k1_assumptions = [
-            k1_vars[n] if bit else -k1_vars[n]
-            for n, bit in zip(key_names, candidate)
-        ]
+        if cegis.stopped(iteration):
+            return result(AttackStatus.TIMEOUT)
+        status, candidate = cegis.extract_key()
+        if candidate is None:
+            # FAILED is ⊥: no key satisfying φ is consistent with the oracle.
+            return result(status)
+        k1_assumptions = _assign(cegis.key_sets[0].values(), candidate)
 
         # Tier 1: distinguish the candidate from other φ members.
-        q_status = q_solver.solve(
-            assumptions=k1_assumptions + [phi2_guard], budget=budget
+        q_status = solver.solve(
+            assumptions=k1_assumptions + [phi_guard], budget=budget
         )
         if q_status is SolveStatus.UNKNOWN:
-            return result(AttackStatus.TIMEOUT, iterations=iteration)
+            return result(AttackStatus.TIMEOUT)
         if q_status is SolveStatus.SAT:
             iteration += 1
-            distinguishing = {
-                name: int(q_solver.model_value(var))
-                for name, var in x_vars.items()
-            }
-            absorb_observation(distinguishing, oracle.query(distinguishing))
-            telemetry.iteration(
-                "tier1",
-                iteration,
-                oracle_queries=oracle.query_count - queries_before,
-            )
+            cegis.query_model(iteration, tier=1)
             continue
         # UNSAT: no φ rival distinguishes itself from the candidate.
 
         # Tier 2: attempt the unrestricted Lemma 4 certificate.
-        q_status = q_solver.solve(
+        q_status = solver.solve(
             assumptions=k1_assumptions,
             budget=budget,
             conflict_limit=CERTIFY_CONFLICTS,
         )
         if q_status is SolveStatus.UNSAT:
-            return result(
-                AttackStatus.SUCCESS,
-                key=candidate,
-                iterations=iteration,
-                verification="exact",
-            )
+            return result(AttackStatus.SUCCESS, candidate, "exact")
         if q_status is SolveStatus.UNKNOWN:
             # Bounded certification exhausted: the candidate is the
             # unique φ member consistent with all observations.
-            return result(
-                AttackStatus.SUCCESS, key=candidate, iterations=iteration
-            )
+            return result(AttackStatus.SUCCESS, candidate, "phi-relative")
         # SAT: a global distinguishing input exists — query it (it may
         # even refute the candidate), but bound how long we chase the
         # exponential tail of point-corruption schemes.
         iteration += 1
-        distinguishing = {
-            name: int(q_solver.model_value(var)) for name, var in x_vars.items()
-        }
-        absorb_observation(distinguishing, oracle.query(distinguishing))
-        telemetry.iteration(
-            "tier2",
-            iteration,
-            oracle_queries=oracle.query_count - queries_before,
-        )
+        cegis.query_model(iteration, tier=2)
         certification_dis += 1
         if certification_dis >= _CERTIFY_MAX_DIS:
-            # Re-check the candidate is still alive in P, then accept.
-            p_status = p_solver.solve(budget=budget)
-            if p_status is SolveStatus.SAT:
-                survivor = tuple(
-                    int(p_solver.model_value(p_key_vars[n]))
-                    for n in key_names
-                )
-                if survivor == candidate:
-                    return result(
-                        AttackStatus.SUCCESS,
-                        key=candidate,
-                        iterations=iteration,
-                    )
+            # Accept the candidate if P still produces it.
+            if cegis.extract_key()[1] == candidate:
+                return result(AttackStatus.SUCCESS, candidate, "phi-relative")
             certification_dis = 0
 
 
-def _mine_probes(
-    locked: Circuit,
-    candidates: Sequence[KeyVector],
-    key_names: Sequence[str],
-    budget: Budget | None,
-):
-    """Yield inputs on which pairs of keyed circuits provably differ.
+def _assign(variables: Iterable[int], bits: Iterable[int]) -> list[int]:
+    """The literals setting ``variables`` to ``bits``."""
+    return [var if bit else -var for var, bit in zip(variables, bits)]
+
+
+def _mine_probes(miner: _Cegis, keys: Sequence[KeyVector]) -> list[dict[str, int]]:
+    """Inputs on which pairs of keyed circuits provably differ.
 
     Pairs are (a) the shortlist pairs (all of them for small shortlists,
     a covering chain for large ones) and (b) single-bit perturbations of
     each candidate — the latter make the probes explore each candidate's
     *own* error shell, which is what refutes a wrong singleton guess and
     pins Q's K2 space around a correct one.
-    """
-    keys = [tuple(k) for k in candidates]
-    width = len(key_names)
-    pairs: list[tuple[KeyVector, KeyVector]] = []
-    if len(keys) <= 6:
-        pairs.extend(
-            (keys[i], keys[j])
-            for i in range(len(keys))
-            for j in range(i + 1, len(keys))
-        )
-    else:
-        pairs.extend(zip(keys, keys[1:]))
-        pairs.append((keys[-1], keys[0]))
-    for key in keys:
-        for position in {0, width // 2}:
-            flipped = list(key)
-            flipped[position] ^= 1
-            pairs.append((key, tuple(flipped)))
 
-    seen_pairs: set[tuple[KeyVector, KeyVector]] = set()
+    Each pair solves ``miner``'s miter under K1 = a, K2 = b, up to
+    :data:`PROBE_ROUNDS` times; each counterexample is blocked behind a
+    per-pair guard, which a root unit retires once the pair is done.
+    """
+    chain = zip(keys, keys[1:] + keys[:1])
+    pairs = list(combinations(keys, 2) if len(keys) <= 6 else chain)
+    for key in keys:
+        for position in {0, len(key) // 2}:
+            flipped = key[:position] + (1 - key[position],) + key[position + 1 :]
+            pairs.append((key, flipped))
+
+    solver, cnf, budget = miner.solver, miner.cnf, miner.budget
+    x_vars = list(miner.x_vars.values())
+    k1_vars, k2_vars = (list(key_vars.values()) for key_vars in miner.key_sets)
+    probes: list[dict[str, int]] = []
+    seen_pairs: set[frozenset[KeyVector]] = set()
     for key_a, key_b in pairs:
-        canonical = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        if canonical in seen_pairs or key_a == key_b:
+        pair = frozenset((key_a, key_b))
+        if len(pair) < 2 or pair in seen_pairs:
             continue
-        seen_pairs.add(canonical)
-        if budget is not None and budget.expired:
-            return
-        cnf = Cnf()
-        x_vars = {name: cnf.new_var() for name in locked.circuit_inputs}
-        enc_a = encode_under_assignment(
-            locked, cnf, fixed=dict(zip(key_names, key_a)), shared_vars=x_vars
-        )
-        enc_b = encode_under_assignment(
-            locked, cnf, fixed=dict(zip(key_names, key_b)), shared_vars=x_vars
-        )
-        diff_lits: list[int] = []
-        always_different = False
-        for out in locked.outputs:
-            a_const = enc_a.consts.get(out)
-            b_const = enc_b.consts.get(out)
-            if a_const is not None and b_const is not None:
-                if a_const != b_const:
-                    always_different = True
-                continue
-            if a_const is not None:
-                lit = enc_b.lits[out]
-                diff_lits.append(-lit if a_const else lit)
-            elif b_const is not None:
-                lit = enc_a.lits[out]
-                diff_lits.append(-lit if b_const else lit)
-            else:
-                diff_lits.append(encode_xor(cnf, enc_a.lits[out], enc_b.lits[out]))
-        if not always_different:
-            if not diff_lits:
-                continue  # the two keys are functionally identical
-            cnf.add_clause(diff_lits)
-        solver = Solver(random_phase=0.2, seed=len(seen_pairs))
-        solver.add_cnf(cnf)
-        cnf.clauses.clear()
+        seen_pairs.add(pair)
+        guard = cnf.new_var()
+        miner.load()
+        assumptions = [guard] + _assign(k1_vars, key_a) + _assign(k2_vars, key_b)
         for _ in range(PROBE_ROUNDS):
             if budget is not None and budget.expired:
-                return
-            if solver.solve(budget=budget) is not SolveStatus.SAT:
+                return probes
+            status = solver.solve(assumptions=assumptions, budget=budget)
+            if status is not SolveStatus.SAT:
                 break
-            pattern = {
-                name: int(solver.model_value(var))
-                for name, var in x_vars.items()
-            }
-            yield pattern
+            pattern = miner.model_input()
+            probes.append(pattern)
             # Block this counterexample so the next round finds a new one.
             solver.add_clause(
-                [
-                    -var if pattern[name] else var
-                    for name, var in x_vars.items()
-                ]
+                [-guard] + [-lit for lit in _assign(x_vars, pattern.values())]
             )
+        solver.add_clause([-guard])
+    return probes

@@ -14,8 +14,9 @@ base.Attack` adapter here, keyed by its CLI name:
 ====================  =====================================================
 
 Every family attacks the netlist it is given and needs key inputs to do
-so. The §VI-D IND-CPA game (:mod:`repro.attacks.indcpa`) is not one of
-them: it locks its own circuits and never reads an input netlist.
+so. The §VI-D IND-CPA game is not one of them: it locks its own
+circuits and never reads an input netlist, so it lives with its tests
+(``tests/attacks/indcpa.py``).
 
 Consumers — the CLI, the experiment suite runner, the portfolio racer,
 benchmarks and tests — resolve attacks by name through :func:`get_attack`
@@ -25,15 +26,13 @@ adapter class with the ``@register_attack`` decorator.
 
 from __future__ import annotations
 
-from repro.attacks.base import Attack, TelemetryRecorder
+from repro.attacks.base import Attack
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.fall.pipeline import fall_attack
-from repro.attacks.guess import guess_keys
+from repro.attacks.guess import guess_and_confirm
 from repro.attacks.key_confirmation import key_confirmation
-from repro.attacks.results import AttackResult, AttackStatus
 from repro.attacks.sps import sps_attack
 from repro.errors import AttackError
-from repro.utils.timer import Stopwatch
 
 _REGISTRY: dict[str, Attack] = {}
 
@@ -208,56 +207,10 @@ class GuessFamily(Attack):
     supports_checkpoint = False
 
     def run(self, locked, oracle, config):
-        stopwatch = Stopwatch()
-        telemetry = config.telemetry or TelemetryRecorder()
-        budget = config.make_budget()
-        queries_before = oracle.query_count if oracle is not None else 0
-        with telemetry.stage("guess"):
-            report = guess_keys(locked, h=config.h, budget=budget)
-        guesses = tuple(report.guesses)
-        details = {
-            "nodes_examined": report.nodes_examined,
-            "guesses": [list(guess) for guess in guesses],
-        }
-
-        def result(status, key=None, extra=None):
-            return AttackResult(
-                attack="guess",
-                status=status,
-                key=key,
-                key_names=locked.key_inputs,
-                candidates=guesses,
-                elapsed_seconds=stopwatch.elapsed,
-                oracle_queries=(
-                    oracle.query_count - queries_before
-                    if oracle is not None
-                    else 0
-                ),
-                details={**details, **(extra or {})},
-            )
-
-        if not guesses:
-            return result(
-                AttackStatus.TIMEOUT if budget.expired else AttackStatus.FAILED
-            )
-        if oracle is None:
-            # Unverified by design: confirmation is key confirmation's job.
-            return result(AttackStatus.MULTIPLE_CANDIDATES)
-        with telemetry.stage("confirm"):
-            confirmation = key_confirmation(
-                locked,
-                oracle,
-                list(guesses),
-                budget=budget,
-                telemetry=telemetry,
-            )
-        if confirmation.status is AttackStatus.SUCCESS:
-            return result(
-                AttackStatus.SUCCESS,
-                key=confirmation.key,
-                extra={
-                    "verification": confirmation.details.get("verification"),
-                    "approximate": confirmation.approximate,
-                },
-            )
-        return result(confirmation.status)
+        return guess_and_confirm(
+            locked,
+            oracle,
+            h=config.h,
+            budget=config.make_budget(),
+            telemetry=config.telemetry,
+        )

@@ -20,7 +20,7 @@ from repro.attacks.results import AttackStatus
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import AttackError
-from repro.locking import lock_random_xor, lock_sarlock, lock_ttlock
+from repro.locking import lock_random_xor, lock_sarlock, lock_sfll_hd, lock_ttlock
 from repro.sat.solver import Solver
 from repro.utils.timer import Budget
 from tests.circuits import c17
@@ -136,6 +136,13 @@ def _rand10_sarlock_sat():
     return sat_attack(locked.circuit, IOOracle(original), max_iterations=40)
 
 
+def _rand14_sfll_hd2_appsat():
+    # One validation round (iteration 4) feeds back 2 disagreements.
+    original = generate_random_circuit("corpus14", 14, 4, 110, seed=21)
+    locked = lock_sfll_hd(original, h=2, key_width=12, seed=7)
+    return appsat_attack(locked.circuit, IOOracle(original), max_iterations=40)
+
+
 def _paper_ttlock(attack):
     def run():
         original = paper_example_circuit()
@@ -153,8 +160,13 @@ def _paper_ttlock(attack):
          ("success", 0, 0, 35, 36, 3673, 0, 4, 4)),
         (_paper_ttlock(sat_attack),
          ("success", 3, 3, 15, 43, 1107, 0, 0, 13)),
+        (_rand14_sfll_hd2_appsat,
+         ("success", 7, 71, 1717, 3194, 504314, 28, 79, 4678)),
     ],
-    ids=["sat-rand10-sarlock", "double-dip-paper-ttlock", "sat-paper-ttlock"],
+    ids=[
+        "sat-rand10-sarlock", "double-dip-paper-ttlock", "sat-paper-ttlock",
+        "appsat-rand14-sfll-hd2",
+    ],
 )
 def test_search_fingerprint(run, expected):
     # The exact search of corpus cells (tests/attacks/test_e2e_corpus.py).

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.fall import pipeline
 from repro.attacks.fall.pipeline import fall_attack
 from repro.attacks.oracle import IOOracle
-from repro.attacks.results import AttackStatus
+from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
@@ -108,6 +109,26 @@ class TestComplementShortlists:
         result = fall_attack(locked.circuit, h=0, oracle=oracle)
         assert result.status is AttackStatus.SUCCESS
         assert result.key == locked.reveal_correct_key()
+
+    def test_phi_relative_confirmation_stays_approximate(self, monkeypatch):
+        # A key that confirmation checked only against the shortlist is
+        # not an exact SUCCESS, here as in key confirmation itself.
+        original = generate_random_circuit("m8", 10, 3, 70, seed=2)
+        locked = lock_sfll_hd(original, h=0, key_width=8, seed=3)
+
+        def phi_relative(circuit, oracle, candidates, budget, telemetry):
+            assert len(candidates) > 1
+            return AttackResult(
+                attack="key-confirmation",
+                status=AttackStatus.SUCCESS,
+                key=candidates[0],
+                details={"verification": "phi-relative", "approximate": True},
+            )
+
+        monkeypatch.setattr(pipeline, "key_confirmation", phi_relative)
+        result = fall_attack(locked.circuit, h=0, oracle=IOOracle(original))
+        assert result.approximate
+        assert result.details["verification"] == "phi-relative"
 
     def test_no_analysis_applies_at_half_m(self):
         # h = m/2 is outside every analysis' applicability window

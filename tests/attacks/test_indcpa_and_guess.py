@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks import guess
 from repro.attacks.guess import guess_keys
-from repro.attacks.indcpa import (
+from tests.attacks.indcpa import (
     Defender,
     adversary_advantage,
     equivalence_adversary,

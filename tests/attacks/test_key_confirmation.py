@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro.attacks import registry
-from repro.attacks.base import AttackConfig
+from repro.attacks import guess
+from repro.attacks.base import AttackConfig, TelemetryRecorder
 from repro.attacks.engine import run_attack
 from repro.attacks.guess import GuessReport
 from repro.attacks.key_confirmation import encode_key_shortlist, key_confirmation
@@ -123,7 +123,7 @@ class TestUncheckedKeys:
     def test_guess_family_keeps_the_flag(self, monkeypatch):
         original, locked, shortlist = _antisat_wrong_shortlist()
         monkeypatch.setattr(
-            registry, "guess_keys",
+            guess, "guess_keys",
             lambda circuit, h, budget: GuessReport(guesses=list(shortlist)),
         )
         result = run_attack(
@@ -139,6 +139,56 @@ class TestUncheckedKeys:
         result = key_confirmation(locked.circuit, IOOracle(original), [PAPER_CUBE])
         assert result.details["verification"] == "exact"
         assert not result.approximate
+
+
+def _sarlock_pair():
+    """SARLock (12 key bits) with the shortlist {¬K, K}: six iterations."""
+    original = generate_random_circuit("it", 12, 2, 60, seed=9)
+    locked = lock_sarlock(original, key_width=12, seed=9)
+    correct = locked.reveal_correct_key()
+    return original, locked, [complement_bits(correct), correct]
+
+
+class TestSharedLoopTelemetry:
+    """Key confirmation runs on the SAT attack's loop, so it records the
+    same ``cegis`` iteration events, each with the tier that found it."""
+
+    @staticmethod
+    def _check(events, stages):
+        assert "probe_mining" in stages
+        iterations = [e for e in events if e["kind"] == "iteration"]
+        assert iterations
+        assert {e["stage"] for e in iterations} == {"cegis"}
+        assert [e["iteration"] for e in iterations] == list(
+            range(1, len(iterations) + 1)
+        )
+        for event in iterations:
+            assert event["tier"] in (1, 2)
+            assert {"oracle_queries", "conflicts"} <= set(event)
+
+    def test_key_confirmation_emits_cegis_iterations(self):
+        original, locked, shortlist = _sarlock_pair()
+        telemetry = TelemetryRecorder()
+        result = key_confirmation(
+            locked.circuit, IOOracle(original), shortlist, telemetry=telemetry
+        )
+        assert result.status is AttackStatus.SUCCESS
+        assert result.iterations == telemetry.counters["iterations"]
+        self._check(telemetry.events, telemetry.stages)
+
+    def test_guess_family_emits_cegis_iterations(self, monkeypatch):
+        original, locked, shortlist = _sarlock_pair()
+        monkeypatch.setattr(
+            guess, "guess_keys",
+            lambda circuit, h, budget: GuessReport(guesses=list(shortlist)),
+        )
+        result = run_attack(
+            "guess", locked.circuit, IOOracle(original), AttackConfig()
+        )
+        assert result.status is AttackStatus.SUCCESS
+        telemetry = result.details["telemetry"]
+        assert {"guess", "confirm"} <= set(telemetry["stages"])
+        self._check(telemetry["events"], telemetry["stages"])
 
 
 class TestBudgetsAndErrors:
