@@ -7,14 +7,18 @@ only meaningful when success is judged uniformly. This module defines
 the shared vocabulary that makes the attack layer uniform:
 
 - :class:`AttackConfig` — one declarative configuration replacing the
-  divergent per-attack keyword plumbing (budget, seed, jobs, iteration
-  caps, checkpointing, telemetry sink, FALL's analysis selection);
+  divergent per-attack keyword plumbing (time limit, seed, jobs,
+  iteration caps, checkpointing, FALL's analysis selection); it is
+  plain, picklable data;
 - :class:`TelemetryRecorder` — a streaming lifecycle-event sink (stage
   start/finish, iterations, oracle-query counters) whose snapshot is
   recorded into ``AttackResult.details['telemetry']`` under one schema;
 - :class:`Attack` — the protocol every registered family implements:
   a ``name``, an applicability check, and ``run(locked, oracle,
-  config)`` returning an :class:`~repro.attacks.results.AttackResult`.
+  config, budget, telemetry)`` returning an
+  :class:`~repro.attacks.results.AttackResult`. The run's live state —
+  its :class:`~repro.utils.timer.Budget` and its telemetry sink — is
+  passed alongside the config, never inside it.
 
 Concrete families are registered in :mod:`repro.attacks.registry`; the
 engine layer (:mod:`repro.attacks.engine`) drives them with lifecycle
@@ -24,7 +28,7 @@ bookkeeping, checkpoint/resume and portfolio racing.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.attacks.oracle import IOOracle
 from repro.attacks.results import AttackResult
@@ -44,10 +48,9 @@ class AttackConfig:
     """Declarative configuration shared by every registered attack.
 
     ``time_limit`` is the wall-clock budget in seconds (``None`` =
-    unlimited), mirroring the paper's 1000 s per-run limit. ``budget``
-    overrides it with an externally constructed :class:`Budget` — the
-    portfolio engine uses this to inject cooperatively cancellable
-    budgets. ``analyses`` restricts FALL to the named functional
+    unlimited), mirroring the paper's 1000 s per-run limit. ``jobs`` is
+    the portfolio's worker count (``None`` = every usable core).
+    ``analyses`` restricts FALL to the named functional
     analyses (the Figure 5 harness times each one separately); every
     other family ignores it. Each family's remaining tuning is a module
     constant beside its code, so one config can drive a whole portfolio.
@@ -57,18 +60,10 @@ class AttackConfig:
     time_limit: float | None = None
     max_iterations: int | None = None
     seed: int = 0
-    jobs: int | str | None = None
+    jobs: int | None = None
     candidates: tuple[tuple[int, ...], ...] | None = None
     checkpoint_path: str | None = None
     analyses: tuple[str, ...] | None = None
-    telemetry: "TelemetryRecorder | None" = None
-    budget: Budget | None = None
-
-    def make_budget(self) -> Budget:
-        """The run's budget: the injected one, else a fresh wall clock."""
-        if self.budget is not None:
-            return self.budget
-        return Budget(self.time_limit)
 
     def determinism_key(self) -> dict:
         """The config fields a checkpoint must match to resume bit-exactly.
@@ -86,10 +81,6 @@ class AttackConfig:
             if self.candidates is not None
             else None,
         }
-
-    def stripped_for_worker(self) -> "AttackConfig":
-        """A picklable copy for process shipping (no live sink/budget)."""
-        return replace(self, telemetry=None, budget=None)
 
 
 class TelemetryRecorder:
@@ -229,8 +220,11 @@ class Attack(abc.ABC):
         locked: Circuit,
         oracle: IOOracle | None,
         config: AttackConfig,
+        budget: Budget,
+        telemetry: TelemetryRecorder,
     ) -> AttackResult:
-        """Execute the attack; always returns an :class:`AttackResult`."""
+        """Execute the attack within ``budget``, emitting into
+        ``telemetry``; always returns an :class:`AttackResult`."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Attack {self.name}>"

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 
 from repro.attacks.base import TelemetryRecorder
-from repro.attacks.oracle import IOOracle
+from repro.attacks.oracle import IOOracle, require_matching_oracle
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.compiled import pack_patterns
@@ -96,10 +96,7 @@ class _Cegis:
         self.stopwatch = Stopwatch()
         if not locked.key_inputs:
             raise AttackError("circuit has no key inputs to attack")
-        if set(oracle.input_names) != set(locked.circuit_inputs):
-            raise AttackError("oracle inputs do not match the locked netlist")
-        if set(oracle.output_names) != set(locked.outputs):
-            raise AttackError("oracle outputs do not match the locked netlist")
+        require_matching_oracle(locked, oracle)
         self.label = label
         self.locked = locked
         self.oracle = oracle

@@ -23,7 +23,9 @@ so the resumed run recovers the identical key after the identical total
 iteration count, and only the *remaining* queries hit the real oracle.
 A replay divergence (wrong circuit, changed seed, nondeterminism) is
 detected on the first mismatching query and raised loudly instead of
-silently corrupting the resume.
+silently corrupting the resume. The oracle facade serves only what
+those families call: ``query``, and ``query_sliced`` (AppSAT's
+validation rounds) as one transcript entry per pattern.
 
 Checkpoints of completed runs additionally embed the final serialized
 :class:`~repro.attacks.results.AttackResult`, so re-running a finished
@@ -155,18 +157,14 @@ def open_checkpoint(
     return existing
 
 
-def _normalize_pattern(
-    assignment: Mapping[str, int], names: Sequence[str]
-) -> dict[str, int]:
-    return {name: int(assignment[name]) for name in names}
-
-
 class CheckpointOracle:
     """An :class:`IOOracle` facade that records and replays transcripts.
 
-    Implements the full oracle interface (``query``, ``query_batch``,
-    ``query_sliced``, names, ``query_count``) so attacks
-    cannot tell it from the real thing. ``query_count`` counts replayed
+    Implements the oracle calls the checkpointable families make
+    (``query``, ``query_sliced``, names, ``query_count``) so they
+    cannot tell it from the real thing; ``query_sliced`` is built from
+    per-pattern ``query`` calls, so every pattern is replayed or
+    recorded as one transcript entry. ``query_count`` counts replayed
     answers too — the resumed run's ``oracle_queries`` metric therefore
     equals the uninterrupted run's, which is what makes the round trip
     bit-exact; ``live_queries`` tracks what actually reached the inner
@@ -237,7 +235,7 @@ class CheckpointOracle:
         self.flush()
 
     def query(self, assignment: Mapping[str, int]) -> dict[str, int]:
-        pattern = _normalize_pattern(assignment, self.input_names)
+        pattern = {name: int(assignment[name]) for name in self.input_names}
         self.query_count += 1
         replayed = self._replay_one(pattern)
         if replayed is not None:
@@ -247,35 +245,10 @@ class CheckpointOracle:
         self._record(pattern, outputs)
         return dict(outputs)
 
-    def query_batch(
-        self, assignments: Sequence[Mapping[str, int]]
-    ) -> list[dict[str, int]]:
-        patterns = [
-            _normalize_pattern(assignment, self.input_names)
-            for assignment in assignments
-        ]
-        self.query_count += len(patterns)
-        rows: list[dict[str, int]] = []
-        live_from = len(patterns)
-        for index, pattern in enumerate(patterns):
-            replayed = self._replay_one(pattern)
-            if replayed is None:
-                live_from = index
-                break
-            rows.append(replayed)
-        remainder = patterns[live_from:]
-        if remainder:
-            fresh = self._oracle.query_batch(remainder)
-            self.live_queries += len(remainder)
-            for pattern, outputs in zip(remainder, fresh):
-                self._record(pattern, outputs)
-                rows.append(dict(outputs))
-        return rows
-
     def query_sliced(
         self, assignments: Sequence[Mapping[str, int]]
     ) -> tuple[int, ...]:
-        rows = self.query_batch(assignments)
+        rows = [self.query(assignment) for assignment in assignments]
         words = [0] * len(self.output_names)
         for j, row in enumerate(rows):
             for position, name in enumerate(self.output_names):

@@ -6,11 +6,14 @@ family functions it provides:
 
 - **applicability** — preconditions (oracle present, key inputs, a
   candidate shortlist for key confirmation) become a uniform
-  ``NOT_APPLICABLE`` result instead of per-family exceptions;
-- **lifecycle telemetry** — a :class:`~repro.attacks.base.
-  TelemetryRecorder` is threaded into the attack, and its snapshot
-  (stage timings, iteration events, oracle-query / solver counters) is
-  recorded into ``AttackResult.details['telemetry']`` under one schema;
+  ``NOT_APPLICABLE`` result instead of per-family exceptions, and an
+  oracle whose input or output names differ from the netlist's is an
+  :class:`~repro.errors.AttackError` for every family;
+- **lifecycle telemetry** — a fresh :class:`~repro.attacks.base.
+  TelemetryRecorder` is passed to the attack's ``run`` beside its
+  budget, and its snapshot (stage timings, iteration events,
+  oracle-query / solver counters) is recorded into
+  ``AttackResult.details['telemetry']`` under one schema;
 - **checkpoint/resume** — with ``config.checkpoint_path``, the oracle
   transcript streams to JSON (flushed on timeout, on an exception from
   the attack and on completion) and a rerun resumes bit-exactly (see
@@ -20,35 +23,35 @@ family functions it provides:
   populated from the locked netlist.
 
 :func:`run_portfolio` races several registered attacks on one benchmark
-across the persistent worker pool (:mod:`repro.circuit.sharding`)
-shared with the suite runner. Only an exact SUCCESS is conclusive: a
-key the attack could not check (``details['approximate']``) never ends
-a race. A conclusive racer cancels the racers *after* it in the
-requested order, through per-racer cross-process events that their
-cooperative budgets poll; racers before it run on. The winner is
-therefore the earliest conclusive racer in requested order — what a
-one-worker race, an in-order sequential run with early exit, reports —
-at any number of workers, whatever the completion order. A pool that
-breaks (a worker killed) is torn down and the race finishes
-sequentially.
+through :func:`~repro.circuit.sharding.map_in_processes`, the persistent
+worker pool shared with the suite runner; the same code runs at any
+``jobs``, inline when there is one worker. Only an exact SUCCESS is
+conclusive: a key the attack could not check (``details['approximate']``)
+never ends a race. A conclusive racer sets the cancel events of the
+racers *after* it in the requested order, which their cooperative
+budgets poll; a racer whose event is set before it starts is skipped,
+and racers before it run on. The winner is therefore the earliest
+conclusive racer in requested order at any number of workers, whatever
+the completion order. A racer's exception propagates to the caller at
+any ``jobs``, and a pool that breaks (a worker killed) reruns the race
+inline.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Sequence
-from dataclasses import replace
 
 from repro.attacks.base import AttackConfig, TelemetryRecorder
-from repro.attacks.oracle import IOOracle
+from repro.attacks.oracle import IOOracle, require_matching_oracle
 from repro.attacks.registry import get_attack
 from repro.attacks.results import AttackResult, AttackStatus
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import (
+    map_in_processes,
     pool_allowed,
-    pool_executor,
     resolve_jobs,
-    shutdown_pool,
 )
 from repro.errors import AttackError
 from repro.utils.timer import Budget
@@ -64,8 +67,13 @@ def run_attack(
     locked: Circuit,
     oracle: IOOracle | None = None,
     config: AttackConfig | None = None,
+    budget: Budget | None = None,
 ) -> AttackResult:
-    """Run one registered attack with full engine lifecycle support."""
+    """Run one registered attack with full engine lifecycle support.
+
+    ``budget`` defaults to a fresh ``Budget(config.time_limit)``; the
+    portfolio racer passes a cancellable one.
+    """
     attack = get_attack(name)
     config = config or AttackConfig()
     reason = attack.applicability(locked, oracle, config)
@@ -76,8 +84,12 @@ def run_attack(
             key_names=locked.key_inputs,
             details={"reason": reason},
         ).sanitized()
+    if oracle is not None:
+        # For every family, so a portfolio's first racer, which always
+        # runs, raises it at any jobs.
+        require_matching_oracle(locked, oracle)
 
-    telemetry = config.telemetry or TelemetryRecorder()
+    telemetry = TelemetryRecorder()
     checkpoint_oracle = None
     run_oracle = oracle
     checkpoint_unsupported = False
@@ -120,10 +132,11 @@ def run_attack(
                 recorded_queries=len(checkpoint.queries),
             )
 
-    run_config = replace(config, telemetry=telemetry)
+    if budget is None:
+        budget = Budget(config.time_limit)
     try:
         with telemetry.stage("run", attack=attack.name):
-            result = attack.run(locked, run_oracle, run_config)
+            result = attack.run(locked, run_oracle, config, budget, telemetry)
     except BaseException:
         # Interrupted (Ctrl-C included): keep the transcript so far, so
         # a resume replays it instead of re-querying the oracle.
@@ -169,8 +182,8 @@ class _RaceBudget(Budget):
     checks every few hundred conflicts), so cancellation rides the
     existing mechanism: once the event is set, ``remaining`` collapses
     to zero and the attack unwinds with a TIMEOUT at its next check.
-    Event polling is throttled to one IPC round trip per
-    :data:`_CANCEL_POLL_SECONDS`.
+    Event polling is throttled to one round trip per
+    :data:`_CANCEL_POLL_SECONDS` (an IPC call for a manager event).
     """
 
     def __init__(self, seconds, event):
@@ -181,14 +194,14 @@ class _RaceBudget(Budget):
 
     @property
     def remaining(self) -> float:
-        if not self._cancelled and self._event is not None:
+        if not self._cancelled:
             now = time.monotonic()
             if now - self._last_poll >= _CANCEL_POLL_SECONDS:
                 self._last_poll = now
                 try:
                     if self._event.is_set():
                         self._cancelled = True
-                except (EOFError, BrokenPipeError, ConnectionError):
+                except (EOFError, OSError):
                     # The manager went away (race already torn down);
                     # treat it as cancellation.
                     self._cancelled = True
@@ -204,45 +217,43 @@ class _RaceBudget(Budget):
         poll only the child; a plain child would outlive a cancelled
         race for its whole slice, so children share the cancel event.
         """
-        cap = self.remaining if seconds is None else min(
-            seconds, self.remaining
-        )
-        if cap == float("inf"):
-            return _RaceBudget(None, self._event)
-        return _RaceBudget(cap, self._event)
+        return _RaceBudget(Budget.sub(self, seconds).seconds, self._event)
 
     @property
     def cancelled(self) -> bool:
         return self._cancelled
 
 
-def _conclusive(result: AttackResult | None) -> bool:
-    return (
-        result is not None
-        and result.status is AttackStatus.SUCCESS
-        and not result.approximate
-    )
+def _conclusive(result: AttackResult) -> bool:
+    return result.status is AttackStatus.SUCCESS and not result.approximate
 
 
 def _portfolio_task(payload: tuple) -> AttackResult | None:
-    """Worker entry: rebuild the benchmark, run one racer, return result."""
+    """Run racer ``index`` unless a conclusive racer before it has
+    already cancelled it (``None``: skipped).
+
+    The benchmark is rebuilt from its specs, in a pool worker or inline
+    alike. A conclusive result sets the cancel events of every racer
+    after this one, never one before it.
+    """
     from repro.circuit.spec import circuit_from_spec
 
-    name, locked_spec, oracle_spec, config, cancel = payload
+    index, name, locked_spec, oracle_spec, config, cancels = payload
+    if cancels[index].is_set():
+        return None
     locked = circuit_from_spec(locked_spec)
     oracle = (
         IOOracle(circuit_from_spec(oracle_spec))
         if oracle_spec is not None
         else None
     )
-    budget = _RaceBudget(config.time_limit, cancel)
-    config = replace(config, budget=budget)
-    try:
-        result = run_attack(name, locked, oracle, config)
-    except AttackError:
-        return None
+    budget = _RaceBudget(config.time_limit, cancels[index])
+    result = run_attack(name, locked, oracle, config, budget)
     if budget.cancelled and result.status is AttackStatus.TIMEOUT:
         result.details["cancelled"] = True
+    elif _conclusive(result):
+        for later in cancels[index + 1:]:
+            later.set()
     return result
 
 
@@ -263,12 +274,14 @@ def run_portfolio(
     available outcome.
 
     ``config.jobs`` (``None`` = every usable core) sets the number of
-    pool workers. With one worker the attacks run sequentially in the
-    requested order and the race stops at the first conclusive result.
-    With more workers a conclusive racer cancels only the racers after
+    pool workers; one worker runs the racers inline in the requested
+    order. Either way a conclusive racer cancels only the racers after
     it, so the same winner is reported whenever the racers' own
-    outcomes are deterministic.
+    outcomes are deterministic, and an exception from any racer
+    propagates.
     """
+    from repro.circuit.spec import circuit_spec
+
     names = list(names)
     if not names:
         raise AttackError("portfolio needs at least one attack name")
@@ -285,88 +298,27 @@ def run_portfolio(
             "individual attacks instead"
         )
     workers = min(resolve_jobs(config.jobs), len(names))
-    results = None
-    if workers > 1 and pool_allowed():
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            results, cancelled = _race_in_processes(
-                names, locked, oracle, config, workers
-            )
-        except BrokenProcessPool:
-            # A worker died (OOM kill, segfault): drop the dead executor
-            # so later calls start a fresh one, and rerun the race here.
-            shutdown_pool()
-    if results is None:
-        results, cancelled = _race_sequentially(names, locked, oracle, config)
-    return _pick_winner(names, results, cancelled)
-
-
-def _race_sequentially(names, locked, oracle, config):
-    results: dict[str, AttackResult | None] = {}
-    skipped = False
-    for name in names:
-        if skipped:
-            results[name] = None
-            continue
-        results[name] = run_attack(name, locked, oracle, config)
-        if _conclusive(results[name]):
-            skipped = True  # later racers never start: clean early exit
-    return results, set()
-
-
-def _race_in_processes(names, locked, oracle, config, workers):
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.circuit.spec import circuit_spec
-
     locked_spec = circuit_spec(locked)
-    oracle_spec = (
-        circuit_spec(oracle.circuit) if oracle is not None else None
-    )
-    shipped_config = config.stripped_for_worker()
-    manager = multiprocessing.Manager()
-    results: dict[str, AttackResult | None] = {name: None for name in names}
-    cancelled: set[str] = set()
-    try:
-        # One cancel event per racer: a conclusive racer sets the events
-        # of the racers after it in requested order, never its own or
-        # an earlier racer's, so completion order cannot pick the winner.
+    oracle_spec = circuit_spec(oracle.circuit) if oracle is not None else None
+    manager = None
+    if workers > 1 and pool_allowed():
+        import multiprocessing
+
+        # Cross-process events for racers in pool workers.
+        manager = multiprocessing.Manager()
         cancels = [manager.Event() for _ in names]
-        pool = pool_executor(workers)
-        futures = {
-            pool.submit(
-                _portfolio_task,
-                (name, locked_spec, oracle_spec, shipped_config, cancel),
-            ): index
-            for index, (name, cancel) in enumerate(zip(names, cancels))
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures[future]
-                name = names[index]
-                try:
-                    results[name] = future.result()
-                except BrokenProcessPool:
-                    raise
-                except Exception:
-                    results[name] = None
-                if _conclusive(results[name]):
-                    for later in cancels[index + 1:]:
-                        later.set()
-        for name, result in results.items():
-            if (
-                result is not None
-                and result.details.get("cancelled")
-            ):
-                cancelled.add(name)
+    else:
+        cancels = [threading.Event() for _ in names]
+    payloads = [
+        (index, name, locked_spec, oracle_spec, config, cancels)
+        for index, name in enumerate(names)
+    ]
+    try:
+        results = map_in_processes(_portfolio_task, payloads, workers)
     finally:
-        manager.shutdown()
-    return results, cancelled
+        if manager is not None:
+            manager.shutdown()
+    return _pick_winner(names, dict(zip(names, results)))
 
 
 _STATUS_RANK = {
@@ -378,18 +330,16 @@ _STATUS_RANK = {
 }
 
 
-def _pick_winner(names, results, cancelled) -> AttackResult:
+def _pick_winner(names, results) -> AttackResult:
     # An approximate SUCCESS ranks below an exact one and above
-    # every other status.
-    ranked = sorted(
+    # every other status. The first racer always runs: nothing before
+    # it can cancel it.
+    winner_name = min(
         (name for name in names if results[name] is not None),
         key=lambda name: (_STATUS_RANK[results[name].status],
                           results[name].approximate,
                           names.index(name)),
     )
-    if not ranked:
-        raise AttackError("portfolio produced no results")
-    winner_name = ranked[0]
     winner = results[winner_name]
     summary = {}
     for name in names:
@@ -402,7 +352,7 @@ def _pick_winner(names, results, cancelled) -> AttackResult:
             "elapsed_seconds": result.elapsed_seconds,
             "oracle_queries": result.oracle_queries,
             "iterations": result.iterations,
-            "cancelled": name in cancelled,
+            "cancelled": bool(result.details.get("cancelled")),
         }
     winner.details["portfolio"] = {
         "winner": winner_name,

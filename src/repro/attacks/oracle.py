@@ -113,3 +113,12 @@ class IOOracle:
         """Packed outputs of one pass with pattern ``j`` in bit ``j``."""
         packed = pack_patterns(self.input_names, assignments)
         return sweep_outputs(self._circuit, packed, len(assignments))
+
+
+def require_matching_oracle(locked: Circuit, oracle: IOOracle) -> None:
+    """Raise :class:`~repro.errors.AttackError` unless ``oracle`` takes
+    the locked netlist's non-key inputs and gives its outputs, by name."""
+    if set(oracle.input_names) != set(locked.circuit_inputs):
+        raise AttackError("oracle inputs do not match the locked netlist")
+    if set(oracle.output_names) != set(locked.outputs):
+        raise AttackError("oracle outputs do not match the locked netlist")

@@ -85,14 +85,14 @@ class FallAttackFamily(Attack):
     # promise to replay the recorded transcript.
     supports_checkpoint = False
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return fall_attack(
             locked,
             h=config.h,
             oracle=oracle,
-            budget=config.make_budget(),
+            budget=budget,
             analyses=config.analyses,
-            telemetry=config.telemetry,
+            telemetry=telemetry,
         )
 
 
@@ -103,13 +103,13 @@ class SatAttackFamily(Attack):
     requires_oracle = True
     supports_checkpoint = True
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return sat_attack(
             locked,
             oracle,
-            budget=config.make_budget(),
+            budget=budget,
             max_iterations=config.max_iterations,
-            telemetry=config.telemetry,
+            telemetry=telemetry,
         )
 
 
@@ -120,14 +120,14 @@ class AppSatFamily(Attack):
     requires_oracle = True
     supports_checkpoint = True
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return appsat_attack(
             locked,
             oracle,
-            budget=config.make_budget(),
+            budget=budget,
             max_iterations=config.max_iterations,
             seed=config.seed,
-            telemetry=config.telemetry,
+            telemetry=telemetry,
         )
 
 
@@ -138,13 +138,13 @@ class DoubleDipFamily(Attack):
     requires_oracle = True
     supports_checkpoint = True
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return double_dip_attack(
             locked,
             oracle,
-            budget=config.make_budget(),
+            budget=budget,
             max_iterations=config.max_iterations,
-            telemetry=config.telemetry,
+            telemetry=telemetry,
         )
 
 
@@ -154,9 +154,9 @@ class SpsFamily(Attack):
     description = "Signal Probability Skew removal attack (oracle-less)"
     requires_oracle = False
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return sps_attack(
-            locked, seed=config.seed, telemetry=config.telemetry
+            locked, seed=config.seed, telemetry=telemetry
         )
 
 
@@ -164,7 +164,9 @@ class SpsFamily(Attack):
 class KeyConfirmationFamily(Attack):
     name = "key-confirmation"
     description = (
-        "SAT-based key confirmation of a candidate shortlist (paper Alg. 4)"
+        "SAT-based key confirmation of a candidate shortlist (paper Alg. "
+        "4); the shortlist is AttackConfig.candidates, so it runs from "
+        "the library only"
     )
     requires_oracle = True
     # Not checkpointable: probe mining truncates on the wall-clock
@@ -183,14 +185,14 @@ class KeyConfirmationFamily(Attack):
             )
         return None
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return key_confirmation(
             locked,
             oracle,
             list(config.candidates),
-            budget=config.make_budget(),
+            budget=budget,
             max_iterations=config.max_iterations,
-            telemetry=config.telemetry,
+            telemetry=telemetry,
         )
 
 
@@ -206,11 +208,11 @@ class GuessFamily(Attack):
     # Inherits key-confirmation's wall-clock-dependent query prefix.
     supports_checkpoint = False
 
-    def run(self, locked, oracle, config):
+    def run(self, locked, oracle, config, budget, telemetry):
         return guess_and_confirm(
             locked,
             oracle,
             h=config.h,
-            budget=config.make_budget(),
-            telemetry=config.telemetry,
+            budget=budget,
+            telemetry=telemetry,
         )

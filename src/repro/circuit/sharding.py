@@ -5,10 +5,11 @@ run_suite`) and portfolio racers (:func:`repro.attacks.engine.
 run_portfolio`) — runs on one shared
 :class:`~concurrent.futures.ProcessPoolExecutor` that starts lazily and
 persists across calls. The worker count is an explicit ``jobs``
-argument: a positive int, or ``None``/``"auto"`` for every usable CPU
-core. ``jobs=1``, a single item, or a caller that is itself a pool
-worker (or any daemonic process) runs inline instead; worker processes
-never start nested pools.
+argument: a positive int, or ``None`` for every usable CPU core (the
+CLIs' ``--jobs`` parser turns ``auto`` into ``None``). ``jobs=1``, a
+single item, or a caller that is itself a pool worker (or any daemonic
+process) runs inline instead; worker processes never start nested
+pools.
 
 The ``sweep_*`` functions are the attack code's calls into bit-sliced
 simulation. Each takes packed input words and a width and evaluates
@@ -28,33 +29,6 @@ from repro.circuit.compiled import canonical_input_words, compile_circuit
 from repro.errors import CircuitError
 
 
-def parse_jobs(value: int | str | None) -> int | None:
-    """Normalize a jobs request; ``None`` means *auto* (CPU count).
-
-    Accepts a positive int, a positive-int string, ``"auto"``, or
-    ``None``/empty (both auto). Anything else raises
-    :class:`~repro.errors.CircuitError`.
-    """
-    if value is None:
-        return None
-    if isinstance(value, int):
-        jobs = value
-    else:
-        text = value.strip().lower()
-        if not text or text == "auto":
-            return None
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise CircuitError(
-                f"invalid jobs value {value!r}: expected a positive "
-                "integer or 'auto'"
-            ) from None
-    if jobs < 1:
-        raise CircuitError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def cpu_jobs() -> int:
     """The *auto* worker count: usable CPU cores (affinity-aware)."""
     try:
@@ -63,10 +37,17 @@ def cpu_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_jobs(jobs: int | str | None = None) -> int:
-    """Resolve a jobs request to a concrete worker count."""
-    parsed = parse_jobs(jobs)
-    return cpu_jobs() if parsed is None else parsed
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Resolve a jobs request to a concrete worker count.
+
+    ``None`` means *auto* (:func:`cpu_jobs`); a count below 1 raises
+    :class:`~repro.errors.CircuitError`.
+    """
+    if jobs is None:
+        return cpu_jobs()
+    if jobs < 1:
+        raise CircuitError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 # ----------------------------------------------------------------------
@@ -79,29 +60,12 @@ _POOL = None  # the ProcessPoolExecutor, once started
 _POOL_WORKERS = 0
 
 
-def _pool_disallowed() -> bool:
-    """Whether this process must not spawn (more) pool workers.
-
-    True inside our own pool workers (no nested pools) and inside any
-    daemonic multiprocessing worker, where spawning children raises —
-    such callers silently take the inline path instead.
-    """
-    import multiprocessing
-
-    return _IN_WORKER or multiprocessing.current_process().daemon
-
-
 def _init_worker() -> None:
     """Mark a pool worker: no nested pools, no inherited pool handles."""
     global _IN_WORKER, _POOL, _POOL_WORKERS
     _IN_WORKER = True
     _POOL = None
     _POOL_WORKERS = 0
-
-
-def _call(fn, item):
-    """Top-level apply helper (bound methods don't pickle portably)."""
-    return fn(item)
 
 
 def _get_pool(workers: int):
@@ -133,17 +97,16 @@ def pool_is_running() -> bool:
     return _POOL is not None
 
 
-def pool_executor(workers: int):
-    """The persistent executor, grown to ``workers``, for submit-style
-    consumers (the attack portfolio racer) that need futures rather than
-    the order-preserving :func:`map_in_processes`. Callers must check
-    :func:`pool_allowed` themselves."""
-    return _get_pool(workers)
-
-
 def pool_allowed() -> bool:
-    """Whether this process may dispatch work to the pool."""
-    return not _pool_disallowed()
+    """Whether this process may dispatch work to the pool.
+
+    False inside our own pool workers (no nested pools) and inside any
+    daemonic multiprocessing worker, where spawning children raises —
+    such callers silently take the inline path instead.
+    """
+    import multiprocessing
+
+    return not (_IN_WORKER or multiprocessing.current_process().daemon)
 
 
 def shutdown_pool() -> None:
@@ -166,13 +129,13 @@ def _run_sharded(fn, items: list, workers: int) -> list | None:
 
     try:
         pool = _get_pool(workers)
-        return list(pool.map(_call, [fn] * len(items), items))
+        return list(pool.map(fn, items))
     except BrokenProcessPool:
         shutdown_pool()
         return None
 
 
-def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
+def map_in_processes(fn, items: Sequence, jobs: int | None = None):
     """Order-preserving map over the persistent pool.
 
     ``fn`` and every item must be picklable. With one resolved worker
@@ -181,7 +144,7 @@ def map_in_processes(fn, items: Sequence, jobs: int | str | None = None):
     """
     items = list(items)
     workers = resolve_jobs(jobs)
-    if workers > 1 and len(items) > 1 and not _pool_disallowed():
+    if workers > 1 and len(items) > 1 and pool_allowed():
         results = _run_sharded(fn, items, min(workers, len(items)))
         if results is not None:
             return results

@@ -28,10 +28,10 @@ import sys
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
-from repro.attacks.registry import all_attacks, attack_names, get_attack
+from repro.attacks.registry import all_attacks, attack_names
+from repro.attacks.results import AttackStatus
 from repro.circuit.bench_io import read_bench, save_bench
-from repro.circuit.sharding import parse_jobs
-from repro.errors import AttackError, CircuitError, LockingError, ReproError
+from repro.errors import AttackError, LockingError, ReproError
 from repro.locking import (
     lock_antisat,
     lock_random_xor,
@@ -39,14 +39,6 @@ from repro.locking import (
     lock_sfll_hd,
     lock_ttlock,
 )
-
-
-def _jobs(value: str) -> int | None:
-    """argparse type for ``--jobs``: a positive int, or ``None`` (auto)."""
-    try:
-        return parse_jobs(value)
-    except CircuitError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _at_least(convert, low, what: str):
@@ -69,6 +61,14 @@ def _at_least(convert, low, what: str):
 _positive_int = _at_least(int, 1, "a positive integer")
 _non_negative_int = _at_least(int, 0, "a non-negative integer")
 _non_negative_float = _at_least(float, 0.0, "a non-negative number")
+
+
+def _jobs(value: str) -> int | None:
+    """argparse type for ``--jobs``: a positive int, or ``None`` for
+    ``auto`` or an empty value (every usable core)."""
+    if value.strip().lower() in ("", "auto"):
+        return None
+    return _positive_int(value)
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser, what: str) -> None:
@@ -258,14 +258,15 @@ def main_attack(argv: list[str] | None = None) -> int:
         if args.oracle:
             oracle = IOOracle(_read_netlist(parser, args.oracle))
         if args.portfolio is None:
-            if oracle is None and get_attack(args.attack).requires_oracle:
-                parser.error(f"the {args.attack} attack requires --oracle")
             result = run_attack(args.attack, locked, oracle, config)
         else:
             names = _portfolio_names(args.portfolio)
             result = run_portfolio(names, locked, oracle, config)
     except AttackError as error:
         parser.error(str(error))
+    if result.status is AttackStatus.NOT_APPLICABLE:
+        # Nothing ran (every racer, for a portfolio): say why.
+        parser.error(result.details["reason"])
     if args.portfolio is not None:
         portfolio = result.details["portfolio"]
         print(f"portfolio winner: {portfolio['winner']}")

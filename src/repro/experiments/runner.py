@@ -194,12 +194,13 @@ def run_suite_task(task: SuiteTask) -> RunRecord:
 
 
 def run_suite(
-    tasks: list[SuiteTask], jobs: int | str | None = None
+    tasks: list[SuiteTask], jobs: int | None = None
 ) -> list[RunRecord]:
     """Run a list of suite cells, optionally across worker processes.
 
-    ``jobs`` is the worker count (``None`` or ``"auto"`` = every usable
-    core); ``jobs=1`` runs sequentially in this process. Records are returned in task order either way, so
-    summaries merged from them are independent of the worker count.
+    ``jobs`` is the worker count (``None`` = every usable core);
+    ``jobs=1`` runs sequentially in this process. Records are returned
+    in task order either way, so summaries merged from them are
+    independent of the worker count.
     """
     return map_in_processes(run_suite_task, tasks, jobs=jobs)

@@ -43,7 +43,7 @@ class SummaryStats:
         return self.unique_key / self.defeated if self.defeated else 0.0
 
 
-def run_summary(scale: Scale, jobs: int | str | None = None) -> SummaryStats:
+def run_summary(scale: Scale, jobs: int | None = None) -> SummaryStats:
     """Sweep the grid with oracle-less FALL and fold the records into
     headline statistics.
 
@@ -86,7 +86,7 @@ def _is_complement_pair(record: RunRecord) -> bool:
 
 
 def main(
-    scale: Scale, csv_path: str | None = None, jobs: int | str | None = None
+    scale: Scale, csv_path: str | None = None, jobs: int | None = None
 ) -> str:
     stats = run_summary(scale, jobs=jobs)
     rows = [record.row() for record in stats.records]

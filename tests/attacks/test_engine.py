@@ -299,6 +299,36 @@ class TestPortfolio:
             assert check_equivalence(original, unlocked).proved
         assert results[0].key == results[1].key
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_later_racers_are_skipped_at_any_jobs(self, jobs):
+        """A racer whose cancel event is set before it starts never
+        runs: with two workers appsat starts only after fall or sat
+        finishes, and fall concludes long before the SAT attack."""
+        original, locked = _benchmark("ttlock")
+        result = run_portfolio(
+            ["fall", "sat", "appsat"], locked.circuit, IOOracle(original),
+            AttackConfig(time_limit=_TIME_LIMIT, jobs=jobs),
+        )
+        portfolio = result.details["portfolio"]
+        assert portfolio["winner"] == "fall"
+        assert portfolio["conclusive"]
+        assert portfolio["attacks"]["appsat"]["status"] == "skipped"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cell", ["sarlock", "ttlock"])
+    def test_racer_errors_do_not_depend_on_jobs(self, cell, jobs):
+        """An oracle whose output names differ from the netlist's is an
+        error at every worker count, not a silently skipped racer: on
+        SARLock fall fails and sat runs, on TTLock fall concludes
+        first."""
+        original, locked = _benchmark(cell)
+        renamed = original.renamed({"y0": "zz"})
+        with pytest.raises(AttackError, match="oracle outputs do not match"):
+            run_portfolio(
+                ["fall", "sat"], locked.circuit, IOOracle(renamed),
+                AttackConfig(time_limit=_TIME_LIMIT, jobs=jobs),
+            )
+
     def test_broken_pool_falls_back_to_a_sequential_race(self):
         """A pool that lost a worker must not fail this race or later
         ones: the dead executor is dropped and the race finishes."""
@@ -313,7 +343,7 @@ class TestPortfolio:
         expected = race(1)
         sharding.shutdown_pool()
         try:
-            killed = sharding.pool_executor(2).submit(os._exit, 1)
+            killed = sharding._get_pool(2).submit(os._exit, 1)
             with pytest.raises(BrokenProcessPool):
                 killed.result()
             for _ in range(2):

@@ -18,7 +18,6 @@ from repro.circuit import sharding
 from repro.circuit.compiled import compile_circuit, pack_patterns
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.sharding import (
-    parse_jobs,
     resolve_jobs,
     sweep_node_values,
     sweep_outputs,
@@ -47,32 +46,22 @@ def fresh_pool():
 
 
 class TestJobsParsing:
-    def test_auto_and_empty_mean_auto(self):
-        assert parse_jobs(None) is None
-        assert parse_jobs("auto") is None
-        assert parse_jobs("  AUTO ") is None
-        assert parse_jobs("") is None
+    """``jobs`` is an int or ``None`` here; the CLIs parse strings."""
 
     def test_integers_parse(self):
-        assert parse_jobs(3) == 3
-        assert parse_jobs("4") == 4
-        assert parse_jobs(" 2 ") == 2
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(1) == 1
 
-    @pytest.mark.parametrize("bad", ["zero", "1.5", "-", "2x"])
-    def test_non_numeric_rejected(self, bad):
-        with pytest.raises(CircuitError, match="invalid jobs value"):
-            parse_jobs(bad)
-
-    @pytest.mark.parametrize("bad", [0, -1, "0", "-7"])
+    @pytest.mark.parametrize("bad", [0, -1, -7])
     def test_non_positive_rejected(self, bad):
         with pytest.raises(CircuitError, match="jobs must be >= 1"):
-            parse_jobs(bad)
+            resolve_jobs(bad)
 
     def test_resolution_reads_only_the_argument(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_JOBS", "5")
         assert resolve_jobs(2) == 2
         assert resolve_jobs() == sharding.cpu_jobs()
-        assert resolve_jobs("auto") == sharding.cpu_jobs()
+        assert resolve_jobs(None) == sharding.cpu_jobs()
 
 
 class TestCircuitSpecRoundTrip:

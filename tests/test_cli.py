@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ from repro.circuit.bench_io import read_bench, save_bench
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
-from repro.cli import main_attack, main_experiments, main_lock
+from repro.cli import _jobs, main_attack, main_experiments, main_lock
 from repro.locking import lock_ttlock
 
 
@@ -100,6 +101,28 @@ class TestAttackCommand:
         with pytest.raises(SystemExit):
             main_attack([str(locked_path), "--attack", "sat"])
 
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            pytest.param(["--attack", "sat"], "sat requires an I/O oracle",
+                         id="sat-without-oracle"),
+            pytest.param(["--attack", "key-confirmation", "--oracle", None],
+                         "needs a candidate shortlist",
+                         id="key-confirmation-without-shortlist"),
+        ],
+    )
+    def test_not_applicable_is_a_usage_error_with_its_reason(
+        self, bench_file, tmp_path, capsys, args, reason
+    ):
+        locked_path = tmp_path / "locked.bench"
+        main_lock([str(bench_file), str(locked_path), "--scheme", "ttlock"])
+        capsys.readouterr()
+        args = [str(bench_file) if arg is None else arg for arg in args]
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(locked_path), *args])
+        assert excinfo.value.code == 2
+        assert reason in capsys.readouterr().err
+
     def test_sat_attack_end_to_end(self, bench_file, tmp_path, capsys):
         locked_path = tmp_path / "locked.bench"
         main_lock([str(bench_file), str(locked_path), "--scheme", "ttlock"])
@@ -158,6 +181,11 @@ class TestAttackCommand:
         assert len(out.splitlines()) == len(attack_names()) == 7
         for name in attack_names():
             assert name in out
+        (line,) = [
+            line for line in out.splitlines()
+            if line.startswith("key-confirmation ")
+        ]
+        assert "shortlist" in line and "library only" in line
 
     def test_indcpa_is_not_an_attack(self, bench_file, tmp_path, capsys):
         """The §VI-D game never reads its input netlist, so it is not
@@ -446,6 +474,25 @@ class TestJobsFlag:
             [str(locked_file), "--oracle", str(bench_file),
              "--jobs", "auto"]
         ) == 0
+
+    def test_auto_and_empty_mean_auto(self):
+        assert _jobs("auto") is None
+        assert _jobs("  AUTO ") is None
+        assert _jobs("") is None
+
+    def test_integers_parse(self):
+        assert _jobs("4") == 4
+        assert _jobs(" 2 ") == 2
+
+    @pytest.mark.parametrize("bad", ["zero", "1.5", "-", "2x"])
+    def test_non_numeric_rejected(self, bad):
+        with pytest.raises(argparse.ArgumentTypeError, match="positive"):
+            _jobs(bad)
+
+    @pytest.mark.parametrize("bad", ["0", "-7"])
+    def test_non_positive_rejected(self, bad):
+        with pytest.raises(argparse.ArgumentTypeError, match="positive"):
+            _jobs(bad)
 
     @pytest.mark.parametrize("bad", ["0", "-2", "banana", "1.5"])
     def test_invalid_jobs_flag_is_a_usage_error(
