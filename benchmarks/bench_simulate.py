@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -36,7 +37,6 @@ from repro.circuit.analysis import extract_cone
 from repro.circuit.compiled import compile_circuit, pack_patterns
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate_interpreted
-from repro.utils.rng import make_rng
 
 _REPEATS = 5
 _MIN_SLICED_SPEEDUP = 40.0
@@ -69,7 +69,7 @@ def _interleaved_best_of(*fns) -> list[float]:
 def bench_wide_simulation() -> dict:
     circuit = generate_random_circuit("bench_wide", 24, 8, 600, seed=11)
     patterns = 4096
-    rng = make_rng(0)
+    rng = random.Random(0)
     values = {name: rng.getrandbits(patterns) for name in circuit.inputs}
     rounds = 10
 
@@ -94,7 +94,7 @@ def bench_wide_simulation() -> dict:
 
 def bench_oracle_queries() -> dict:
     circuit = generate_random_circuit("bench_oracle", 20, 6, 400, seed=23)
-    rng = make_rng(1)
+    rng = random.Random(1)
     queries = [
         {name: rng.getrandbits(1) for name in circuit.inputs}
         for _ in range(1000)
@@ -143,7 +143,7 @@ def bench_prefilter_sweep() -> dict:
         for cone in cones:
             inputs = list(cone.inputs)
             output_node = cone.outputs[0]
-            rng = make_rng(0)
+            rng = random.Random(0)
             base = {name: rng.getrandbits(patterns) for name in inputs}
             mask = (1 << patterns) - 1
             for pivot in inputs:
@@ -167,7 +167,7 @@ def bench_prefilter_sweep() -> dict:
 
     def compiled():
         for cone in cones:
-            passes_unateness_sim(cone, patterns=patterns, seed=0)
+            passes_unateness_sim(cone)
 
     return {
         "workload": f"unateness sweep over {len(cones)} cones",
@@ -187,7 +187,7 @@ def bench_sliced_sweep() -> dict:
     """
     circuit = generate_random_circuit("bench_sliced", 24, 8, 600, seed=11)
     patterns = 4096
-    rng = make_rng(2)
+    rng = random.Random(2)
     rows = [
         {name: rng.getrandbits(1) for name in circuit.inputs}
         for _ in range(patterns)

@@ -11,6 +11,8 @@ the history the paper tells in §I:
 - SFLL resists all of the above — and falls to FALL.
 """
 
+import random
+
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.fall.pipeline import fall_attack
 from repro.attacks.oracle import IOOracle
@@ -54,9 +56,8 @@ def approx_verdict(original, locked, result) -> str:
     if result.status is not AttackStatus.SUCCESS or result.key is None:
         return f"resisted ({result.attack}: {result.status.value})"
     from repro.circuit.simulate import simulate
-    from repro.utils.rng import make_rng
 
-    rng = make_rng(5)
+    rng = random.Random(5)
     patterns = 4096
     values = {n: rng.getrandbits(patterns) for n in original.inputs}
     golden = simulate(original, values, width=patterns)

@@ -10,6 +10,7 @@ that the corruption of a wrong key is much larger than TTLock's
 2-patterns-in-2^n (§II-B2).
 """
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -18,12 +19,11 @@ from repro.circuit.equivalence import check_equivalence
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.circuit.simulate import simulate
 from repro.locking import lock_sfll_hd, lock_ttlock
-from repro.utils.rng import make_rng
 
 
 def error_rate(locked, key, original, patterns: int = 4096) -> float:
     """Fraction of sampled inputs where the keyed circuit mismatches."""
-    rng = make_rng(123)
+    rng = random.Random(123)
     values = {name: rng.getrandbits(patterns) for name in original.inputs}
     golden = simulate(original, values, width=patterns)
     keyed = dict(values)
@@ -63,7 +63,7 @@ def main() -> None:
         print(f"  activation with correct key: equivalent = {ok}")
 
         # Output corruption under wrong keys (mean over a few keys).
-        rng = make_rng(9)
+        rng = random.Random(9)
         rates = []
         for _ in range(5):
             wrong = tuple(rng.getrandbits(1) for _ in correct)

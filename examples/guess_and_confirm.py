@@ -13,6 +13,8 @@ It exits 1 unless the confirmed key unlocks the circuit (CEC) and the
 all-wrong shortlist comes back ⊥.
 """
 
+import random
+
 from repro.attacks.guess import guess_keys
 from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.oracle import IOOracle
@@ -20,7 +22,6 @@ from repro.attacks.results import AttackStatus
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.locking import lock_sfll_hd
-from repro.utils.rng import make_rng
 
 
 def main() -> int:
@@ -34,7 +35,7 @@ def main() -> int:
         print(f"  guess: {''.join(map(str, guess))}  (unverified)")
 
     # Salt the shortlist with wrong keys, as an imperfect ML guesser would.
-    rng = make_rng(7)
+    rng = random.Random(7)
     shortlist = list(report.guesses)
     while len(shortlist) < 5:
         noise = tuple(rng.getrandbits(1) for _ in range(12))

@@ -8,8 +8,8 @@ attack, AppSAT, Double DIP and key confirmation
 loop state, :mod:`repro.attacks.cegis`'s ``_Cegis``: key confirmation's
 P and Q are its key solver and its two-copy miter.
 
-Since the unified-engine refactor, every family is registered behind the
-uniform :class:`~repro.attacks.base.Attack` interface and driven through
+Every family is one :class:`~repro.attacks.registry.Attack` record in
+the registry's table and is driven through
 :func:`~repro.attacks.engine.run_attack` /
 :func:`~repro.attacks.engine.run_portfolio`; the per-family functions
 remain importable from their defining modules for direct,

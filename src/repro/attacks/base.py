@@ -1,10 +1,10 @@
-"""The uniform attack interface: config, telemetry, and the protocol.
+"""The shared attack vocabulary: config and telemetry.
 
 The paper's evaluation (§VI) is a comparison *across attack families* —
 FALL vs. the SAT attack vs. AppSAT on the same locked benchmarks — and
 the one-key-premise critique (Hu et al.) argues such comparisons are
 only meaningful when success is judged uniformly. This module defines
-the shared vocabulary that makes the attack layer uniform:
+what every family is handed:
 
 - :class:`AttackConfig` — one declarative configuration replacing the
   divergent per-attack keyword plumbing (time limit, seed, jobs,
@@ -12,28 +12,22 @@ the shared vocabulary that makes the attack layer uniform:
   plain, picklable data;
 - :class:`TelemetryRecorder` — a streaming lifecycle-event sink (stage
   start/finish, iterations, oracle-query counters) whose snapshot is
-  recorded into ``AttackResult.details['telemetry']`` under one schema;
-- :class:`Attack` — the protocol every registered family implements:
-  a ``name``, an applicability check, and ``run(locked, oracle,
-  config, budget, telemetry)`` returning an
-  :class:`~repro.attacks.results.AttackResult`. The run's live state —
-  its :class:`~repro.utils.timer.Budget` and its telemetry sink — is
-  passed alongside the config, never inside it.
+  recorded into ``AttackResult.details['telemetry']`` under one schema.
 
-Concrete families are registered in :mod:`repro.attacks.registry`; the
-engine layer (:mod:`repro.attacks.engine`) drives them with lifecycle
-bookkeeping, checkpoint/resume and portfolio racing.
+The families themselves are the :class:`~repro.attacks.registry.Attack`
+records of :mod:`repro.attacks.registry`; each runs as
+``run(locked, oracle, config, budget, telemetry)``, so the run's live
+state — its :class:`~repro.utils.timer.Budget` and its telemetry sink —
+travels beside the config, never inside it. The engine layer
+(:mod:`repro.attacks.engine`) drives them with lifecycle bookkeeping,
+checkpoint/resume and portfolio racing.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
-from repro.attacks.oracle import IOOracle
-from repro.attacks.results import AttackResult
-from repro.circuit.circuit import Circuit
-from repro.utils.timer import Budget, Stopwatch
+from repro.utils.timer import Stopwatch
 
 #: Schema version of the ``details['telemetry']`` snapshot.
 TELEMETRY_SCHEMA = 1
@@ -179,52 +173,3 @@ class _StageScope:
             error=exc_type.__name__ if exc_type is not None else None,
             **self._end_fields,
         )
-
-
-class Attack(abc.ABC):
-    """One registered attack family behind the uniform interface.
-
-    Subclasses set the class attributes and implement :meth:`run`.
-    ``applicability`` returns ``None`` when the attack can run and a
-    human-readable reason otherwise — the engine converts a non-``None``
-    reason into a ``NOT_APPLICABLE`` result instead of raising, so suite
-    sweeps can tabulate inapplicable cells uniformly.
-    """
-
-    #: Registry name (CLI ``--attack`` value).
-    name: str = ""
-    #: One-line description shown by ``fall-attack --list-attacks``.
-    description: str = ""
-    #: Whether the family cannot run at all without an I/O oracle.
-    requires_oracle: bool = False
-    #: Whether the family's oracle stream can be checkpointed/resumed
-    #: (deterministic oracle-guided loops).
-    supports_checkpoint: bool = False
-
-    def applicability(
-        self,
-        locked: Circuit,
-        oracle: IOOracle | None,
-        config: AttackConfig,
-    ) -> str | None:
-        """``None`` if runnable, else the reason it is not."""
-        if self.requires_oracle and oracle is None:
-            return f"{self.name} requires an I/O oracle"
-        if not locked.key_inputs:
-            return "circuit has no key inputs to attack"
-        return None
-
-    @abc.abstractmethod
-    def run(
-        self,
-        locked: Circuit,
-        oracle: IOOracle | None,
-        config: AttackConfig,
-        budget: Budget,
-        telemetry: TelemetryRecorder,
-    ) -> AttackResult:
-        """Execute the attack within ``budget``, emitting into
-        ``telemetry``; always returns an :class:`AttackResult`."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Attack {self.name}>"

@@ -30,6 +30,7 @@ only once, in the solver.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable, Mapping
 
 from repro.attacks.base import TelemetryRecorder
@@ -43,7 +44,6 @@ from repro.errors import AttackError
 from repro.sat.cnf import Cnf
 from repro.sat.encodings import encode_difference_bits
 from repro.sat.solver import Solver, SolveStatus
-from repro.utils.rng import RngLike, make_rng
 from repro.utils.timer import Budget, Stopwatch
 
 #: AppSAT validates its candidate key every ``SETTLE_ROUNDS`` iterations
@@ -269,7 +269,7 @@ def appsat_attack(
     oracle: IOOracle,
     budget: Budget | None = None,
     max_iterations: int | None = None,
-    seed: RngLike = 0,
+    seed: int = 0,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run AppSAT.
@@ -279,7 +279,7 @@ def appsat_attack(
     its sampled error rate is at most :data:`ERROR_THRESHOLD` for one
     full round, the key is accepted as approximately correct.
     """
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     run = _Cegis(
         "appsat", locked, oracle, copies=2, miter=_outputs_differ,
         random_phase=0.1, budget=budget, max_iterations=max_iterations,

@@ -6,8 +6,8 @@ answers: the CDCL solver is seeded, every RNG is seeded, and dict
 iteration order is deterministic. (FALL, guess and standalone key
 confirmation are *not* checkpointable: their probe mining and budget
 slicing truncate on wall-clock time, so their query prefix differs
-between differently-timed runs — the registry marks them
-``supports_checkpoint = False``.) The
+between differently-timed runs — their registry records leave
+``supports_checkpoint`` off.) The
 learned state of such a run is therefore exactly its ordered I/O
 transcript — every distinguishing pattern queried and the outputs
 observed. A checkpoint persists that transcript (plus fingerprints of
@@ -132,15 +132,24 @@ def open_checkpoint(
     An existing file must match the attack name, the circuit
     fingerprint and the determinism-relevant config fields — resuming a
     transcript recorded under different conditions cannot be bit-exact,
-    so a mismatch is an error rather than a silent fresh start.
+    so a mismatch is an error rather than a silent fresh start. A fresh
+    checkpoint is written at once, so an unwritable path is an error
+    before the attack issues any oracle query.
     """
     existing = load_checkpoint(path)
     if existing is None:
-        return Checkpoint(
+        fresh = Checkpoint(
             attack=attack,
             circuit_fingerprint=circuit_fingerprint,
             config_key=config_key,
         )
+        try:
+            save_checkpoint(path, fresh)
+        except OSError as error:
+            raise CheckpointError(
+                f"cannot write checkpoint {path!r}: {error}"
+            ) from error
+        return fresh
     mismatches = []
     if existing.attack != attack:
         mismatches.append(f"attack {existing.attack!r} != {attack!r}")

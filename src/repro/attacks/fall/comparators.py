@@ -26,17 +26,13 @@ _XNOR_TABLE = 0b1001
 
 @dataclass(frozen=True)
 class Comparator:
-    """One identified comparator: the tuple 〈v_i, x_i, k_i〉 plus polarity."""
+    """One identified comparator: the tuple 〈v_i, x_i, k_i〉 plus polarity
+    (``is_xnor``: v = ¬(x ⊕ k) rather than v = x ⊕ k)."""
 
     node: str
     circuit_input: str
     key_input: str
     is_xnor: bool
-
-    @property
-    def polarity(self) -> int:
-        """+1 for XOR (v = x ⊕ k), -1 for XNOR (v = ¬(x ⊕ k))."""
-        return -1 if self.is_xnor else 1
 
 
 def find_comparators(

@@ -9,6 +9,7 @@ cone must equal ``strip_h(Kc)`` for the recovered cube Kc, i.e.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Mapping
 
 from repro.circuit.aig import aig_from_circuit
@@ -18,7 +19,6 @@ from repro.circuit.sharding import sweep_outputs
 from repro.circuit.gates import GateType
 from repro.errors import AttackError
 from repro.locking.comparators import add_cube_detector, add_hamming_distance_equals
-from repro.utils.rng import make_rng
 from repro.utils.timer import Budget
 
 #: Random patterns of the simulation tier that refutes most wrong cubes.
@@ -77,7 +77,7 @@ def confirm_cube(
     # Tier 1: random simulation refutation. Both sides run on their
     # compiled outputs-only programs (the cone's program is shared with
     # the prefilter sweeps that ran on the same cone object).
-    rng = make_rng(1)
+    rng = random.Random(1)
     values = {name: rng.getrandbits(_SIM_PATTERNS) for name in inputs}
     (cone_out,) = sweep_outputs(cone, values, width=_SIM_PATTERNS)
     (ref_out,) = sweep_outputs(reference, values, width=_SIM_PATTERNS)

@@ -28,6 +28,7 @@ runs).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from repro.attacks.fall.comparators import (
@@ -50,7 +51,6 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 from repro.circuit.sharding import sweep_node_values
 from repro.errors import AttackError
-from repro.utils.rng import make_rng
 from repro.utils.timer import Budget, Stopwatch
 
 _DENSITY_PATTERNS = 512
@@ -242,7 +242,7 @@ def _density_order(
     """``nodes`` by how closely their signal density (or its complement)
     matches strip_h's, and every node's density from one bit-parallel
     random simulation of the candidate cones."""
-    rng = make_rng(1)
+    rng = random.Random(1)
     sim_inputs = {
         name: rng.getrandbits(_DENSITY_PATTERNS) for name in locked.inputs
     }

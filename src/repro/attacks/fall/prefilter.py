@@ -23,12 +23,12 @@ SAT analyses + equivalence check remain the source of truth.
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.sharding import sweep_outputs
 from repro.errors import AttackError
-from repro.utils.rng import RngLike, make_rng
 
 
 def strip_density(m: int, h: int) -> float:
@@ -38,11 +38,12 @@ def strip_density(m: int, h: int) -> float:
     return comb(m, h) / (1 << m)
 
 
-def passes_unateness_sim(
-    cone: Circuit,
-    patterns: int = 256,
-    seed: RngLike = 0,
-) -> bool:
+#: Random patterns per cofactor of the unateness test, and their seed.
+UNATENESS_PATTERNS = 256
+UNATENESS_SEED = 0
+
+
+def passes_unateness_sim(cone: Circuit) -> bool:
     """Quick refutation of unateness by cofactor simulation (h = 0).
 
     For each support variable, simulate both cofactors on shared random
@@ -55,7 +56,8 @@ def passes_unateness_sim(
     """
     if len(cone.outputs) != 1:
         raise AttackError("passes_unateness_sim expects a single-output cone")
-    rng = make_rng(seed)
+    patterns = UNATENESS_PATTERNS
+    rng = random.Random(UNATENESS_SEED)
     inputs = list(cone.inputs)
     base = {name: rng.getrandbits(patterns) for name in inputs}
     mask = (1 << patterns) - 1

@@ -1,7 +1,7 @@
-"""The declarative attack registry: all seven families, one interface.
+"""The attack registry: one fixed table of all seven families.
 
-Every attack family in the repo registers an :class:`~repro.attacks.
-base.Attack` adapter here, keyed by its CLI name:
+Every attack family in the repo is one :class:`Attack` record in
+:data:`_TABLE`, keyed by its CLI name:
 
 ====================  =====================================================
 ``fall``              the paper's FALL pipeline (§III-§V)
@@ -21,40 +21,197 @@ circuits and never reads an input netlist, so it lives with its tests
 Consumers — the CLI, the experiment suite runner, the portfolio racer,
 benchmarks and tests — resolve attacks by name through :func:`get_attack`
 and never import family entry points directly, so adding a family is one
-adapter class with the ``@register_attack`` decorator.
+record and one adapter function in this module.
 """
 
 from __future__ import annotations
 
-from repro.attacks.base import Attack
+from collections.abc import Callable
+from dataclasses import dataclass
+
 from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
 from repro.attacks.fall.pipeline import fall_attack
 from repro.attacks.guess import guess_and_confirm
 from repro.attacks.key_confirmation import key_confirmation
+from repro.attacks.results import AttackResult
 from repro.attacks.sps import sps_attack
 from repro.errors import AttackError
 
-_REGISTRY: dict[str, Attack] = {}
+
+@dataclass(frozen=True)
+class Attack:
+    """One registered attack family: plain data plus its entry adapter.
+
+    ``entry(locked, oracle, config, budget, telemetry)`` runs the family
+    within ``budget``, emitting into ``telemetry``. The flags say
+    whether it needs an I/O oracle, whether its oracle stream can be
+    checkpointed and resumed (deterministic oracle-guided loops), and
+    whether it needs ``AttackConfig.candidates``.
+    """
+
+    #: Registry name (CLI ``--attack`` value).
+    name: str
+    #: One-line description shown by ``fall-attack --list-attacks``.
+    description: str
+    entry: Callable[..., AttackResult]
+    requires_oracle: bool = False
+    supports_checkpoint: bool = False
+    requires_candidates: bool = False
+
+    def applicability(self, locked, oracle, config) -> str | None:
+        """``None`` if runnable, else the reason it is not (the engine
+        reports it as a ``NOT_APPLICABLE`` result)."""
+        if self.requires_oracle and oracle is None:
+            return f"{self.name} requires an I/O oracle"
+        if not locked.key_inputs:
+            return "circuit has no key inputs to attack"
+        if self.requires_candidates and not config.candidates:
+            return (
+                f"{self.name} needs a candidate shortlist "
+                "(AttackConfig.candidates)"
+            )
+        return None
+
+    def run(self, locked, oracle, config, budget, telemetry) -> AttackResult:
+        """Execute the attack; always returns an :class:`AttackResult`.
+
+        The engine calls this method rather than ``entry`` so that
+        ``attackbench/tracer.py`` times every family by patching
+        ``Attack.run``."""
+        return self.entry(locked, oracle, config, budget, telemetry)
 
 
-def register_attack(cls: type[Attack]) -> type[Attack]:
-    """Class decorator adding one :class:`Attack` family to the registry."""
-    attack = cls()
-    if not attack.name:
-        raise AttackError(f"attack class {cls.__name__} has no name")
-    if attack.name in _REGISTRY:
-        raise AttackError(f"attack {attack.name!r} registered twice")
-    _REGISTRY[attack.name] = attack
-    return cls
+# ----------------------------------------------------------------------
+# Family adapters
+# ----------------------------------------------------------------------
+def _fall(locked, oracle, config, budget, telemetry):
+    return fall_attack(
+        locked,
+        h=config.h,
+        oracle=oracle,
+        budget=budget,
+        analyses=config.analyses,
+        telemetry=telemetry,
+    )
+
+
+def _sat(locked, oracle, config, budget, telemetry):
+    return sat_attack(
+        locked,
+        oracle,
+        budget=budget,
+        max_iterations=config.max_iterations,
+        telemetry=telemetry,
+    )
+
+
+def _appsat(locked, oracle, config, budget, telemetry):
+    return appsat_attack(
+        locked,
+        oracle,
+        budget=budget,
+        max_iterations=config.max_iterations,
+        seed=config.seed,
+        telemetry=telemetry,
+    )
+
+
+def _double_dip(locked, oracle, config, budget, telemetry):
+    return double_dip_attack(
+        locked,
+        oracle,
+        budget=budget,
+        max_iterations=config.max_iterations,
+        telemetry=telemetry,
+    )
+
+
+def _sps(locked, oracle, config, budget, telemetry):
+    return sps_attack(locked, seed=config.seed, telemetry=telemetry)
+
+
+def _key_confirmation(locked, oracle, config, budget, telemetry):
+    return key_confirmation(
+        locked,
+        oracle,
+        list(config.candidates),
+        budget=budget,
+        max_iterations=config.max_iterations,
+        telemetry=telemetry,
+    )
+
+
+def _guess(locked, oracle, config, budget, telemetry):
+    return guess_and_confirm(
+        locked, oracle, h=config.h, budget=budget, telemetry=telemetry
+    )
+
+
+# FALL, key confirmation and guess are not checkpointable: FALL's
+# geometric budget slicing makes its confirmed-cube shortlist, and key
+# confirmation's probe mining truncates, on the wall clock, so a resumed
+# run cannot promise to replay the recorded transcript.
+_TABLE = (
+    Attack(
+        "fall",
+        "FALL functional-analysis pipeline (oracle optional; uses key "
+        "confirmation on multi-key shortlists when an oracle is given)",
+        _fall,
+    ),
+    Attack(
+        "sat",
+        "SAT attack (oracle-guided distinguishing-input CEGIS)",
+        _sat,
+        requires_oracle=True,
+        supports_checkpoint=True,
+    ),
+    Attack(
+        "appsat",
+        "AppSAT approximate SAT attack (random-query validation)",
+        _appsat,
+        requires_oracle=True,
+        supports_checkpoint=True,
+    ),
+    Attack(
+        "double-dip",
+        "Double DIP (2-distinguishing-input SAT attack variant)",
+        _double_dip,
+        requires_oracle=True,
+        supports_checkpoint=True,
+    ),
+    Attack(
+        "sps",
+        "Signal Probability Skew removal attack (oracle-less)",
+        _sps,
+    ),
+    Attack(
+        "key-confirmation",
+        "SAT-based key confirmation of a candidate shortlist (paper Alg. "
+        "4); the shortlist is AttackConfig.candidates, so it runs from "
+        "the library only",
+        _key_confirmation,
+        requires_oracle=True,
+        requires_candidates=True,
+    ),
+    Attack(
+        "guess",
+        "structural key guessing; guesses are confirmed through "
+        "key-confirmation when an oracle is available (the paper's §V "
+        "guess-and-confirm workflow)",
+        _guess,
+    ),
+)
+
+_REGISTRY = {attack.name: attack for attack in _TABLE}
 
 
 def attack_names() -> tuple[str, ...]:
-    """All registered names, in registration (documentation) order."""
+    """All registered names, in table (documentation) order."""
     return tuple(_REGISTRY)
 
 
 def all_attacks() -> tuple[Attack, ...]:
-    return tuple(_REGISTRY.values())
+    return _TABLE
 
 
 def get_attack(name: str) -> Attack:
@@ -66,153 +223,3 @@ def get_attack(name: str) -> Attack:
             f"{', '.join(attack_names())}"
         )
     return attack
-
-
-# ----------------------------------------------------------------------
-# Family adapters
-# ----------------------------------------------------------------------
-@register_attack
-class FallAttackFamily(Attack):
-    name = "fall"
-    description = (
-        "FALL functional-analysis pipeline (oracle optional; uses key "
-        "confirmation on multi-key shortlists when an oracle is given)"
-    )
-    requires_oracle = False
-    # Not checkpointable: the geometric budget slicing makes the
-    # confirmed-cube shortlist — and therefore the key-confirmation
-    # query sequence — wall-clock-dependent, so a resumed run cannot
-    # promise to replay the recorded transcript.
-    supports_checkpoint = False
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return fall_attack(
-            locked,
-            h=config.h,
-            oracle=oracle,
-            budget=budget,
-            analyses=config.analyses,
-            telemetry=telemetry,
-        )
-
-
-@register_attack
-class SatAttackFamily(Attack):
-    name = "sat"
-    description = "SAT attack (oracle-guided distinguishing-input CEGIS)"
-    requires_oracle = True
-    supports_checkpoint = True
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return sat_attack(
-            locked,
-            oracle,
-            budget=budget,
-            max_iterations=config.max_iterations,
-            telemetry=telemetry,
-        )
-
-
-@register_attack
-class AppSatFamily(Attack):
-    name = "appsat"
-    description = "AppSAT approximate SAT attack (random-query validation)"
-    requires_oracle = True
-    supports_checkpoint = True
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return appsat_attack(
-            locked,
-            oracle,
-            budget=budget,
-            max_iterations=config.max_iterations,
-            seed=config.seed,
-            telemetry=telemetry,
-        )
-
-
-@register_attack
-class DoubleDipFamily(Attack):
-    name = "double-dip"
-    description = "Double DIP (2-distinguishing-input SAT attack variant)"
-    requires_oracle = True
-    supports_checkpoint = True
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return double_dip_attack(
-            locked,
-            oracle,
-            budget=budget,
-            max_iterations=config.max_iterations,
-            telemetry=telemetry,
-        )
-
-
-@register_attack
-class SpsFamily(Attack):
-    name = "sps"
-    description = "Signal Probability Skew removal attack (oracle-less)"
-    requires_oracle = False
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return sps_attack(
-            locked, seed=config.seed, telemetry=telemetry
-        )
-
-
-@register_attack
-class KeyConfirmationFamily(Attack):
-    name = "key-confirmation"
-    description = (
-        "SAT-based key confirmation of a candidate shortlist (paper Alg. "
-        "4); the shortlist is AttackConfig.candidates, so it runs from "
-        "the library only"
-    )
-    requires_oracle = True
-    # Not checkpointable: probe mining truncates on the wall-clock
-    # budget, so the query prefix is not a pure function of (config,
-    # oracle answers) across differently-timed runs.
-    supports_checkpoint = False
-
-    def applicability(self, locked, oracle, config):
-        reason = super().applicability(locked, oracle, config)
-        if reason is not None:
-            return reason
-        if not config.candidates:
-            return (
-                "key-confirmation needs a candidate shortlist "
-                "(AttackConfig.candidates)"
-            )
-        return None
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return key_confirmation(
-            locked,
-            oracle,
-            list(config.candidates),
-            budget=budget,
-            max_iterations=config.max_iterations,
-            telemetry=telemetry,
-        )
-
-
-@register_attack
-class GuessFamily(Attack):
-    name = "guess"
-    description = (
-        "structural key guessing; guesses are confirmed through "
-        "key-confirmation when an oracle is available (the paper's §V "
-        "guess-and-confirm workflow)"
-    )
-    requires_oracle = False
-    # Inherits key-confirmation's wall-clock-dependent query prefix.
-    supports_checkpoint = False
-
-    def run(self, locked, oracle, config, budget, telemetry):
-        return guess_and_confirm(
-            locked,
-            oracle,
-            h=config.h,
-            budget=budget,
-            telemetry=telemetry,
-        )

@@ -24,6 +24,7 @@ h values of Figure 5) is far less skewed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.attacks.base import TelemetryRecorder
@@ -34,7 +35,6 @@ from repro.circuit.gates import GateType
 from repro.circuit.sharding import sweep_popcounts
 from repro.circuit.opt import optimize, sweep
 from repro.errors import AttackError, CircuitError
-from repro.utils.rng import RngLike, make_rng
 from repro.utils.timer import Stopwatch
 
 #: Random patterns per signal-probability estimate, and the skew
@@ -61,23 +61,22 @@ class SkewEstimate:
 
 
 def estimate_signal_probabilities(
-    circuit: Circuit,
-    patterns: int = PATTERNS,
-    seed: RngLike = 0,
+    circuit: Circuit, seed: int = 0
 ) -> dict[str, SkewEstimate]:
-    """Monte-Carlo signal probabilities for every node (keys included)."""
-    rng = make_rng(seed)
-    values = {name: rng.getrandbits(patterns) for name in circuit.inputs}
-    counts = sweep_popcounts(circuit, values, patterns)
+    """Monte-Carlo signal probabilities of every node (keys included)
+    over :data:`PATTERNS` random patterns."""
+    rng = random.Random(seed)
+    values = {name: rng.getrandbits(PATTERNS) for name in circuit.inputs}
+    counts = sweep_popcounts(circuit, values, PATTERNS)
     return {
-        node: SkewEstimate(node, counts[node] / patterns)
+        node: SkewEstimate(node, counts[node] / PATTERNS)
         for node in circuit.nodes
     }
 
 
 def sps_attack(
     locked: Circuit,
-    seed: RngLike = 0,
+    seed: int = 0,
     telemetry: TelemetryRecorder | None = None,
 ) -> AttackResult:
     """Run the SPS removal attack.
@@ -93,7 +92,7 @@ def sps_attack(
     if not locked.key_inputs:
         raise AttackError("circuit has no key inputs to attack")
     with telemetry.stage("probability_estimation", patterns=PATTERNS):
-        probabilities = estimate_signal_probabilities(locked, PATTERNS, seed)
+        probabilities = estimate_signal_probabilities(locked, seed)
 
     with telemetry.stage("xor_stage"):
         reconstructed, info = _try_xor_stage(locked, probabilities)

@@ -104,15 +104,8 @@ class Aig:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def num_inputs(self) -> int:
-        return len(self._input_names)
-
     def is_input(self, index: int) -> bool:
         return index in self._input_names
-
-    def input_name(self, index: int) -> str:
-        return self._input_names[index]
 
     def node_fanins(self, index: int) -> tuple[int, int]:
         node = self._nodes[index]

@@ -1,4 +1,4 @@
-"""Structural analyses on circuits: fanin cones, support, depth.
+"""Structural analyses on circuits: fanin cones, support, dead logic.
 
 These implement the paper's TFC and Supp notations (§II-D):
 
@@ -49,7 +49,7 @@ def support(circuit: Circuit, node: str) -> frozenset[str]:
 def support_table(circuit: Circuit) -> dict[str, frozenset[str]]:
     """Supports of every node, computed in one topological sweep.
 
-    The set unions are memoized per structural version (several attack
+    The set unions are memoized until the next mutation (several attack
     stages ask for the table on the same netlist); the returned dict is
     a fresh per-call copy of immutable values, safe to mutate.
     """
@@ -97,23 +97,6 @@ def extract_cone(circuit: Circuit, node: str) -> Circuit:
         )
     cone.add_output(node)
     return cone
-
-
-def circuit_depth(circuit: Circuit) -> int:
-    """Longest input-to-output path length, counting logic gates."""
-    level: dict[str, int] = {}
-    deepest = 0
-    for node in circuit.topological_order():
-        gate_type = circuit.gate_type(node)
-        if not gate_type.is_gate:
-            level[node] = 0
-        else:
-            level[node] = 1 + max(
-                (level[f] for f in circuit.fanins(node)), default=0
-            )
-        if level[node] > deepest:
-            deepest = level[node]
-    return deepest
 
 
 def dangling_nodes(circuit: Circuit) -> set[str]:

@@ -9,11 +9,13 @@ logic-locking tools (including the paper's artifact):
     n1 = NAND(a, b)
     y  = NOT(n1)
 
-Extension for locked netlists: key inputs may be declared either with a
-``KEYINPUT(k)`` line or by the widely used convention of naming them with
-a ``keyinput`` prefix (both are accepted on parse; the writer emits
-``INPUT`` plus a ``# keys:`` comment listing key names, which round-trips
-through this parser).
+Extension for locked netlists: key inputs are declared with a
+``KEYINPUT(k)`` line or a ``# keys:`` comment listing key names. A file
+that declares keys either way has exactly those keys; only a file that
+declares none falls back to the widely used convention of naming key
+inputs with a ``keyinput`` prefix. The writer emits ``INPUT`` lines plus
+a ``# keys:`` comment — empty for a keyless circuit — so key markings
+round-trip through this parser whatever the inputs are named.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     circuit = Circuit(name)
     outputs: list[str] = []
     key_names: set[str] = set()
+    keys_declared = False
     declared_inputs: list[str] = []
     gate_lines: list[tuple[int, str, str, list[str]]] = []
 
@@ -40,8 +43,8 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.lower().startswith("keys:"):
-                for key in comment[5:].replace(",", " ").split():
-                    key_names.add(key)
+                keys_declared = True
+                key_names.update(comment[5:].replace(",", " ").split())
             continue
         if not line:
             continue
@@ -51,9 +54,8 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
             if not inner:
                 raise ParseError("empty INPUT declaration", line_no)
             declared_inputs.append(inner)
-            if upper.startswith("KEYINPUT(") or inner.lower().startswith(
-                _KEY_NAME_PREFIX
-            ):
+            if upper.startswith("KEYINPUT("):
+                keys_declared = True
                 key_names.add(inner)
             continue
         if upper.startswith("OUTPUT(") and line.endswith(")"):
@@ -72,6 +74,11 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         args = [a.strip() for a in args_text.split(",") if a.strip()]
         gate_lines.append((line_no, target, op_name, args))
 
+    if not keys_declared:
+        key_names = {
+            name for name in declared_inputs
+            if name.lower().startswith(_KEY_NAME_PREFIX)
+        }
     for input_name in declared_inputs:
         circuit.add_input(input_name, key=input_name in key_names)
     for line_no, target, op_name, args in gate_lines:
@@ -114,9 +121,7 @@ _GATE_TO_BENCH: dict[GateType, str] = {
 
 def write_bench(circuit: Circuit) -> str:
     """Render a circuit as ``.bench`` text (round-trips key markings)."""
-    lines = [f"# {circuit.name}"]
-    if circuit.key_inputs:
-        lines.append("# keys: " + " ".join(circuit.key_inputs))
+    lines = [f"# {circuit.name}", " ".join(("# keys:",) + circuit.key_inputs)]
     for input_name in circuit.inputs:
         lines.append(f"INPUT({input_name})")
     for output_name in circuit.outputs:

@@ -10,12 +10,16 @@ Forward references are allowed during construction (needed by the
 ``.bench`` parser, where gates may be defined before their fanins);
 :meth:`Circuit.validate` and :meth:`Circuit.topological_order` check that
 the final netlist is a well-formed DAG.
+
+Structure derived from the netlist — topological orders, fanout tables,
+support sets, the compiled simulation engine — is memoized on the
+circuit (:meth:`Circuit._memo`) and dropped by every structural
+mutation, so it is rebuilt only when the netlist changes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from repro.circuit.gates import GateType, check_arity
 from repro.errors import CircuitError
@@ -65,18 +69,6 @@ def topological_region_order(
     return order
 
 
-@dataclass(frozen=True)
-class CircuitStats:
-    """Summary statistics, formatted like Table I of the paper."""
-
-    name: str
-    num_inputs: int
-    num_key_inputs: int
-    num_outputs: int
-    num_gates: int
-    depth: int
-
-
 class Circuit:
     """A named combinational netlist.
 
@@ -95,29 +87,19 @@ class Circuit:
         self._outputs: list[str] = []
         self._key_inputs: set[str] = set()
         self._fresh_counter = 0
-        self._version = 0
         self._derived: dict[object, object] = {}
 
     # ------------------------------------------------------------------
-    # Structural versioning / derived-data memoization
+    # Derived-data memoization
     # ------------------------------------------------------------------
-    @property
-    def structural_version(self) -> int:
-        """Monotonic counter bumped by every structural mutation.
-
-        Derived artifacts (topological orders, compiled simulation
-        programs, fanout tables) are tagged with the version they were
-        built against and rebuilt when it changes.
-        """
-        return self._version
-
     def _invalidate(self) -> None:
-        self._version += 1
+        """Drop every derived structure; each structural mutation calls it."""
         if self._derived:
             self._derived.clear()
 
     def _memo(self, key, build):
-        """Version-safe memoization of derived structure."""
+        """Memoized derived structure (topological orders, fanout tables,
+        support sets, the compiled engine), dropped on mutation."""
         try:
             return self._derived[key]
         except KeyError:
@@ -275,7 +257,7 @@ class Circuit:
     def fanouts(self) -> dict[str, list[str]]:
         """Map node -> list of nodes it feeds.
 
-        The edge traversal is memoized per structural version; the
+        The edge traversal is memoized until the next mutation; the
         returned dict-of-lists is a fresh copy the caller may mutate.
         """
         table = self._memo("fanouts", self._build_fanouts)
@@ -298,8 +280,8 @@ class Circuit:
         With ``targets``, restricts to the union of their transitive fanin
         cones (targets included). Raises on cycles or dangling references.
 
-        Each order (full, or per ``targets`` tuple) is memoized per
-        structural version; callers receive a fresh list each time.
+        Each order (full, or per ``targets`` tuple) is memoized until the
+        next mutation; callers receive a fresh list each time.
         """
         wanted = None if targets is None else tuple(targets)
 
@@ -349,18 +331,6 @@ class Circuit:
         duplicate._key_inputs = {rename(n) for n in self._key_inputs}
         duplicate._fresh_counter = self._fresh_counter
         return duplicate
-
-    def stats(self) -> CircuitStats:
-        from repro.circuit.analysis import circuit_depth
-
-        return CircuitStats(
-            name=self.name,
-            num_inputs=len(self.circuit_inputs),
-            num_key_inputs=len(self.key_inputs),
-            num_outputs=len(self._outputs),
-            num_gates=self.num_gates,
-            depth=circuit_depth(self),
-        )
 
     def _require(self, name: str) -> None:
         if name not in self._type:

@@ -17,16 +17,15 @@ call evaluates as many patterns as ``width`` says.
 outputs. One program is generated per requested node tuple, over those
 nodes' fanin cones only, and cached.
 
-Compiled engines are cached per :class:`Circuit` *and* per structural
-version (see :attr:`Circuit.structural_version`), so mutation safely
-invalidates them: call :func:`compile_circuit` freely — it is a dict
-lookup plus an int compare when the cache is warm. Callers holding
+A circuit's compiled engine is cached in its derived-structure memo
+(``Circuit._memo``) like its topological orders and fanout tables, so
+any structural mutation drops it: call :func:`compile_circuit` freely —
+it is one dict lookup when the cache is warm. Callers holding
 per-pattern 0/1 dicts pack them with :func:`pack_patterns`.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping, Sequence
 
 from repro.circuit.circuit import Circuit, topological_region_order
@@ -99,13 +98,12 @@ class CompiledCircuit:
     """Flat, immutable compiled form of a :class:`Circuit`.
 
     Snapshots the structure at construction time and never reads the
-    source circuit again; use :func:`compile_circuit` to get a cached
-    instance that tracks the circuit's structural version.
+    source circuit again; use :func:`compile_circuit` to get the cached
+    instance for the circuit's current structure.
     """
 
     def __init__(self, circuit: Circuit):
         self.name = circuit.name
-        self.version = circuit.structural_version
         self.output_names = circuit.outputs
         nodes = circuit.nodes
         self._types: dict[str, GateType] = {
@@ -209,26 +207,13 @@ class CompiledCircuit:
         return self.node_values(self.output_names, values, width)
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledCircuit({self.name!r}, nodes={len(self._types)}, "
-            f"version={self.version})"
-        )
-
-
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = (
-    weakref.WeakKeyDictionary()
-)
+        return f"CompiledCircuit({self.name!r}, nodes={len(self._types)})"
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """The cached compiled form of ``circuit`` (rebuilt after mutation).
 
-    The cache is keyed weakly by circuit identity and checked against
-    :attr:`Circuit.structural_version`, so holding the result across
-    mutations is safe as long as it is re-fetched through this function.
+    A held engine keeps answering for the structure it snapshotted;
+    re-fetch it through this function after mutating the circuit.
     """
-    compiled = _COMPILE_CACHE.get(circuit)
-    if compiled is None or compiled.version != circuit.structural_version:
-        compiled = CompiledCircuit(circuit)
-        _COMPILE_CACHE[circuit] = compiled
-    return compiled
+    return circuit._memo("compiled", lambda: CompiledCircuit(circuit))

@@ -16,10 +16,11 @@ together so the requested number of outputs covers all logic.
 
 from __future__ import annotations
 
+import random
+
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 from repro.errors import CircuitError
-from repro.utils.rng import RngLike, make_rng
 
 # Weighted gate menu: (type, arity); NOT is unary, others binary or ternary.
 _GATE_MENU: list[tuple[GateType, int, float]] = [
@@ -41,7 +42,7 @@ def generate_random_circuit(
     num_inputs: int,
     num_outputs: int,
     num_gates: int,
-    seed: RngLike = 0,
+    seed: int = 0,
 ) -> Circuit:
     """A seeded random combinational circuit with roughly ``num_gates``.
 
@@ -56,7 +57,7 @@ def generate_random_circuit(
         raise CircuitError(
             f"num_gates={num_gates} too small to use {num_inputs} inputs"
         )
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     circuit = Circuit(name)
     inputs = [circuit.add_input(f"x{i}") for i in range(num_inputs)]
 

@@ -90,6 +90,19 @@ def _read_netlist(parser: argparse.ArgumentParser, path: str):
         parser.error(f"cannot read netlist {path}: {error}")
 
 
+def _require_writable(parser: argparse.ArgumentParser, path: str) -> None:
+    """Probe an output path before any work runs: an unwritable one is a
+    usage error. Appending never truncates, and a probe file is removed."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as error:
+        parser.error(f"cannot write {path}: {error}")
+    if not existed:
+        os.remove(path)
+
+
 def main_lock(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fall-lock", description="Lock a .bench netlist."
@@ -117,6 +130,9 @@ def main_lock(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     circuit = _read_netlist(parser, args.netlist)
+    for path in (args.output, args.key_file):
+        if path:
+            _require_writable(parser, path)
     optimize_netlist = not args.no_optimize
     try:
         if args.scheme == "ttlock":

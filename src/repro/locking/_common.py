@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 
 from repro.circuit.circuit import Circuit
 from repro.errors import LockingError
 from repro.locking.base import choose_protected_inputs, choose_target_output
-from repro.utils.rng import RngLike, make_rng
 
 KEY_PREFIX = "keyinput"
 
@@ -57,7 +57,7 @@ def resolve_lock_site(
 
 
 def resolve_cube(
-    cube: Sequence[int] | None, width: int, seed: RngLike
+    cube: Sequence[int] | None, width: int, seed: int
 ) -> tuple[int, ...]:
     """Use the given protected cube or draw one uniformly at random."""
     if cube is not None:
@@ -69,5 +69,5 @@ def resolve_cube(
         if any(b not in (0, 1) for b in cube):
             raise LockingError("cube bits must be 0 or 1")
         return cube
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     return tuple(rng.getrandbits(1) for _ in range(width))

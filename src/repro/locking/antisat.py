@@ -24,13 +24,12 @@ from repro.locking._common import (
     resolve_lock_site,
 )
 from repro.locking.base import LockedCircuit
-from repro.utils.rng import RngLike
 
 
 def lock_antisat(
     circuit: Circuit,
     key_width: int | None = None,
-    seed: RngLike = 0,
+    seed: int = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Lock ``circuit`` with Anti-SAT.

@@ -9,23 +9,24 @@ the "SAT attack wins quickly" control.
 
 from __future__ import annotations
 
+import random
+
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateType
 from repro.circuit.opt import optimize
 from repro.errors import LockingError
 from repro.locking._common import add_key_inputs
 from repro.locking.base import LockedCircuit
-from repro.utils.rng import RngLike, make_rng
 
 
 def lock_random_xor(
     circuit: Circuit,
     key_width: int = 32,
-    seed: RngLike = 0,
+    seed: int = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Insert ``key_width`` XOR/XNOR key gates on random internal wires."""
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     candidates = [node for node in circuit.gates if node not in circuit.outputs]
     if key_width < 1:
         raise LockingError("key width must be at least 1")

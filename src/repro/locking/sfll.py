@@ -26,7 +26,6 @@ from repro.locking._common import (
 )
 from repro.locking.base import LockedCircuit
 from repro.locking.comparators import add_hamming_distance_equals
-from repro.utils.rng import RngLike
 
 
 def lock_sfll_hd(
@@ -34,7 +33,7 @@ def lock_sfll_hd(
     h: int,
     key_width: int | None = None,
     cube: Sequence[int] | None = None,
-    seed: RngLike = 0,
+    seed: int = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Lock ``circuit`` with SFLL-HDh.

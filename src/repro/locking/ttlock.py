@@ -25,14 +25,13 @@ from repro.locking._common import (
 )
 from repro.locking.base import LockedCircuit
 from repro.locking.comparators import add_cube_detector, add_equality_comparator
-from repro.utils.rng import RngLike
 
 
 def lock_ttlock(
     circuit: Circuit,
     key_width: int | None = None,
     cube: Sequence[int] | None = None,
-    seed: RngLike = 0,
+    seed: int = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Lock ``circuit`` with TTLock.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import SolverError
-from repro.sat.literals import check_literal, var_of
+from repro.sat.literals import check_literal
 
 
 class Cnf:
@@ -21,7 +21,7 @@ class Cnf:
     >>> a, b = cnf.new_var(), cnf.new_var()
     >>> cnf.add_clause([a, b])
     >>> cnf.add_clause([-a])
-    >>> cnf.num_vars, cnf.num_clauses
+    >>> cnf.num_vars, len(cnf.clauses)
     (2, 2)
     """
 
@@ -53,10 +53,6 @@ class Cnf:
         self.num_vars = top
         self.clauses.append(clause)
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
     def copy(self) -> "Cnf":
         duplicate = Cnf(self.num_vars)
         duplicate.clauses = list(self.clauses)
@@ -70,7 +66,7 @@ class Cnf:
         for clause in self.clauses:
             satisfied = False
             for lit in clause:
-                v = var_of(lit)
+                v = abs(lit)
                 if v not in assignment:
                     raise SolverError(f"assignment is missing variable {v}")
                 if assignment[v] == (lit > 0):
@@ -81,4 +77,4 @@ class Cnf:
         return True
 
     def __repr__(self) -> str:
-        return f"Cnf(num_vars={self.num_vars}, num_clauses={self.num_clauses})"
+        return f"Cnf(num_vars={self.num_vars}, num_clauses={len(self.clauses)})"

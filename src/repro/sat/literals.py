@@ -22,11 +22,6 @@ def check_literal(lit: int) -> int:
     return lit
 
 
-def var_of(lit: int) -> int:
-    """Variable of an external literal: ``var_of(-3) == 3``."""
-    return lit if lit > 0 else -lit
-
-
 def to_internal(lit: int) -> int:
     """External signed literal -> internal even/odd index."""
     if lit > 0:

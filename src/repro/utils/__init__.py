@@ -1,1 +1,1 @@
-"""Shared utilities: budgets/timers, bit manipulation, deterministic RNG."""
+"""Shared utilities: budgets/timers and bit manipulation."""

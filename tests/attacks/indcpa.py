@@ -20,13 +20,13 @@ netlist to attack.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.circuit.circuit import Circuit
 from repro.errors import AttackError
 from repro.locking.base import LockedCircuit
 from repro.locking.sfll import lock_sfll_hd
-from repro.utils.rng import RngLike, make_rng
 
 #: Rounds per game, and the (inputs, outputs, gates) of each round's
 #: fresh random circuits.
@@ -50,8 +50,8 @@ class GameRound:
 class Defender:
     """The game's challenger: locks one of two submitted circuits."""
 
-    def __init__(self, h: int = 1, seed: RngLike = 0):
-        self._rng = make_rng(seed)
+    def __init__(self, h: int = 1, seed: int = 0):
+        self._rng = random.Random(seed)
         self._h = h
         self._secret_bit = self._rng.getrandbits(1)
 
@@ -87,12 +87,11 @@ def equivalence_adversary(
     fraction).
     """
     from repro.circuit.compiled import compile_circuit
-    from repro.utils.rng import make_rng
 
     if set(circuit0.circuit_inputs) != set(circuit1.circuit_inputs):
         raise AttackError("game circuits must share their input interface")
     patterns = 2048
-    rng = make_rng(99)
+    rng = random.Random(99)
     values = {
         name: rng.getrandbits(patterns)
         for name in locked.inputs  # includes arbitrary key values
@@ -112,11 +111,11 @@ def equivalence_adversary(
     return 0 if mismatches[0] <= mismatches[1] else 1
 
 
-def play_game(h: int = 1, seed: RngLike = 0) -> list[GameRound]:
+def play_game(h: int = 1, seed: int = 0) -> list[GameRound]:
     """Play :data:`GAME_ROUNDS` rounds with fresh random circuit pairs."""
     from repro.circuit.random_circuits import generate_random_circuit
 
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     transcript: list[GameRound] = []
     num_inputs, num_outputs, num_gates = GAME_CIRCUIT_SIZE
     for round_index in range(GAME_ROUNDS):

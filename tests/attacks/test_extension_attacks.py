@@ -42,7 +42,7 @@ class TestSignalProbabilities:
 
     def test_probabilities_in_unit_interval(self):
         circuit = generate_random_circuit("p", 8, 2, 40, seed=3)
-        probabilities = estimate_signal_probabilities(circuit, patterns=256)
+        probabilities = estimate_signal_probabilities(circuit)
         assert all(0.0 <= e.probability <= 1.0 for e in probabilities.values())
 
     def test_majority_value(self):

@@ -26,7 +26,7 @@ class TestEstimation:
         names = [circuit.add_input(f"x{i}") for i in range(6)]
         circuit.add_gate("conj", GateType.AND, names)
         circuit.add_output("conj")
-        probabilities = estimate_signal_probabilities(circuit, patterns=8192)
+        probabilities = estimate_signal_probabilities(circuit)
         assert abs(probabilities["conj"].probability - 1 / 64) < 0.02
 
     def test_xor_is_unbiased(self):
@@ -35,7 +35,7 @@ class TestEstimation:
         circuit.add_input("b")
         circuit.add_gate("y", GateType.XOR, ["a", "b"])
         circuit.add_output("y")
-        probabilities = estimate_signal_probabilities(circuit, patterns=8192)
+        probabilities = estimate_signal_probabilities(circuit)
         assert probabilities["y"].skew < 0.05
 
     def test_constant_nodes(self):
@@ -44,7 +44,7 @@ class TestEstimation:
         circuit.add_const("one", 1)
         circuit.add_gate("y", GateType.AND, ["a", "one"])
         circuit.add_output("y")
-        probabilities = estimate_signal_probabilities(circuit, patterns=512)
+        probabilities = estimate_signal_probabilities(circuit)
         assert probabilities["one"].probability == 1.0
 
     def test_seed_determinism(self):
@@ -53,6 +53,6 @@ class TestEstimation:
         circuit.add_input("b")
         circuit.add_gate("y", GateType.NAND, ["a", "b"])
         circuit.add_output("y")
-        first = estimate_signal_probabilities(circuit, patterns=256, seed=4)
-        second = estimate_signal_probabilities(circuit, patterns=256, seed=4)
+        first = estimate_signal_probabilities(circuit, seed=4)
+        second = estimate_signal_probabilities(circuit, seed=4)
         assert first["y"].probability == second["y"].probability

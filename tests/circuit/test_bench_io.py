@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.bench_io import parse_bench, read_bench, save_bench, write_bench
+from repro.circuit.circuit import Circuit
 from repro.circuit.equivalence import check_equivalence
 from repro.circuit.gates import GateType
 from repro.errors import ParseError
@@ -99,6 +100,34 @@ class TestWrite:
         circuit = parse_bench(text)
         back = parse_bench(write_bench(circuit))
         assert back.key_inputs == ("k0",)
+
+    def test_roundtrip_keeps_non_key_keyinput_names(self):
+        # A declared key list is authoritative: a non-key input that
+        # happens to carry the ``keyinput`` prefix stays a plain input.
+        circuit = Circuit("named")
+        circuit.add_input("keyinput0")
+        circuit.add_input("k", key=True)
+        circuit.add_gate("y", GateType.XOR, ["keyinput0", "k"])
+        circuit.add_output("y")
+        back = parse_bench(write_bench(circuit))
+        assert back.key_inputs == ("k",)
+        assert back.circuit_inputs == ("keyinput0",)
+
+    def test_roundtrip_of_a_keyless_circuit_with_keyinput_names(self):
+        circuit = Circuit("keyless")
+        circuit.add_input("keyinput0")
+        circuit.add_gate("y", GateType.NOT, ["keyinput0"])
+        circuit.add_output("y")
+        text = write_bench(circuit)
+        assert "# keys:\n" in text
+        assert parse_bench(text).key_inputs == ()
+
+    def test_keyinput_declaration_overrides_the_name_convention(self):
+        text = (
+            "INPUT(keyinput0)\nKEYINPUT(k)\nOUTPUT(y)\n"
+            "y = XOR(keyinput0, k)\n"
+        )
+        assert parse_bench(text).key_inputs == ("k",)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "c17.bench"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.analysis import (
-    circuit_depth,
     dangling_nodes,
     extract_cone,
     support,
@@ -15,7 +14,6 @@ from repro.circuit.analysis import (
 from repro.circuit import circuit as circuit_module
 from repro.circuit.circuit import Circuit, topological_region_order
 from repro.circuit.gates import GateType, check_arity, evaluate_gate
-from repro.circuit.library import paper_example_circuit
 from repro.circuit.random_circuits import generate_random_circuit
 from repro.errors import CircuitError
 from tests.circuits import c17
@@ -261,11 +259,6 @@ class TestAnalysis:
         cone = extract_cone(c, "g2")
         assert cone.is_key_input("k")
 
-    def test_depth(self):
-        c = c17()
-        assert circuit_depth(c) == 3
-        assert circuit_depth(paper_example_circuit()) == 3
-
     def test_dangling_nodes(self):
         c = simple_circuit()
         c.add_gate("dead", GateType.NOT, ["a"])
@@ -290,14 +283,6 @@ class TestTransforms:
         c = simple_circuit()
         with pytest.raises(CircuitError):
             c.renamed({"g1": "g2"})
-
-    def test_stats(self):
-        stats = c17().stats()
-        assert stats.num_inputs == 5
-        assert stats.num_outputs == 2
-        assert stats.num_gates == 6
-        assert stats.num_key_inputs == 0
-        assert stats.depth == 3
 
     def test_fanouts(self):
         c = c17()

@@ -59,7 +59,7 @@ class TestFullyFixed:
         encode_under_assignment(
             circuit, cnf, fixed={"a": 1, "b": 0, "c": 0, "d": 1}
         )
-        assert cnf.num_clauses == 0
+        assert len(cnf.clauses) == 0
 
 
 class TestPartiallyFixed:
@@ -150,7 +150,7 @@ class TestGateFolding:
         cnf = Cnf()
         encoding = encode_under_assignment(circuit, cnf, fixed={"a": const_in})
         assert encoding.consts["y"] == expect_const
-        assert cnf.num_clauses == 0
+        assert len(cnf.clauses) == 0
 
     @pytest.mark.parametrize(
         "gate_type",

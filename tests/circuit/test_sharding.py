@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -34,7 +35,6 @@ from repro.circuit.spec import (
     circuit_spec,
 )
 from repro.errors import CircuitError
-from repro.utils.rng import make_rng
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestCircuitSpecRoundTrip:
     def test_rebuilt_circuit_simulates_identically(self):
         circuit = generate_random_circuit("specsim", 7, 2, 50, seed=4)
         rebuilt = circuit_from_spec(circuit_spec(circuit))
-        rng = make_rng(1)
+        rng = random.Random(1)
         values = {name: rng.getrandbits(128) for name in circuit.inputs}
         assert compile_circuit(rebuilt).eval_outputs_sliced(
             values, width=128
@@ -99,7 +99,7 @@ class TestCircuitSpecRoundTrip:
 
 class TestSweeps:
     def test_sweeps_match_the_interpreter(self):
-        rng = make_rng(17)
+        rng = random.Random(17)
         width = 260
         for seed in range(12):
             circuit = generate_random_circuit(
@@ -122,7 +122,7 @@ class TestSweeps:
 
     def test_row_patterns_and_truth_table(self):
         circuit = generate_random_circuit("swrows", 10, 2, 90, seed=81)
-        rng = make_rng(9)
+        rng = random.Random(9)
         rows = [
             {name: rng.getrandbits(1) for name in circuit.inputs}
             for _ in range(150)
@@ -146,7 +146,7 @@ class TestSweeps:
 class TestPoolLifecycle:
     def test_sweeps_never_spin_up_the_pool(self, fresh_pool):
         circuit = generate_random_circuit("nopool", 8, 3, 60, seed=33)
-        rng = make_rng(11)
+        rng = random.Random(11)
         width = 1 << 16
         values = {name: rng.getrandbits(width) for name in circuit.inputs}
         sweep_outputs(circuit, values, width)

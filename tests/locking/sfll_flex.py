@@ -18,6 +18,7 @@ scheme degenerates to TTLock and falls to FALL as usual.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 
 from repro.circuit.circuit import Circuit
@@ -31,7 +32,6 @@ from repro.locking._common import (
 )
 from repro.locking.base import LockedCircuit
 from repro.locking.comparators import add_cube_detector, add_equality_comparator
-from repro.utils.rng import RngLike, make_rng
 
 
 def lock_sfll_flex(
@@ -39,7 +39,7 @@ def lock_sfll_flex(
     num_cubes: int = 2,
     cube_width: int | None = None,
     cubes: Sequence[Sequence[int]] | None = None,
-    seed: RngLike = 0,
+    seed: int = 0,
     optimize_netlist: bool = True,
 ) -> LockedCircuit:
     """Lock ``circuit`` with SFLL-flex^{k×w}.
@@ -92,7 +92,7 @@ def _resolve_cubes(
     cubes: Sequence[Sequence[int]] | None,
     num_cubes: int,
     width: int,
-    seed: RngLike,
+    seed: int,
 ) -> list[tuple[int, ...]]:
     if cubes is not None:
         resolved = [tuple(int(b) for b in cube) for cube in cubes]
@@ -110,7 +110,7 @@ def _resolve_cubes(
         if len(set(resolved)) != num_cubes:
             raise LockingError("protected cubes must be distinct")
         return resolved
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < num_cubes:
         chosen.add(tuple(rng.getrandbits(1) for _ in range(width)))

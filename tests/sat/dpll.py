@@ -9,7 +9,6 @@ the worst case, intended for formulas with at most a few dozen variables.
 from __future__ import annotations
 
 from repro.sat.cnf import Cnf
-from repro.sat.literals import var_of
 
 
 def dpll_solve(cnf: Cnf) -> dict[int, bool] | None:
@@ -59,7 +58,7 @@ def _search(
         unit = next((c[0] for c in clauses if len(c) == 1), None)
         if unit is None:
             break
-        assignment[var_of(unit)] = unit > 0
+        assignment[abs(unit)] = unit > 0
         clauses = _simplify(clauses, unit)
         if clauses is None:
             return None
@@ -72,7 +71,7 @@ def _search(
         if reduced is None:
             continue
         trial = dict(assignment)
-        trial[var_of(lit)] = lit > 0
+        trial[abs(lit)] = lit > 0
         result = _search(reduced, trial, num_vars)
         if result is not None:
             return result
@@ -110,7 +109,7 @@ def _satisfies_projected(
         keep: list[int] = []
         satisfied = False
         for lit in clause:
-            v = var_of(lit)
+            v = abs(lit)
             if v in fixed:
                 if assignment[v] == (lit > 0):
                     satisfied = True

@@ -120,7 +120,7 @@ class TestAtLeast:
         cnf = Cnf()
         xs = [cnf.new_var() for _ in range(3)]
         encode_at_least(cnf, xs, 0)
-        assert cnf.num_clauses == 0
+        assert len(cnf.clauses) == 0
 
     def test_impossible_bound_rejected(self):
         cnf = Cnf()
@@ -148,4 +148,4 @@ def test_large_sequential_counter_is_compact():
     cnf = Cnf()
     xs = [cnf.new_var() for _ in range(40)]
     encode_at_most(cnf, xs, 5)
-    assert cnf.num_clauses < comb(40, 6) / 100
+    assert len(cnf.clauses) < comb(40, 6) / 100

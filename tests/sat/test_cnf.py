@@ -38,8 +38,8 @@ class TestConstruction:
         cnf.add_clause([1, 2])
         dup = cnf.copy()
         dup.add_clause([-1])
-        assert cnf.num_clauses == 1
-        assert dup.num_clauses == 2
+        assert len(cnf.clauses) == 1
+        assert len(dup.clauses) == 2
 
 
 class TestEvaluate:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.errors import SolverError
 from repro.sat.cnf import Cnf
-from repro.sat.literals import check_literal, to_internal, var_of
+from repro.sat.literals import check_literal, to_internal
 
 from tests.conftest import cnf_strategy
 from tests.sat.dpll import count_models, dpll_solve
@@ -83,10 +83,6 @@ class TestLiterals:
     def test_check_literal_rejects(self, bad):
         with pytest.raises(SolverError):
             check_literal(bad)
-
-    def test_var_of(self):
-        assert var_of(5) == 5
-        assert var_of(-5) == 5
 
     @pytest.mark.parametrize("lit", [1, -1, 7, -7, 100, -100])
     def test_internal_roundtrip(self, lit):

@@ -335,6 +335,43 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["output", "key-file"])
+    def test_unwritable_lock_output_is_a_usage_error(
+        self, wide_bench, tmp_path, capsys, which
+    ):
+        out = tmp_path / "locked.bench"
+        bad = tmp_path / "missing" / "x"
+        argv = [str(wide_bench), str(out), "--key-file", str(tmp_path / "k")]
+        argv[1 if which == "output" else 3] = str(bad)
+        with pytest.raises(SystemExit) as excinfo:
+            main_lock(argv)
+        assert excinfo.value.code == 2
+        assert f"cannot write {bad}" in capsys.readouterr().err
+        # Nothing was written: not the netlist without its key, and no
+        # probe file left behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.bench"]
+
+    def test_unwritable_checkpoint_is_a_usage_error_before_any_query(
+        self, wide_bench, tmp_path, capsys, monkeypatch
+    ):
+        from repro.attacks.oracle import IOOracle
+
+        locked_path = tmp_path / "locked.bench"
+        main_lock([str(wide_bench), str(locked_path), "--h", "1"])
+        capsys.readouterr()
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("the oracle was queried")
+
+        monkeypatch.setattr(IOOracle, "query", no_query)
+        bad = tmp_path / "missing" / "ck.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(locked_path), "--attack", "sat",
+                         "--oracle", str(wide_bench),
+                         "--checkpoint", str(bad)])
+        assert excinfo.value.code == 2
+        assert "cannot write checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -43,6 +43,10 @@ ALLOWED = {
     "repro/circuit/aig.py:Aig.evaluate",
     "repro/sat/cnf.py:Cnf.evaluate",
     "repro/circuit/equivalence.py:EquivalenceResult.refuted",
+    # The solver tests build and observe formulas through these.
+    "repro/sat/solver.py:Solver.new_var",
+    "repro/sat/solver.py:Solver.num_vars",
+    "repro/sat/cnf.py:Cnf.copy",
     # The CLI's entry points: README's fall-lock and fall-attack, which
     # CI drives through `from repro.cli import main_lock, main_attack`.
     "repro/cli.py:main_lock",
@@ -74,11 +78,6 @@ def _definitions(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            if any(
-                isinstance(d, ast.Name) and d.id == "register_attack"
-                for d in node.decorator_list
-            ):
-                continue  # reached through the registry by name
             yield node.name, node
             for item in node.body:
                 if isinstance(

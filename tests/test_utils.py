@@ -1,4 +1,4 @@
-"""Tests for the utils package (timers, bit ops, RNG)."""
+"""Tests for the utils package (timers, bit ops)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bitops import complement_bits
-from repro.utils.rng import make_rng
 from repro.utils.timer import Budget, Stopwatch
 
 
@@ -63,19 +62,6 @@ class TestBudget:
 class TestBitOps:
     def test_complement(self):
         assert complement_bits((1, 0, 1)) == (0, 1, 0)
-
-
-class TestRng:
-    def test_none_seed_is_deterministic(self):
-        assert make_rng(None).random() == make_rng(None).random()
-
-    def test_int_seeds(self):
-        assert make_rng(5).random() == make_rng(5).random()
-        assert make_rng(5).random() != make_rng(6).random()
-
-    def test_passthrough(self):
-        rng = make_rng(1)
-        assert make_rng(rng) is rng
 
 
 @given(
