@@ -22,6 +22,12 @@ Consumers — the CLI, the experiment suite runner, the portfolio racer,
 benchmarks and tests — resolve attacks by name through :func:`get_attack`
 and never import family entry points directly, so adding a family is one
 record and one adapter function in this module.
+
+Each adapter imports its family on first use. A run executes one family,
+and importing the table must not load the other six or the SAT/CEC stack
+they share: the CLI's ``--list-attacks``, the engine and the suite runner
+then start without compiling code they never call. A pool worker pays
+the import of its family once, at its first task.
 """
 
 from __future__ import annotations
@@ -29,12 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.attacks.cegis import appsat_attack, double_dip_attack, sat_attack
-from repro.attacks.fall.pipeline import fall_attack
-from repro.attacks.guess import guess_and_confirm
-from repro.attacks.key_confirmation import key_confirmation
 from repro.attacks.results import AttackResult
-from repro.attacks.sps import sps_attack
 from repro.errors import AttackError
 
 
@@ -85,6 +86,8 @@ class Attack:
 # Family adapters
 # ----------------------------------------------------------------------
 def _fall(locked, oracle, config, budget, telemetry):
+    from repro.attacks.fall.pipeline import fall_attack
+
     return fall_attack(
         locked,
         h=config.h,
@@ -96,6 +99,8 @@ def _fall(locked, oracle, config, budget, telemetry):
 
 
 def _sat(locked, oracle, config, budget, telemetry):
+    from repro.attacks.cegis import sat_attack
+
     return sat_attack(
         locked,
         oracle,
@@ -106,6 +111,8 @@ def _sat(locked, oracle, config, budget, telemetry):
 
 
 def _appsat(locked, oracle, config, budget, telemetry):
+    from repro.attacks.cegis import appsat_attack
+
     return appsat_attack(
         locked,
         oracle,
@@ -117,6 +124,8 @@ def _appsat(locked, oracle, config, budget, telemetry):
 
 
 def _double_dip(locked, oracle, config, budget, telemetry):
+    from repro.attacks.cegis import double_dip_attack
+
     return double_dip_attack(
         locked,
         oracle,
@@ -127,10 +136,14 @@ def _double_dip(locked, oracle, config, budget, telemetry):
 
 
 def _sps(locked, oracle, config, budget, telemetry):
+    from repro.attacks.sps import sps_attack
+
     return sps_attack(locked, seed=config.seed, telemetry=telemetry)
 
 
 def _key_confirmation(locked, oracle, config, budget, telemetry):
+    from repro.attacks.key_confirmation import key_confirmation
+
     return key_confirmation(
         locked,
         oracle,
@@ -142,6 +155,8 @@ def _key_confirmation(locked, oracle, config, budget, telemetry):
 
 
 def _guess(locked, oracle, config, budget, telemetry):
+    from repro.attacks.guess import guess_and_confirm
+
     return guess_and_confirm(
         locked, oracle, h=config.h, budget=budget, telemetry=telemetry
     )

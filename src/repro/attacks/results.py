@@ -77,10 +77,9 @@ class AttackResult:
     def sanitized(self) -> "AttackResult":
         """A copy whose ``details`` dict is canonically JSON-safe.
 
-        Attack functions historically stuffed arbitrary objects into
-        ``details`` (``FallReport`` dataclasses, reconstructed
-        :class:`~repro.circuit.circuit.Circuit` netlists, tuples);
-        sanitization maps everything onto plain JSON types — dicts,
+        Families put rich objects into ``details`` (``FallReport``
+        dataclasses, reconstructed :class:`~repro.circuit.circuit.Circuit`
+        netlists, tuples); this maps each onto plain JSON types — dicts,
         lists, strings, numbers, booleans, ``None`` — so serialized and
         in-process results carry the same shapes. The engine layer
         sanitizes every result it returns.

@@ -28,7 +28,7 @@ import sys
 from repro.attacks.base import AttackConfig
 from repro.attacks.engine import run_attack, run_portfolio
 from repro.attacks.oracle import IOOracle
-from repro.attacks.registry import all_attacks, attack_names
+from repro.attacks.registry import all_attacks, attack_names, get_attack
 from repro.attacks.results import AttackStatus
 from repro.circuit.bench_io import read_bench, save_bench
 from repro.errors import AttackError, LockingError, ReproError
@@ -258,6 +258,17 @@ def main_attack(argv: list[str] | None = None) -> int:
         return 0
     if args.netlist is None:
         parser.error("the following arguments are required: netlist")
+    if args.checkpoint and args.portfolio is None:
+        try:
+            family = get_attack(args.attack)
+        except AttackError as error:
+            parser.error(str(error))
+        if not family.supports_checkpoint:
+            resumable = [a.name for a in all_attacks() if a.supports_checkpoint]
+            parser.error(
+                f"--checkpoint: {family.name} cannot be checkpointed "
+                f"(only {', '.join(resumable)} can)"
+            )
     locked = _read_netlist(parser, args.netlist)
     config = AttackConfig(
         h=args.h,

@@ -5,7 +5,10 @@ the FALL stage-1 analyses (falling back to a constructed two-candidate
 shortlist when stage 1 yields none, mirroring the paper's use of "key
 values obtained from the results of the previous subsection"), across
 the locked variants (the h settings), and compare the mean execution
-time with the vanilla SAT attack's. The paper's shape: key confirmation
+time with the vanilla SAT attack's. The ``fallback`` column counts the
+variants whose shortlist was the constructed one: FALL runs under a
+wall-clock budget, so on a slow host it can come back empty, and a
+key-confirmation result on the fallback pair says nothing about FALL. The paper's shape: key confirmation
 succeeds everywhere and is orders of magnitude faster; the SAT attack
 times out on most SFLL variants.
 """
@@ -33,6 +36,7 @@ class Fig6Row:
     sat_mean: float
     sat_std: float
     sat_successes: int
+    fallbacks: int
     variants: int
 
     def row(self) -> tuple:
@@ -44,16 +48,21 @@ class Fig6Row:
             f"{self.sat_mean:.2f}",
             f"{self.sat_std:.2f}",
             f"{self.sat_successes}/{self.variants}",
+            f"{self.fallbacks}/{self.variants}",
         )
 
 
-def shortlist_for(benchmark, time_limit: float) -> list[tuple[int, ...]]:
-    """Candidate keys from FALL stage 1 (no oracle).
+def shortlist_for(
+    benchmark, time_limit: float
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Candidate keys from FALL stage 1 (no oracle), and whether FALL
+    produced them.
 
     When the oracle-less stage produces nothing within the budget, fall
     back to a synthetic two-candidate shortlist exercising the
     confirmation machinery (the paper's experiments always had stage-1
-    output available; our scaled-down budget may not).
+    output available; our scaled-down budget may not) and return
+    ``False``.
     """
     result = fall_attack(
         benchmark.locked.circuit,
@@ -62,12 +71,12 @@ def shortlist_for(benchmark, time_limit: float) -> list[tuple[int, ...]]:
         budget=Budget(time_limit),
     )
     if result.key is not None:
-        return [result.key]
+        return [result.key], True
     if result.candidates:
-        return list(result.candidates)
+        return list(result.candidates), True
     width = len(benchmark.locked.key_names)
     zero = tuple([0] * width)
-    return [zero, complement_bits(zero)]
+    return [zero, complement_bits(zero)], False
 
 
 def run_fig6(scale: Scale) -> list[Fig6Row]:
@@ -78,11 +87,13 @@ def run_fig6(scale: Scale) -> list[Fig6Row]:
         confirmation_success = 0
         sat_times: list[float] = []
         sat_success = 0
+        fallbacks = 0
         variants = 0
         for label in H_LABELS:
             benchmark = build_benchmark(profile, label)
             variants += 1
-            shortlist = shortlist_for(benchmark, limit)
+            shortlist, from_fall = shortlist_for(benchmark, limit)
+            fallbacks += not from_fall
             record = run_benchmark_attack(
                 benchmark,
                 "key-confirmation",
@@ -103,6 +114,7 @@ def run_fig6(scale: Scale) -> list[Fig6Row]:
                 sat_mean=mean(sat_times),
                 sat_std=pstdev(sat_times),
                 sat_successes=sat_success,
+                fallbacks=fallbacks,
                 variants=variants,
             )
         )
@@ -117,6 +129,7 @@ HEADERS = (
     "sat-mean[s]",
     "sat-std",
     "sat-ok",
+    "fallback",
 )
 
 

@@ -18,6 +18,10 @@ deterministic seeds (the benchmark is rebuilt inside the worker from
 the profile seed + lock seed) and names its attack by registry name, so
 a parallel sweep produces the same records as a sequential one —
 identical modulo wall-clock timing fields.
+
+The success checks import :func:`~repro.circuit.equivalence.check_equivalence`
+when they first run, so importing the runner does not load the SAT
+solver and CNF encoders; a run that verifies a key loads them then.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from repro.attacks.results import (
     AttackStatus,
     circuit_from_details,
 )
-from repro.circuit.equivalence import check_equivalence
 from repro.circuit.sharding import map_in_processes
 from repro.experiments.profiles import CircuitProfile
 from repro.experiments.suite import LockedBenchmark, build_benchmark
@@ -69,6 +72,8 @@ def _verify_key(benchmark: LockedBenchmark, key: tuple[int, ...] | None) -> bool
     """Defender-side success check: does the recovered key unlock?"""
     if key is None:
         return False
+    from repro.circuit.equivalence import check_equivalence
+
     unlocked = benchmark.locked.unlocked_with(key)
     result = check_equivalence(benchmark.original, unlocked)
     return bool(result.proved)
@@ -79,6 +84,8 @@ def _verify_reconstruction(benchmark: LockedBenchmark, details: dict) -> bool:
     payload = details.get("reconstructed")
     if payload is None:
         return False
+    from repro.circuit.equivalence import check_equivalence
+
     rebuilt = circuit_from_details(payload)
     return bool(check_equivalence(benchmark.original, rebuilt).proved)
 
@@ -173,8 +180,7 @@ class SuiteTask:
     The worker rebuilds the benchmark from the profile's deterministic
     generation seed plus ``lock_seed``, so the task ships a few hundred
     bytes instead of a netlist, and the run is reproducible regardless
-    of which worker executes it. ``attack`` names any registry entry;
-    the legacy hardcoded per-family wrappers are gone.
+    of which worker executes it. ``attack`` names any registry entry.
     """
 
     profile: CircuitProfile

@@ -9,6 +9,8 @@ defeats every cell oracle-less with a unique key (§VI-B).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import fig5, fig6, summary, table1
@@ -77,8 +79,15 @@ class TestFig6Main:
         header, row = csv_path.read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         # Key confirmation succeeds on all four variants, so at least
-        # as often as the SAT attack.
+        # as often as the SAT attack, on shortlists FALL produced.
         assert cells["keyconf-ok"] == "4/4"
+        assert cells["fallback"] == "0/4"
+
+    def test_counts_fallback_shortlists(self):
+        # FALL cannot finish within a microsecond, so every variant runs
+        # key confirmation on the constructed pair, and the row says so.
+        rows = fig6.run_fig6(replace(TINY, time_limit=1e-6))
+        assert [row.row()[-1] for row in rows] == ["4/4"]
 
 
 class TestSummaryMain:

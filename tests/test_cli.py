@@ -305,6 +305,23 @@ class TestAttackCommand:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "family", ["fall", "guess", "sps", "key-confirmation"]
+    )
+    def test_checkpoint_of_unresumable_family_is_a_usage_error(
+        self, tmp_path, capsys, family
+    ):
+        # Raised before the netlist is read: the path does not exist.
+        ckpt = tmp_path / "ck.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main_attack([str(tmp_path / "missing.bench"), "--attack", family,
+                         "--h", "1", "--checkpoint", str(ckpt)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{family} cannot be checkpointed" in err
+        assert "sat, appsat, double-dip" in err
+        assert not ckpt.exists()
+
 
 class TestInputErrors:
     """Out-of-range flags and inputs the locker or the engine rejects are

@@ -2,10 +2,12 @@
 
 The attack benchmark times the import of ``attackbench/run.py``'s
 ``IMPORTS`` in a fresh interpreter as part of ``setup_s``. Those
-modules must load the attack families (so pool workers forked after
-the import never compile them) and nothing a one-process run does not
-execute: no pool, checkpoint or ``.bench`` I/O code. These tests check
-module sets, not timings, so a byte-compiled tree passes the same way.
+modules must load nothing a run may not execute: no attack family
+(each registry adapter imports its own on first use), no SAT solver or
+CNF encoder, no equivalence checker, and no pool, checkpoint or
+``.bench`` I/O code. A run then loads only the family it executes.
+These tests check module sets, not timings, so a byte-compiled tree
+passes the same way.
 """
 
 from __future__ import annotations
@@ -39,20 +41,62 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
+#: Every attack family's modules, and the SAT/CEC stack they share.
+_FAMILIES = ("repro.attacks.fall", "repro.attacks.cegis", "repro.attacks.sps",
+             "repro.attacks.guess", "repro.attacks.key_confirmation")
+_SAT_CEC = ("repro.sat.solver", "repro.circuit.tseitin",
+            "repro.circuit.equivalence")
+
+
+def _loaded(prefixes) -> str:
+    """Code printing the loaded modules that are, or are inside, one of
+    ``prefixes``."""
+    return (
+        f"print(sorted(m for m in sys.modules if any(m == p or "
+        f"m.startswith(p + '.') for p in {tuple(prefixes)!r})))\n"
+    )
+
+
+def _printed(done: subprocess.CompletedProcess) -> list:
+    assert done.returncode == 0, done.stderr
+    return [ast.literal_eval(line) for line in done.stdout.splitlines()
+            if line.startswith("[")]
+
+
 def test_benchmark_imports_load_only_what_a_run_executes():
     imports = _benchmark_imports()
-    absent = ("concurrent.futures", "multiprocessing", "json", "hashlib",
-              "repro.circuit.bench_io", "repro.attacks.checkpoint",
-              "repro.circuit.spec")
-    present = ("repro.attacks.fall.pipeline", "repro.attacks.cegis")
+    absent = _FAMILIES + _SAT_CEC + (
+        "concurrent.futures", "multiprocessing", "json", "hashlib",
+        "repro.circuit.bench_io", "repro.attacks.checkpoint",
+        "repro.circuit.spec")
     done = _fresh(
-        "".join(f"import {module}\n" for module in imports)
-        + f"print([m for m in {absent + present!r} if m in sys.modules])\n"
+        "".join(f"import {module}\n" for module in imports) + _loaded(absent)
     )
-    assert done.returncode == 0, done.stderr
-    loaded = ast.literal_eval(done.stdout.strip().splitlines()[-1])
-    assert [m for m in absent if m in loaded] == []
-    assert [m for m in present if m not in loaded] == []
+    assert _printed(done) == [[]]
+
+
+def test_a_run_loads_only_its_own_family():
+    done = _fresh(
+        "import contextlib, io\n"
+        "from repro.cli import main_attack\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main_attack(['--list-attacks']) == 0\n"
+        + _loaded(_FAMILIES)
+        + "from repro.attacks.engine import run_attack\n"
+        "from repro.attacks.oracle import IOOracle\n"
+        "from repro.circuit.library import paper_example_circuit\n"
+        "from repro.locking import lock_sfll_hd\n"
+        "original = paper_example_circuit()\n"
+        "locked = lock_sfll_hd(original, h=1, cube=(1, 0, 0, 1))\n"
+        "result = run_attack('sat', locked.circuit, IOOracle(original))\n"
+        "assert result.succeeded, result\n"
+        + _loaded(_FAMILIES)
+    )
+    listed, after_sat = _printed(done)
+    assert listed == []
+    assert "repro.attacks.cegis" in after_sat
+    assert [m for m in after_sat
+            if m.startswith(("repro.attacks.fall", "repro.attacks.sps"))] == []
 
 
 def _gone(pid: int) -> bool:
